@@ -477,7 +477,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``repro-shard-<i>`` process lanes.  ``--supervise`` attaches the
     shard supervisor — a killed worker is respawned with bounded backoff
     (``--restart-backoff`` base delay, ``--max-restarts`` flap cap), the
-    session journal is replayed onto it, and answers heal back to
+    keys its outage skipped are re-fetched, and answers heal back to
     bit-exact.  SIGTERM drains gracefully: new sessions get 503 +
     Retry-After while in-flight requests finish, then the final
     telemetry pull and trace export run and the process exits 0.  See
@@ -844,8 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="seconds between background shard telemetry "
                            "pulls (0 disables; scrapes still pull on demand)")
     p_cluster.add_argument("--supervise", action="store_true",
-                           help="respawn dead shard workers, replay the "
-                           "session journal, and heal answers to bit-exact")
+                           help="respawn dead shard workers, re-fetch the "
+                           "skipped keys, and heal answers to bit-exact")
     p_cluster.add_argument("--restart-backoff", type=float, default=0.05,
                            dest="restart_backoff",
                            help="base delay (s) of the supervisor's bounded "

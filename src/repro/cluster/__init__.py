@@ -11,10 +11,13 @@ Layers, bottom up:
 
 * :mod:`repro.cluster.partition` — deterministic key -> shard placement
   (Fibonacci-hash scatter or contiguous level ranges);
-* :mod:`repro.cluster.worker` — a shard's scheduler over its key subset
-  (in-process or spawned, pipe protocol, shared-mmap store slices);
-* :mod:`repro.cluster.router` — authoritative sessions, fan-out,
-  importance-ordered merge, shard-outage shedding;
+* :mod:`repro.cluster.worker` — a stateless shard: a remote
+  ``fetch(keys)`` (in-process or spawned, pipe protocol, shared-mmap
+  store slices);
+* :mod:`repro.cluster.store` — ``ShardedStore``, the scatter-gather
+  ``fetch`` the scheduler sees as its store;
+* :mod:`repro.cluster.router` — authoritative sessions, the one shared
+  scheduler over that store, shard-outage shedding and healing;
 * :mod:`repro.cluster.http` / :mod:`~repro.cluster.client` — the JSON
   edge with bounded admission (429 + Retry-After) and its client;
 * :func:`build_cluster` — one call from a storage strategy to a running
@@ -43,6 +46,7 @@ from repro.cluster.partition import (
     make_partitioner,
 )
 from repro.cluster.router import ClusterMetrics, ClusterRouter
+from repro.cluster.store import ShardedStore
 from repro.cluster.supervise import (
     SHARD_STATE_VALUES,
     RestartPolicy,
@@ -53,9 +57,8 @@ from repro.cluster.worker import (
     ProcessShard,
     ShardLostError,
     ShardWorker,
+    inline_shard,
     spawn_shard,
-    start_inline_shards,
-    start_shard_processes,
 )
 
 __all__ = [
@@ -76,16 +79,16 @@ __all__ = [
     "ShardLostError",
     "ShardSupervisor",
     "ShardWorker",
+    "ShardedStore",
     "build_cluster",
     "decode_batch",
     "decode_penalty",
     "encode_batch",
     "encode_query",
+    "inline_shard",
     "make_partitioner",
     "snapshot_to_json",
     "spawn_shard",
-    "start_inline_shards",
-    "start_shard_processes",
 ]
 
 
@@ -122,12 +125,11 @@ def build_cluster(
     the process-wide tracing switch instead).
 
     ``supervise=True`` attaches a
-    :class:`~repro.cluster.supervise.ShardSupervisor` whose respawn
-    factory rebuilds a worker from the same spec the original was
-    started with — a dead shard becomes ``recovering`` instead of
-    permanently shed, and on respawn the router replays the session
-    journal and re-drives the skipped keys so answers heal back to
-    bit-exact (``restart_policy`` tunes the backoff and flap cap).
+    :class:`~repro.cluster.supervise.ShardSupervisor` that respawns a
+    dead worker from the same spec the original was started with — the
+    shard becomes ``recovering`` instead of permanently shed, and on
+    respawn the router re-drives the skipped keys so answers heal back
+    to bit-exact (``restart_policy`` tunes the backoff and flap cap).
 
     The returned router owns the shards and its store slice: ``close()``
     (or the context manager) tears the whole cluster down.
@@ -138,25 +140,32 @@ def build_cluster(
     router_store = PagedCoefficientStore(
         path, buffer_pages=buffer_pages, shared=True
     )
-    if process_shards:
-        shards = start_shard_processes(
+
+    def factory(index: int):
+        """Start shard ``index`` (at build time and on every respawn)."""
+        shard_chaos = chaos if chaos_shard in (None, index) else None
+        if not process_shards:
+            return inline_shard(
+                path, index, buffer_pages=buffer_pages, chaos=shard_chaos
+            )
+        return spawn_shard(
             path,
-            num_shards,
+            index,
             buffer_pages=buffer_pages,
-            chaos=chaos,
-            chaos_shard=chaos_shard,
+            chaos=shard_chaos,
             timeout=timeout,
             start_method=start_method,
             trace=trace,
         )
-    else:
-        shards = start_inline_shards(
-            path,
-            num_shards,
-            buffer_pages=buffer_pages,
-            chaos=chaos,
-            chaos_shard=chaos_shard,
-        )
+
+    shards = []
+    try:
+        for index in range(num_shards):
+            shards.append(factory(index))
+    except BaseException:
+        for shard in shards:
+            shard.close()
+        raise
     kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
     router = ClusterRouter(
         storage.with_store(router_store),
@@ -166,37 +175,6 @@ def build_cluster(
         **kwargs,
     )
     if supervise:
-        if process_shards:
-
-            def factory(index: int):
-                return spawn_shard(
-                    path,
-                    index,
-                    buffer_pages=buffer_pages,
-                    chaos=chaos
-                    if chaos_shard is None or chaos_shard == index
-                    else None,
-                    timeout=timeout,
-                    start_method=start_method,
-                    trace=trace,
-                )
-
-        else:
-            from repro.cluster.worker import build_shard_store
-
-            def factory(index: int):
-                spec = {
-                    "path": str(path),
-                    "buffer_pages": buffer_pages,
-                    "shared": True,
-                    "chaos": chaos
-                    if chaos_shard is None or chaos_shard == index
-                    else None,
-                }
-                return InlineShard(
-                    ShardWorker(build_shard_store(spec), shard=index)
-                )
-
         router.attach_supervisor(
             ShardSupervisor(router, factory, policy=restart_policy)
         )

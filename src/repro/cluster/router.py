@@ -1,38 +1,27 @@
-"""The cluster router: global progressive order over sharded schedules.
+"""The cluster router: the one scheduler over stateless shards.
 
-The router is the cluster's brain: it owns the authoritative
-:class:`~repro.core.session.ProgressiveSession` objects (estimates,
-Theorem-1 bounds, degraded state), rewrites submitted batches, splits
-each master list across the shard workers with a deterministic
-:class:`~repro.cluster.partition.Partitioner`, and reassembles the
-shards' importance-ordered delivery streams into the exact global
-Batch-Biggest-B order:
-
-* every shard exposes the ``(importance, key)`` top of its local
-  schedule (:meth:`~repro.cluster.worker.ShardWorker.peek`);
-* :meth:`ClusterRouter.advance` repeatedly serves the shard whose top is
-  the global maximum (importance desc, key asc — the single-process heap
-  order; keys are unique to a shard, so the merge is a total order);
-* the served shard returns delivery/skip events which the router applies
-  to the interested sessions via
-  :meth:`~repro.core.session.ProgressiveSession.deliver` / ``skip``.
-
-Because each shard runs the unmodified
-:class:`~repro.service.scheduler.SharedRetrievalScheduler` over its key
-subset and the merge replays the global heap's comparator, an N-shard
-cluster serves coefficients in *bit-identical order* to the 1-process
-:class:`~repro.service.server.ProgressiveQueryService` — the property
-suites in ``tests/test_cluster.py`` gate on this at every poll point.
+The router owns the authoritative
+:class:`~repro.core.session.ProgressiveSession` objects and drives **the
+unmodified** :class:`~repro.service.scheduler.SharedRetrievalScheduler`
+over them — the same ``register`` / ``advance_session`` /
+``reprioritize`` / ``deregister`` calls
+:class:`~repro.service.server.ProgressiveQueryService` makes.  The only
+difference from the 1-process service is the scheduler's store: a
+:class:`~repro.cluster.store.ShardedStore` whose ``fetch(keys)`` splits each chunk with the
+deterministic :class:`~repro.cluster.partition.Partitioner`, sends every
+shard its slice before receiving from any, and reassembles the values in
+request order — one overlapped round-trip per shard per chunk.  Because
+the router runs literally the loop the bit-identical suites use as their
+reference, an N-shard cluster is *bit-identical at every poll* to the
+1-process service by construction (``tests/test_cluster.py``).
 
 Shard outages degrade, never crash: a worker that stops answering is
-*shed* — every session's still-pending keys owned by that shard are
-marked skipped, which keeps ``worst_case_bound()`` a valid Theorem-1
-upper bound exactly as in ``docs/RESILIENCE.md`` — and the surviving
-shards keep serving.  With a :class:`~repro.cluster.supervise.ShardSupervisor`
-attached, a shed is not final: the supervisor respawns the worker and
-:meth:`ClusterRouter.reintegrate_shard` replays the session journal onto
-it and re-drives the skipped keys through :meth:`ClusterRouter.retry_skipped`,
-healing the cluster back to bit-exact answers.
+*shed* — every session's still-pending keys it owns are marked skipped,
+which keeps ``worst_case_bound()`` a valid Theorem-1 upper bound
+(``docs/RESILIENCE.md``) — and the surviving shards keep serving.
+Shards hold no session state, so a supervised shed is not final:
+:meth:`ClusterRouter.reintegrate_shard` swaps a respawned worker in and
+re-drives the skipped keys, healing back to bit-exact answers.
 """
 
 from __future__ import annotations
@@ -40,27 +29,23 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.cluster.codec import encode_session_status
 from repro.cluster.partition import Partitioner
+from repro.cluster.store import ShardedStore
 from repro.cluster.supervise import SHARD_STATE_VALUES
-from repro.cluster.worker import DELIVER, ShardLostError
 from repro.core.penalties import Penalty
 from repro.core.session import DEFAULT_CHUNK, ProgressiveSession
 from repro.obs import LEDGER, REGISTRY, MetricRegistry, span
-from repro.obs.ledger import merge_cost_reports
 from repro.obs.metrics import merge_registry_snapshots, snapshot_to_prometheus
 from repro.obs.trace import absorb_portable, get_recorder
 from repro.queries.vector_query import QueryBatch
+from repro.service.scheduler import SharedRetrievalScheduler
 from repro.service.server import SessionSnapshot
 from repro.storage.base import LinearStorage
-
-#: Pipe round-trips retained per shard for the /status p50/p99 window.
-RTT_WINDOW = 256
 
 
 def _quantile(sorted_values, q: float) -> float | None:
@@ -73,13 +58,9 @@ def _quantile(sorted_values, q: float) -> float | None:
 
 @dataclass(frozen=True)
 class ClusterMetrics:
-    """Cluster-wide counters aggregated across shard workers.
-
-    ``retrievals``/``deliveries``/``cache_deliveries``/``skipped_keys``
-    are sums over the live shards' scheduler counters; ``per_shard``
-    keeps the unaggregated breakdown (including each worker's pid and
-    page-cache state).  ``shed_shards`` lists shards lost and shed.
-    """
+    """The router scheduler's counters plus, in ``per_shard``, each live
+    worker's pid, ``retrievals`` (keys that shard fetched) and page-cache
+    state.  ``shed_shards`` lists shards lost and shed."""
 
     retrievals: int
     deliveries: int
@@ -100,7 +81,8 @@ class ClusterMetrics:
 @dataclass
 class _ClusterSession:
     session: ProgressiveSession
-    shard_ids: tuple[int, ...]  # shards holding a registration for it
+    sid: int  # the scheduler's registration id
+    shard_ids: tuple[int, ...]  # owners of the session's master keys
     ledger_name: str = ""  # the name LEDGER actually registered (dedup-safe)
 
 
@@ -122,11 +104,6 @@ class ClusterRouter:
     ) -> None:
         if not shards:
             raise ValueError("a cluster needs at least one shard")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        #: Keys served per shard round-trip by :meth:`advance`; 1
-        #: reproduces the per-key merge loop literally.
-        self.chunk_size = int(chunk_size)
         if partitioner.num_shards != len(shards):
             raise ValueError(
                 f"partitioner expects {partitioner.num_shards} shards, "
@@ -136,83 +113,63 @@ class ClusterRouter:
         #: Theorem-1 aggregates (all fetching happens in the workers).
         self.storage = storage
         self.partitioner = partitioner
-        self.registry = REGISTRY if registry is None else registry
-        self._shards = {int(s.shard): s for s in shards}
-        if len(self._shards) != len(shards):
-            raise ValueError("shard indices must be unique")
+        self.registry = registry = REGISTRY if registry is None else registry
         self._lock = threading.RLock()
         self._sessions: dict[str, _ClusterSession] = {}
         self._ids = itertools.count(1)
-        #: Latest known (importance, key) top per live shard (None = drained).
-        self._tops: dict[int, tuple[float, int] | None] = {
-            index: None for index in self._shards
-        }
-        self._dead: set[int] = set()
-        self._submitted_total = self.registry.counter(
+        self._submitted_total = registry.counter(
             "repro_cluster_sessions_submitted_total",
             "Progressive sessions opened on the cluster router",
         )
-        self._shards_lost = self.registry.counter(
-            "repro_cluster_shards_lost_total",
-            "Shard workers shed after they stopped answering",
-        )
-        self._shard_up = self.registry.gauge(
+        self._shard_up = registry.gauge(
             "repro_cluster_shard_up",
             "1 while the shard worker answers, 0 once shed",
             ("shard",),
         )
-        self._shard_retrievals = self.registry.gauge(
-            "repro_cluster_shard_retrievals",
-            "Store fetches issued by the shard worker (worker-side total)",
-            ("shard",),
-        )
-        self._shard_deliveries = self.registry.gauge(
-            "repro_cluster_shard_deliveries",
-            "Coefficient deliveries issued by the shard worker",
-            ("shard",),
-        )
-        self._advance_seconds = self.registry.histogram(
+        self._advance_seconds = registry.histogram(
             "repro_cluster_advance_seconds",
             "Wall-clock latency of router advance() calls",
         )
-        self._pipe_roundtrip = self.registry.histogram(
-            "repro_cluster_pipe_roundtrip_seconds",
-            "Router-to-shard command round-trip latency",
-            ("shard",),
-        )
-        self._telemetry_pulls = self.registry.counter(
-            "repro_cluster_telemetry_pulls_total",
-            "Telemetry federation pulls completed by the router",
-        )
-        self._shard_restarts = self.registry.counter(
+        self._shard_restarts = registry.counter(
             "repro_cluster_shard_restarts_total",
             "Shard worker restart attempts, by outcome "
             "(respawned, failed, gave_up)",
             ("shard", "outcome"),
         )
-        self._sessions_replayed = self.registry.counter(
-            "repro_cluster_sessions_replayed_total",
-            "Session registrations replayed onto respawned shard workers",
-        )
-        self._shard_state = self.registry.gauge(
+        self._shard_state = registry.gauge(
             "repro_cluster_shard_state",
             "Shard lifecycle state (0=up, 1=recovering, 2=down)",
             ("shard",),
+        )
+        #: The scheduler's store; ``_shards``/``_dead`` alias its tables.
+        self.store = ShardedStore(
+            shards,
+            partitioner,
+            registry.histogram(
+                "repro_cluster_pipe_roundtrip_seconds",
+                "Router-to-shard command round-trip latency",
+                ("shard",),
+            ),
+            on_lost=self._shed_shard,
+        )
+        self._shards = self.store.shards
+        self._dead = self.store.dead
+        if len(self._shards) != len(shards):
+            raise ValueError("shard indices must be unique")
+        #: The one scheduler; ``chunk_size`` is the keys per gather (1
+        #: reproduces the per-key loop literally).
+        self.scheduler = SharedRetrievalScheduler(
+            self.store, registry=registry, chunk_size=chunk_size
         )
         #: The attached ShardSupervisor (None = outages shed permanently).
         self.supervisor = None
         #: Recovery epoch: bumped once per successful reintegration.
         self._recovery_epoch = 0
-        #: Per-shard round-trip window backing the /status p50/p99.
-        self._rtt: dict[int, deque] = {}
-        #: Monotonic timestamp of each shard's last successful reply.
-        self._last_reply: dict[int, float] = {}
         #: Latest telemetry payload per shard; retained after shard death
         #: so the federated /metrics keeps the dead shard's last series.
         self._telemetry: dict[int, dict] = {}
         for index in self._shards:
-            self._shard_up.set(1, shard=str(index))
-            self._shard_state.set(SHARD_STATE_VALUES["up"], shard=str(index))
+            self._publish_state(index)
 
     # ------------------------------------------------------------------
     # Client surface (mirrors ProgressiveQueryService)
@@ -224,39 +181,23 @@ class ClusterRouter:
         penalty: Penalty | None = None,
         workers: int | None = None,
     ) -> str:
-        """Open a session; its schedule is fanned out to the shard owners."""
+        """Open a session and register it with the shared schedule."""
         batch.validate_for(self.storage.shape)
         with self._lock, span("cluster.submit", queries=batch.size):
             session = ProgressiveSession(
                 self.storage, batch, penalty=penalty, workers=workers
             )
             session_id = f"s{next(self._ids)}"
-            keys, iotas = session.pending()
-            shard_ids = []
-            for index, (sub_keys, sub_iotas) in enumerate(
-                self.partitioner.split(keys, iotas)
-            ):
-                if not sub_keys.size:
-                    continue
-                if index in self._dead:
-                    # The owner is already gone: the keys are skipped from
-                    # birth, so the session starts degraded-but-bounded.
-                    for key in sub_keys.tolist():
-                        session.skip(int(key))
-                    continue
-                try:
-                    self._tops[index] = self._call(
-                        index, "register", session_id, sub_keys, sub_iotas
-                    )
-                except ShardLostError:
-                    self._shed_shard(index)
-                    for key in sub_keys.tolist():
-                        session.skip(int(key))
-                    continue
-                shard_ids.append(index)
+            keys = session.plan.keys
+            owners = self.partitioner.shard_of(keys)
+            if self._dead:
+                # The owner is already gone: the keys are skipped from
+                # birth, so the session starts degraded-but-bounded.
+                session.skip_many(keys[np.isin(owners, sorted(self._dead))])
             self._sessions[session_id] = _ClusterSession(
                 session,
-                tuple(shard_ids),
+                self.scheduler.register(session),
+                tuple(np.unique(owners).tolist()),
                 ledger_name=LEDGER.register(session_id, session.costs),
             )
             self._submitted_total.inc()
@@ -267,53 +208,20 @@ class ClusterRouter:
     ) -> int:
         """Serve global-importance order until this session gains ``k``.
 
-        Exactly the single-process semantics: the globally most important
-        pending coefficient is served regardless of which session wants
-        it, every interested session receives it, and the call returns
-        early at exhaustion, on shard loss (the affected keys degrade to
-        skipped), or once the wall-clock ``deadline`` elapses.
-
-        Each iteration serves the best shard a *chunk* of up to
-        ``chunk_size`` keys in one round-trip instead of one: the shard
-        keeps serving while its schedule top outranks the runner-up
-        shard's top (tops never move while another shard serves, so every
-        key in the chunk is exactly a key the per-key merge would have
-        routed there next) and stops once the target session would gain
-        the remaining ``k``.  The events come back in serve order and are
-        applied to the authoritative sessions in vectorized runs.
+        It *is* :meth:`SharedRetrievalScheduler.advance_session`: the
+        globally most important pending coefficients are served in
+        gathers of up to ``chunk_size`` keys, every interested session
+        receives them, and the call returns early at exhaustion, on
+        shard loss (the affected keys degrade to skipped), or once the
+        wall-clock ``deadline`` elapses.
         """
-        if k < 0:
-            raise ValueError("k must be non-negative")
         with self._lock, span("cluster.advance", sid=session_id, k=k):
             t0 = time.perf_counter()
-            session = self._session(session_id).session
-            start = session.steps_taken
-            while session.steps_taken - start < k and not session.is_exact:
-                if deadline is not None and time.perf_counter() - t0 >= deadline:
-                    break
-                index = self._best_shard()
-                if index is None:
-                    break
-                floor = self._runner_up(index)
-                need = k - (session.steps_taken - start)
-                if not session.skipped_count:
-                    # Stop the chunk at the key that turns the target
-                    # exact, exactly where the per-key loop would stop.
-                    need = min(need, session.remaining)
-                prev_top = self._tops[index]
-                try:
-                    events, top = self._call(
-                        index, "step_chunk", session_id, need, floor, self.chunk_size
-                    )
-                except ShardLostError:
-                    self._shed_shard(index)
-                    continue
-                self._tops[index] = top
-                self._apply_events(events)
-                if not events and top == prev_top:
-                    break  # defensive: a stuck shard must not spin the loop
+            gained = self.scheduler.advance_session(
+                self._session(session_id).sid, k, deadline=deadline
+            )
             self._advance_seconds.observe(time.perf_counter() - t0)
-            return session.steps_taken - start
+            return gained
 
     def run_to_completion(self, session_id: str) -> np.ndarray:
         """Advance until exact; returns the exact answers.
@@ -324,48 +232,20 @@ class ClusterRouter:
         """
         with self._lock:
             session = self._session(session_id).session
-            while not session.is_exact:
-                if self.advance(session_id, session.remaining or 1) == 0:
-                    break
+            self.advance(session_id, session.remaining)
             return session.exact_answers()
 
     def poll(self, session_id: str) -> SessionSnapshot:
         """A consistent snapshot (same shape as the 1-process service)."""
         with self._lock:
-            session = self._session(session_id).session
-            estimates = (
-                session.exact_answers()
-                if session.is_exact
-                else session.estimates.copy()
-            )
-            return SessionSnapshot(
-                session_id=session_id,
-                estimates=estimates,
-                steps_taken=session.steps_taken,
-                remaining=session.remaining,
-                worst_case_bound=session.worst_case_bound(),
-                is_exact=session.is_exact,
-                degraded=session.degraded,
-                skipped_count=session.skipped_count,
-            )
+            return SessionSnapshot.of(session_id, self._session(session_id).session)
 
     def set_penalty(self, session_id: str, penalty: Penalty) -> None:
-        """Re-target a session; every shard re-ranks its pending subset."""
+        """Re-target a session; the schedule re-ranks its pending keys."""
         with self._lock:
             record = self._session(session_id)
             record.session.set_penalty(penalty)
-            keys, iotas = record.session.pending()
-            subsets = self.partitioner.split(keys, iotas)
-            for index in record.shard_ids:
-                if index in self._dead:
-                    continue
-                sub_keys, sub_iotas = subsets[index]
-                try:
-                    self._tops[index] = self._call(
-                        index, "reprioritize", session_id, sub_keys, sub_iotas
-                    )
-                except ShardLostError:
-                    self._shed_shard(index)
+            self.scheduler.reprioritize(record.sid)
 
     def retry_skipped(self, session_id: str) -> int:
         """Re-queue skipped keys whose owning shard is still alive.
@@ -376,37 +256,24 @@ class ClusterRouter:
         """
         with self._lock:
             record = self._session(session_id)
-            session = record.session
-            skipped = session.skipped_keys()
-            if not skipped.size:
-                return 0
-            owners = self.partitioner.shard_of(skipped)
-            live = ~np.isin(owners, sorted(self._dead))
-            if not skipped[live].size:
-                return 0
-            session.retry_skipped()
-            # Re-skip what no shard can serve; the rest goes back out.
-            for key in skipped[~live].tolist():
-                session.skip(int(key))
-            requeued = 0
-            keys, iotas = session.pending()
-            subsets = self.partitioner.split(keys, iotas)
-            retry_by_shard = {
-                index: set(skipped[live][owners[live] == index].tolist())
-                for index in set(owners[live].tolist())
-            }
-            for index, retry_keys in retry_by_shard.items():
-                sub_keys, sub_iotas = subsets[index]
-                mask = np.isin(sub_keys, np.fromiter(retry_keys, dtype=np.int64))
-                try:
-                    self._tops[index] = self._call(
-                        index, "unskip", session_id, sub_keys[mask], sub_iotas[mask]
-                    )
-                except ShardLostError:
-                    self._shed_shard(index)
-                    continue
-                requeued += int(mask.sum())
+            skipped = record.session.skipped_keys()
+            orphaned = np.isin(
+                self.partitioner.shard_of(skipped), sorted(self._dead)
+            )
+            requeued = int(skipped.size - np.count_nonzero(orphaned))
+            if requeued:
+                record.session.retry_skipped()
+                record.session.skip_many(skipped[orphaned])
+                self.scheduler.reprioritize(record.sid)
             return requeued
+
+    def cancel(self, session_id: str) -> None:
+        """Close a session; coefficients nobody else holds are released."""
+        with self._lock:
+            record = self._session(session_id)
+            del self._sessions[session_id]
+            LEDGER.unregister(record.ledger_name or session_id)
+            self.scheduler.deregister(record.sid)
 
     # ------------------------------------------------------------------
     # Supervision and recovery
@@ -438,50 +305,35 @@ class ClusterRouter:
     def ping(self, index: int) -> bool:
         """Heartbeat probe; a failed probe sheds the shard."""
         with self._lock:
-            if index in self._dead:
-                return False
-            try:
-                self._call(index, "ping")
-            except ShardLostError:
-                self._shed_shard(index)
-                return False
-            return True
+            return self.store.call(index, "ping") is not None
 
     def last_reply_age(self, index: int) -> float | None:
-        """Seconds since the shard's last successful reply (None = never)."""
+        """Seconds since the shard's last reply (None = never)."""
         with self._lock:
-            last = self._last_reply.get(index)
+            last = self.store.last_reply.get(index)
             return time.monotonic() - last if last is not None else None
 
     def record_restart(self, index: int, outcome: str) -> None:
         """Count a restart attempt; ``gave_up`` pins the shard ``down``."""
         with self._lock:
             self._shard_restarts.inc(shard=str(index), outcome=outcome)
-            if outcome == "gave_up":
-                self._shard_state.set(
-                    SHARD_STATE_VALUES["down"], shard=str(index)
-                )
+            self._publish_state(index)
 
     def shard_state(self, index: int) -> str:
         """The shard's lifecycle state: ``up`` / ``recovering`` / ``down``."""
         with self._lock:
             return self._shard_state_name(index)
 
-    def reintegrate_shard(self, index: int, shard) -> tuple[int, int]:
+    def reintegrate_shard(self, index: int, shard) -> int:
         """Swap a fresh worker in for a shed shard and heal the sessions.
 
-        The recovery pipeline's commit point (the supervisor calls this
-        after its respawn probe succeeded): the new handle replaces the
-        dead one, the session journal — every live session's pending
-        slice owned by this shard, which is empty right after a shed
-        because the keys sit in the skipped sets — is replayed onto the
-        fresh worker so each session is registered there again, the
-        shard is un-shed, and every session's skipped keys are re-driven
-        through the existing :meth:`retry_skipped` path.  Served keys
-        are never re-registered (the authoritative sessions already hold
-        their coefficients), so once the heal drains the answers are
-        bit-identical to a never-crashed run.  Returns ``(sessions
-        replayed, keys re-queued)``.
+        The recovery commit point (the supervisor calls it once its
+        respawn probe succeeded).  A shard holds no session state, so
+        there is nothing to replay: the new handle replaces the dead
+        one and every session's skipped keys are re-driven through
+        :meth:`retry_skipped`.  Served keys are never fetched again, so
+        once the heal drains the answers are bit-identical to a
+        never-crashed run.  Returns the number of keys re-queued.
         """
         with self._lock, span("cluster.reintegrate", shard=index):
             if index not in self._shards:
@@ -490,155 +342,81 @@ class ClusterRouter:
                 raise ValueError(f"shard {index} is not down")
             self._shards[index] = shard
             self._dead.discard(index)
-            self._rtt.pop(index, None)
-            self._tops[index] = None
-            replayed = 0
-            try:
-                for session_id, record in sorted(self._sessions.items()):
-                    keys, iotas = record.session.pending()
-                    if keys.size:
-                        owned = self.partitioner.shard_of(keys) == index
-                        sub_keys, sub_iotas = keys[owned], iotas[owned]
-                    else:
-                        sub_keys, sub_iotas = keys, iotas
-                    self._tops[index] = self._call(
-                        index, "register", session_id, sub_keys, sub_iotas
-                    )
-                    record.shard_ids = tuple(
-                        sorted(set(record.shard_ids) | {index})
-                    )
-                    replayed += 1
-            except ShardLostError:
-                # The fresh worker died mid-replay: back to shed, and the
-                # supervisor counts this attempt as failed.
-                self._shed_shard(index)
-                raise
-            if replayed:
-                self._sessions_replayed.inc(replayed)
+            self.store.rtt[index].clear()
             self._shard_restarts.inc(shard=str(index), outcome="respawned")
-            self._shard_up.set(1, shard=str(index))
-            self._shard_state.set(SHARD_STATE_VALUES["up"], shard=str(index))
+            self._publish_state(index)
             self._recovery_epoch += 1
-            requeued = 0
-            for session_id in sorted(self._sessions):
-                requeued += self.retry_skipped(session_id)
-            return replayed, requeued
-
-    def cancel(self, session_id: str) -> None:
-        """Close a session on the router and every shard that holds it."""
-        with self._lock:
-            record = self._session(session_id)
-            del self._sessions[session_id]
-            LEDGER.unregister(record.ledger_name or session_id)
-            for index in record.shard_ids:
-                if index in self._dead:
-                    continue
-                try:
-                    self._tops[index] = self._call(
-                        index, "deregister", session_id
-                    )
-                except ShardLostError:
-                    self._shed_shard(index)
+            return sum(
+                self.retry_skipped(session_id)
+                for session_id in sorted(self._sessions)
+            )
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
 
     def metrics(self) -> ClusterMetrics:
-        """Aggregate worker counters (refreshes the per-shard gauges)."""
+        """The schedule's counters plus a fresh pull of worker health."""
         with self._lock:
-            per_shard: dict[int, dict] = {}
-            for index in list(self._shards):
-                if index in self._dead:
-                    continue
-                try:
-                    per_shard[index] = self._call(index, "stats")
-                except ShardLostError:
-                    self._shed_shard(index)
-            totals = {
-                key: sum(s[key] for s in per_shard.values())
-                for key in (
-                    "retrievals",
-                    "deliveries",
-                    "cache_deliveries",
-                    "skipped_keys",
-                )
-            }
-            for index, stats in per_shard.items():
-                self._shard_retrievals.set(stats["retrievals"], shard=str(index))
-                self._shard_deliveries.set(stats["deliveries"], shard=str(index))
+            health = self.pull_telemetry()
+            m = self.scheduler.metrics
             return ClusterMetrics(
-                retrievals=totals["retrievals"],
-                deliveries=totals["deliveries"],
-                shared_deliveries=totals["deliveries"] - totals["retrievals"],
-                cache_deliveries=totals["cache_deliveries"],
-                skipped_keys=totals["skipped_keys"],
+                retrievals=m.retrievals,
+                deliveries=m.deliveries,
+                shared_deliveries=m.shared_deliveries,
+                cache_deliveries=m.cache_deliveries,
+                skipped_keys=m.skipped_keys,
                 live_sessions=len(self._sessions),
                 sessions_submitted=int(self._submitted_total.value()),
                 num_shards=len(self._shards),
                 shed_shards=tuple(sorted(self._dead)),
-                per_shard=per_shard,
+                per_shard={
+                    i: p for i, p in health.items() if i not in self._dead
+                },
             )
 
     def cost_report(self, session_id: str) -> dict:
-        """Router-side account merged with every shard's share.
+        """The session's whole bill, shaped like the single-process one.
 
-        The router pays rewrite/plan/apply; the shard owners pay
-        schedule/fetch (and retries) for their key subsets — the merge is
-        the whole session's bill, same shape as the single-process
-        ``cost_report``.
+        The ledger lives router-side (``schedule`` and ``fetch`` contain
+        the pipe round-trips), so this issues no shard command;
+        ``shards`` lists the owners of the session's master keys.
         """
         with self._lock:
             record = self._session(session_id)
-            shard_reports = []
-            for index in record.shard_ids:
-                if index in self._dead:
-                    continue
-                try:
-                    stats = self._call(index, "stats")
-                except ShardLostError:
-                    self._shed_shard(index)
-                    continue
-                share = stats["costs"].get(session_id)
-                if share:
-                    shard_reports.append(share)
-            report = merge_cost_reports(
-                record.session.costs.to_dict(), *shard_reports
-            )
+            report = record.session.costs.to_dict()
             report.update(
                 session_id=session_id,
                 master_keys=record.session.plan.num_keys,
                 steps_taken=record.session.steps_taken,
                 is_exact=record.session.is_exact,
-                shards=sorted(record.shard_ids),
+                shards=list(record.shard_ids),
             )
             return report
 
     def costs_json(self) -> dict:
-        """Every live session's merged cost report (the ``/costs.json`` body)."""
+        """Every live session's cost report (the ``/costs.json`` body)."""
         with self._lock:
-            ids = list(self._sessions)
-        return {session_id: self.cost_report(session_id) for session_id in ids}
+            return {sid: self.cost_report(sid) for sid in self._sessions}
 
     def pull_telemetry(self, max_age: float | None = None) -> dict[int, dict]:
-        """Federate shard telemetry into the router (the tentpole pull).
+        """Federate shard telemetry into the router.
 
         Calls every live shard's ``telemetry`` RPC, absorbing process
-        workers' drained spans into the local trace ring (named
-        ``repro-shard-<i>`` lanes in the Chrome export) and caching each
-        payload — registry snapshot, backlog, breaker state, per-session
-        costs — for :meth:`federated_metrics_json` and :meth:`status`.
-        Inline shards are pulled health-only (``portable=False``): their
-        metrics and spans already live in this process.  ``max_age``
-        skips shards whose cached payload is younger, so the periodic
-        edge pull and an on-demand scrape don't double-poll.  A shard's
-        last payload is retained after it dies.  Returns the cache.
+        workers' drained spans into the local trace ring
+        (``repro-shard-<i>`` lanes in the Chrome export) and caching
+        each payload — health, registry snapshot, and the ``backlog`` of
+        pending keys the shard owns across the live sessions (counted
+        here: shards hold no session state).  Inline shards are pulled
+        health-only: their metrics and spans already live in this
+        process.  ``max_age`` skips shards whose cached payload is
+        younger, so the periodic edge pull and an on-demand scrape don't
+        double-poll.  A shard's last payload is retained after it dies.
         """
         with self._lock:
             now = time.monotonic()
+            backlog = None
             for index in sorted(self._shards):
-                if index in self._dead:
-                    continue
                 cached = self._telemetry.get(index)
                 if (
                     max_age is not None
@@ -647,12 +425,14 @@ class ClusterRouter:
                 ):
                     continue
                 portable = bool(getattr(self._shards[index], "is_process", False))
-                try:
-                    payload = self._call(index, "telemetry", portable)
-                except ShardLostError:
-                    self._shed_shard(index)
+                payload = self.store.call(index, "telemetry", portable)
+                if payload is None:
                     continue
-                payload["pulled_at"] = time.monotonic()
+                if backlog is None:
+                    backlog = self._backlog()
+                payload.update(
+                    backlog=int(backlog[index]), pulled_at=time.monotonic()
+                )
                 spans = payload.pop("spans", None)
                 if spans:
                     absorb_portable(spans)
@@ -661,16 +441,15 @@ class ClusterRouter:
                         int(payload["pid"]), f"repro-shard-{index}"
                     )
                 self._telemetry[index] = payload
-            self._telemetry_pulls.inc()
             return dict(self._telemetry)
 
     def federated_metrics_json(self) -> dict:
         """The cluster-wide registry snapshot (local + cached shards).
 
-        Process shards' series arrive tagged ``shard="<i>"``; the local
-        registry's series (router, edge, inline shards) stay unlabeled.
-        Call :meth:`pull_telemetry` first for freshness — this reads the
-        cache only, so a scrape never blocks on a slow worker.
+        Process shards' series arrive tagged ``shard="<i>"``; local
+        series (router, edge, inline shards) stay unlabeled.  Reads the
+        :meth:`pull_telemetry` cache only: a scrape never blocks on a
+        slow worker.
         """
         with self._lock:
             tagged = [
@@ -687,66 +466,56 @@ class ClusterRouter:
     def status(self, trajectory_tail: int = 32) -> dict:
         """The /status body: session convergence plus shard health.
 
-        Sessions report their progressive state (steps, bound, degraded
-        and skipped counts) with the tail of the Theorem-1 bound
-        trajectory; shards report liveness, heartbeat age, pipe
-        round-trip p50/p99 over the last :data:`RTT_WINDOW` commands,
-        and the cached backlog/breaker view from the latest telemetry
-        pull.  Everything is JSON-ready.
+        Sessions report their progressive state with the tail of the
+        Theorem-1 bound trajectory; shards add, to their :meth:`healthz`
+        entry, the pid, pipe round-trip p50/p99 over the last
+        ``RTT_WINDOW`` commands, and the backlog/breaker view cached by
+        the latest telemetry pull.  Everything is JSON-ready.
         """
         with self._lock:
-            now = time.monotonic()
-            sessions = {
-                session_id: encode_session_status(
-                    record.session,
-                    shard_ids=sorted(record.shard_ids),
-                    trajectory_tail=trajectory_tail,
-                )
-                for session_id, record in sorted(self._sessions.items())
-            }
+            health = self.healthz()
             shards = {}
-            for index in sorted(self._shards):
-                payload = self._telemetry.get(index) or {}
-                window = sorted(self._rtt.get(index, ()))
-                last = self._last_reply.get(index)
-                shards[str(index)] = {
-                    "shard": index,
-                    "alive": index not in self._dead,
-                    "state": self._shard_state_name(index),
+            for entry in health["shards"]:
+                payload = self._telemetry.get(entry["shard"]) or {}
+                window = sorted(self.store.rtt[entry["shard"]])
+                shards[str(entry["shard"])] = {
+                    **entry,
                     "pid": payload.get("pid"),
-                    "last_reply_age_s": (
-                        now - last if last is not None else None
-                    ),
                     "rtt_p50_s": _quantile(window, 0.5),
                     "rtt_p99_s": _quantile(window, 0.99),
                     "backlog": payload.get("backlog"),
                     "breaker": payload.get("breaker"),
-                    "live_sessions": payload.get("live_sessions"),
                 }
             return {
-                "sessions": sessions,
+                "sessions": {
+                    session_id: encode_session_status(
+                        record.session,
+                        shard_ids=record.shard_ids,
+                        trajectory_tail=trajectory_tail,
+                    )
+                    for session_id, record in sorted(self._sessions.items())
+                },
                 "shards": shards,
-                "live_sessions": len(self._sessions),
-                "shed_shards": sorted(self._dead),
+                "live_sessions": health["live_sessions"],
+                "shed_shards": health["shed_shards"],
                 "recovery_epoch": self._recovery_epoch,
                 "supervised": self.supervisor is not None,
-                "partitioner": self.partitioner.describe(),
+                "partitioner": health["partitioner"],
             }
 
     def healthz(self) -> dict:
         """Liveness summary for the HTTP edge.
 
-        ``ok`` rolls up to False as soon as any shard has been shed —
-        the edge maps that to HTTP 503 so a load balancer can rotate the
-        replica out; the per-shard entries carry the detail (id,
-        liveness, lifecycle ``state`` — ``up`` / ``recovering`` /
-        ``down`` — and seconds since the last successful pipe reply).
+        ``ok`` rolls up to False as soon as any shard has been shed (the
+        edge maps that to HTTP 503); the per-shard entries carry
+        liveness, lifecycle ``state`` (``up`` / ``recovering`` /
+        ``down``) and seconds since the last pipe reply.
         """
         with self._lock:
             now = time.monotonic()
             shards = []
             for index in sorted(self._shards):
-                last = self._last_reply.get(index)
+                last = self.store.last_reply.get(index)
                 shards.append(
                     {
                         "shard": index,
@@ -803,25 +572,6 @@ class ClusterRouter:
     # Internals
     # ------------------------------------------------------------------
 
-    def _call(self, index: int, method: str, *args):
-        """One shard command with round-trip accounting.
-
-        Every successful reply feeds the per-shard RTT histogram, the
-        bounded p50/p99 window, and the heartbeat timestamp /status and
-        /healthz report.  :class:`ShardLostError` propagates untimed —
-        the caller sheds the shard.
-        """
-        t0 = time.perf_counter()
-        result = self._shards[index].call(method, *args)
-        rtt = time.perf_counter() - t0
-        self._pipe_roundtrip.observe(rtt, shard=str(index))
-        window = self._rtt.get(index)
-        if window is None:
-            window = self._rtt[index] = deque(maxlen=RTT_WINDOW)
-        window.append(rtt)
-        self._last_reply[index] = time.monotonic()
-        return result
-
     def _session(self, session_id: str) -> _ClusterSession:
         try:
             return self._sessions[session_id]
@@ -840,87 +590,30 @@ class ClusterRouter:
             return "recovering"
         return "down"
 
-    def _best_shard(self) -> int | None:
-        """The live shard holding the globally most important entry."""
-        best_index = None
-        best_rank: tuple[float, int] | None = None
-        for index, top in self._tops.items():
-            if index in self._dead or top is None:
-                continue
-            rank = (-float(top[0]), int(top[1]))  # the global heap comparator
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best_index = index
-        return best_index
+    def _publish_state(self, index: int) -> None:
+        state = self._shard_state_name(index)
+        self._shard_up.set(int(state == "up"), shard=str(index))
+        self._shard_state.set(SHARD_STATE_VALUES[state], shard=str(index))
 
-    def _runner_up(self, exclude: int) -> tuple[float, int] | None:
-        """The best live ``(importance, key)`` top *excluding* one shard —
-        the floor below which that shard must stop serving its chunk."""
-        best = None
-        best_rank: tuple[float, int] | None = None
-        for index, top in self._tops.items():
-            if index == exclude or index in self._dead or top is None:
-                continue
-            rank = (-float(top[0]), int(top[1]))
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best = (float(top[0]), int(top[1]))
-        return best
-
-    def _apply_events(self, events) -> None:
-        """Replay a chunk's event stream on the authoritative sessions.
-
-        Consecutive deliveries to one session (the shape the shard's
-        chunked serve emits) are applied as a single
-        :meth:`ProgressiveSession.deliver_many` — bit-identical to
-        applying them one at a time, per-key bound records included.
-        Skips stay per-key so degraded state lands in serve order.
-        """
-        i, n = 0, len(events)
-        while i < n:
-            kind, session_id, key, value = events[i]
-            record = self._sessions.get(session_id)
-            if kind != DELIVER:
-                if record is not None:  # else: cancelled while in flight
-                    record.session.skip(int(key))
-                i += 1
-                continue
-            j = i + 1
-            while j < n and events[j][0] == DELIVER and events[j][1] == session_id:
-                j += 1
-            if record is not None:
-                if j - i == 1:
-                    record.session.deliver(int(key), float(value))
-                else:
-                    run = events[i:j]
-                    record.session.deliver_many(
-                        np.array([int(e[2]) for e in run], dtype=np.int64),
-                        np.array([float(e[3]) for e in run]),
-                    )
-            i = j
+    def _backlog(self) -> np.ndarray:
+        """Pending keys per owning shard, summed over the live sessions."""
+        backlog = np.zeros(self.partitioner.num_shards, dtype=np.int64)
+        for record in self._sessions.values():
+            keys, _ = record.session.pending()
+            backlog += np.bincount(
+                self.partitioner.shard_of(keys), minlength=backlog.size
+            )
+        return backlog
 
     def _shed_shard(self, index: int) -> None:
         """Degrade every session's keys owned by a lost shard."""
         if index in self._dead:
             return
         self._dead.add(index)
-        self._tops[index] = None
-        self._shards_lost.inc()
-        self._shard_up.set(0, shard=str(index))
-        self._shard_state.set(
-            SHARD_STATE_VALUES[self._shard_state_name(index)],
-            shard=str(index),
-        )
-        shard = self._shards[index]
-        close = getattr(shard, "_abandon", None)
-        if close is not None:
-            close()
-        else:
-            shard.alive = False
+        self._publish_state(index)
+        self._shards[index].abandon()
         for record in self._sessions.values():
             keys, _ = record.session.pending()
-            if not keys.size:
-                continue
-            owners = self.partitioner.shard_of(keys)
-            for key in keys[owners == index].tolist():
-                record.session.skip(int(key))
+            record.session.skip_many(
+                keys[self.partitioner.shard_of(keys) == index]
+            )

@@ -1,4 +1,4 @@
-"""Shard supervision: detect dead workers, respawn, replay, heal.
+"""Shard supervision: detect dead workers, respawn, heal.
 
 The router's shedding path (``docs/CLUSTER.md``) turns a dead shard into
 a permanent amputation: its pending keys are skipped in every session
@@ -21,24 +21,23 @@ loop:
   shard ``recovering``, respawns it through a factory callable, probes
   the fresh worker with a ``ping``, and hands it to
   :meth:`~repro.cluster.router.ClusterRouter.reintegrate_shard` — which
-  replays the session journal onto the new worker and re-drives the
-  skipped keys through the existing ``retry_skipped`` path.
+  swaps the handle in and re-drives the skipped keys through the
+  existing ``retry_skipped`` path.
 
 Lifecycle (surfaced per shard in ``/healthz`` and ``/status``, and as
 the ``repro_cluster_shard_state`` gauge)::
 
-      up ──(worker dies)──▶ recovering ──(respawn + replay)──▶ up
+      up ──(worker dies)──▶ recovering ──(respawn + re-fetch)──▶ up
                                 │
                                 │ max_restarts attempts in window
                                 ▼
                               down   (permanent shed, as before)
 
 Because the authoritative :class:`~repro.core.session.ProgressiveSession`
-objects never leave the router, the "journal" replayed here is exactly
-the state the router already keeps per session: the pending slice owned
-by the healed shard (empty right after a shed — the keys sit in the
-skipped set) plus the skipped keys that ``retry_skipped`` re-queues.
-Served keys are never re-registered — the sessions already hold their
+objects never leave the router and a shard holds no session state,
+there is no journal to replay: the fresh worker maps the same paged
+file and ``retry_skipped`` re-queues the keys the outage skipped.
+Served keys are never fetched again — the sessions already hold their
 coefficients — so after the heal drains, ``exact_answers()`` recomputes
 answers bit-identical to a never-crashed single-process run, while every
 poll during the outage kept a valid Theorem-1 bound
@@ -154,8 +153,7 @@ class ShardSupervisor:
         """One supervision pass; returns ``[(shard, outcome), ...]``.
 
         Outcomes: ``"lost"`` (a silent death detected and shed),
-        ``"respawned"`` (worker replaced, journal replayed, skipped keys
-        re-queued), ``"failed"`` (a respawn attempt errored; backoff
+        ``"respawned"`` (worker replaced, skipped keys re-queued), ``"failed"`` (a respawn attempt errored; backoff
         scheduled), ``"gave_up"`` (flap cap tripped; permanent shed).
         """
         if getattr(self.router, "supervisor", None) is not self:

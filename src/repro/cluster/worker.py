@@ -1,27 +1,19 @@
-"""The shard worker: one key-subset schedule over one store slice.
+"""The shard worker: a remote ``fetch(keys) -> values`` and nothing else.
 
-A shard worker owns the coefficients the partitioner assigned to it and
-runs the *same* :class:`~repro.service.scheduler.SharedRetrievalScheduler`
-the single-process service uses — just over lightweight
-:class:`ShardSessionStub` registrations instead of full sessions.  A stub
-carries the ``(key, importance)`` subset the router sent for one session;
-deliveries and skips are not applied locally but recorded into an outbox
-the router drains, applies to the authoritative
-:class:`~repro.core.session.ProgressiveSession` replicas, and merges with
-the other shards' streams by importance.  Reusing the scheduler verbatim
-is what makes the cross-shard bit-equality gate hold by construction:
-within a shard, keys are served in exactly the single-process heap order
-(importance desc, key asc), coefficients are fetched once and cached
-while any session holds interest, and a store that abandons a fetch
-degrades the affected stubs instead of crashing the schedule.
+A shard owns the coefficients the router's partitioner assigns to it and
+holds **no session state**: the router runs the one scheduler over its
+authoritative sessions and reaches the shards only through
+:class:`~repro.cluster.router.ShardedStore`.  Everything a crashed
+worker held can be rebuilt by opening the paged file again, so healing
+is "respawn, re-fetch the skipped keys" (``docs/CLUSTER.md``).
 
-Workers run in-process (:class:`InlineShard`, used by tests and the
-benchmark harness) or as separate OS processes
-(:func:`start_shard_processes` → :class:`ProcessShard`), speaking a tiny
-pickled command protocol over a ``multiprocessing`` pipe.  Process
-workers open the paged coefficient file with ``shared=True`` so
-co-located shards map one OS page cache instead of copying pages per
-process (see :class:`~repro.storage.paged.PagedCoefficientStore`).
+Workers run in-process (:class:`InlineShard`) or as separate OS
+processes (:func:`spawn_shard` → :class:`ProcessShard`) speaking a tiny
+pickled command protocol over a ``multiprocessing`` pipe.  Both handles
+split a command into ``send`` and ``recv`` so a gather can be in flight
+on every shard at once; ``call`` is the two back to back.  Process
+workers open the paged file with ``shared=True`` so co-located shards
+map one OS page cache (:class:`~repro.storage.paged.PagedCoefficientStore`).
 """
 
 from __future__ import annotations
@@ -32,7 +24,6 @@ import time
 
 import numpy as np
 
-from repro.obs.ledger import CostAccount, activate as _charge_to
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import (
     current_request_id,
@@ -41,10 +32,14 @@ from repro.obs.trace import (
     span,
     trace_context,
 )
-from repro.service.scheduler import SharedRetrievalScheduler
-
-#: Event kinds a worker emits from ``step``.
-DELIVER, SKIP = "deliver", "skip"
+from repro.storage.faults import FaultInjectingStore
+from repro.storage.paged import PagedCoefficientStore
+from repro.storage.resilient import (
+    CircuitBreaker,
+    ResilientStore,
+    RetrievalError,
+    RetryPolicy,
+)
 
 
 class ShardLostError(RuntimeError):
@@ -56,251 +51,64 @@ class ShardLostError(RuntimeError):
         self.reason = reason
 
 
-class ShardSessionStub:
-    """A session's shard-local registration (the scheduler duck type).
-
-    Implements exactly the surface :class:`SharedRetrievalScheduler`
-    touches — ``pending`` / ``is_pending`` / ``deliver`` / ``skip`` /
-    ``costs`` — against plain key sets.  State transitions mirror
-    :class:`~repro.core.session.ProgressiveSession`; the events appended
-    to ``outbox`` let the router replay them on the real session.
-    """
-
-    def __init__(self, sid: str, keys, importance, outbox: list) -> None:
-        self.sid = sid
-        self._outbox = outbox
-        self._pending: dict[int, float] = {
-            int(k): float(i) for k, i in zip(keys, importance)
-        }
-        self._skipped: dict[int, float] = {}
-        self._retrieved: set[int] = set()
-        self.costs = CostAccount(owner="shard-session")
-
-    # -- the scheduler surface -----------------------------------------
-
-    def pending(self) -> tuple[np.ndarray, np.ndarray]:
-        keys = np.fromiter(self._pending, dtype=np.int64, count=len(self._pending))
-        iotas = np.fromiter(
-            self._pending.values(), dtype=np.float64, count=len(self._pending)
-        )
-        return keys, iotas
-
-    def is_pending(self, key: int) -> bool:
-        return key in self._pending
-
-    def deliver(self, key: int, coefficient: float) -> bool:
-        key = int(key)
-        if key in self._retrieved:
-            return False
-        if self._pending.pop(key, None) is None and self._skipped.pop(key, None) is None:
-            return False
-        self._retrieved.add(key)
-        self.costs.add(deliveries=1)
-        self._outbox.append((DELIVER, self.sid, key, float(coefficient)))
-        return True
-
-    def skip(self, key: int) -> bool:
-        key = int(key)
-        iota = self._pending.pop(key, None)
-        if iota is None:
-            return False
-        self._skipped[key] = iota
-        self.costs.add(skipped_keys=1)
-        self._outbox.append((SKIP, self.sid, key, 0.0))
-        return True
-
-    def deliver_many(self, keys, coefficients) -> np.ndarray:
-        """Per-key :meth:`deliver` in order (the chunked-serve surface).
-
-        The stub's per-key cost is two dict operations, so the chunked
-        scheduler gains nothing from vectorizing it; what matters is that
-        the outbox records the deliveries in serve order for the router
-        to replay on the authoritative sessions.
-        """
-        return np.fromiter(
-            (self.deliver(int(k), float(c)) for k, c in zip(keys, coefficients)),
-            dtype=bool,
-            count=len(keys),
-        )
-
-    # -- router-driven state updates -----------------------------------
-
-    def set_pending(self, keys, importance) -> None:
-        """Replace the pending view (penalty switch re-ranked the keys)."""
-        self._pending = {int(k): float(i) for k, i in zip(keys, importance)}
-
-    def unskip(self, keys, importance) -> None:
-        """Move keys back from skipped to pending (store recovered)."""
-        for k, i in zip(keys, importance):
-            k = int(k)
-            if k in self._retrieved:
-                continue
-            self._skipped.pop(k, None)
-            self._pending[k] = float(i)
+def _find(store, attribute: str):
+    """The first layer of a wrapped store stack that has ``attribute``."""
+    while store is not None and not hasattr(store, attribute):
+        store = getattr(store, "inner", None)
+    return store
 
 
 class ShardWorker:
-    """One shard's scheduler, store slice, and registration table."""
+    """One shard's store slice behind the command surface."""
 
     def __init__(self, store, shard: int = 0) -> None:
         self.store = store
         self.shard = int(shard)
-        self.scheduler = SharedRetrievalScheduler(store)
-        self._outbox: list[tuple] = []
-        self._stubs: dict[str, tuple[ShardSessionStub, int]] = {}
+        #: Keys this shard fetched successfully.
+        self.retrievals = 0
 
-    # -- session lifecycle ---------------------------------------------
-
-    def register(self, sid: str, keys, importance):
-        stub = ShardSessionStub(sid, keys, importance, self._outbox)
-        self._stubs[sid] = (stub, self.scheduler.register(stub))
-        return self.peek()
-
-    def reprioritize(self, sid: str, keys, importance):
-        stub, ssid = self._stubs[sid]
-        stub.set_pending(keys, importance)
-        self.scheduler.reprioritize(ssid)
-        return self.peek()
-
-    def unskip(self, sid: str, keys, importance):
-        stub, ssid = self._stubs[sid]
-        stub.unskip(keys, importance)
-        self.scheduler.reprioritize(ssid)
-        return self.peek()
-
-    def deregister(self, sid: str):
-        entry = self._stubs.pop(sid, None)
-        if entry is not None:
-            self.scheduler.deregister(entry[1])
-        return self.peek()
-
-    # -- the schedule ---------------------------------------------------
-
-    def peek(self):
-        """``(importance, key)`` this shard would serve next, or None."""
-        return self.scheduler.peek()
-
-    def step(self, charge_sid: str | None = None):
-        """Serve this shard's most important pending coefficient.
-
-        Returns ``(events, top)``: the delivery/skip events the serve
-        produced (empty when the shard is drained) and the shard's new
-        top-of-schedule.  ``charge_sid`` attributes the fetch cost to
-        that session's shard-side account, mirroring how the
-        single-process scheduler charges the driving session.
-        """
-        entry = self._stubs.get(charge_sid) if charge_sid is not None else None
-        if entry is not None:
-            account = entry[0].costs
-            with _charge_to(account), account.stage("schedule"):
-                self.scheduler.step()
-        else:
-            self.scheduler.step()
-        events, self._outbox[:] = list(self._outbox), ()
-        return events, self.peek()
-
-    def step_chunk(
-        self,
-        charge_sid: str | None = None,
-        need: int | None = None,
-        floor: tuple[float, int] | None = None,
-        limit: int = 1,
-    ) -> tuple[list[tuple], tuple[float, int] | None]:
-        """Serve up to ``limit`` coefficients in one pipe round-trip.
-
-        The chunked counterpart of :meth:`step`: serves this shard's
-        schedule in local importance order while its top outranks
-        ``floor`` — the router passes the best *other* shard's
-        ``(importance, key)`` top, so every key served here is exactly a
-        key the per-key merge would have routed to this shard next —
-        and stops early once ``need`` keys pending for ``charge_sid``'s
-        stub have been served.  Returns ``(events, top)`` like
-        :meth:`step`, with the events of the whole chunk in serve order.
-        """
-        entry = self._stubs.get(charge_sid) if charge_sid is not None else None
-        if entry is not None:
-            account = entry[0].costs
-            with _charge_to(account), account.stage("schedule"):
-                self.scheduler.serve_chunk(
-                    limit, target_sid=entry[1], need=need, floor=floor
-                )
-        else:
-            self.scheduler.serve_chunk(limit, floor=floor)
-        events, self._outbox[:] = list(self._outbox), ()
-        return events, self.peek()
+    def fetch(self, keys: np.ndarray) -> np.ndarray:
+        """The data plane: one gather against the shard's store stack
+        (a :class:`~repro.storage.resilient.RetrievalError` reaches the
+        router's scheduler unchanged through either handle)."""
+        values = self.store.fetch(keys)
+        self.retrievals += int(len(keys))
+        return values
 
     # -- observability ---------------------------------------------------
 
     def ping(self) -> dict:
-        """Liveness probe: proves the command loop answers (supervision
-        uses it before reintegrating a respawned worker, and as the
-        heartbeat check on a shard that has gone quiet)."""
+        """Liveness probe: proves the command loop answers."""
         return {"shard": self.shard, "pid": os.getpid()}
-
-    def stats(self) -> dict:
-        """Shard-local counters, page-cache state, and per-session costs."""
-        m = self.scheduler.metrics
-        cache = None
-        store = self.store
-        while store is not None and not hasattr(store, "cache"):
-            store = getattr(store, "inner", None)
-        if store is not None:
-            cache = {
-                "hits": store.cache.hits,
-                "misses": store.cache.misses,
-                "evictions": store.cache.evictions,
-                "hit_ratio": store.cache.hit_ratio,
-                "buffered_pages": store.buffered_pages,
-            }
-        return {
-            "shard": self.shard,
-            "pid": os.getpid(),
-            "retrievals": m.retrievals,
-            "deliveries": m.deliveries,
-            "cache_deliveries": m.cache_deliveries,
-            "skipped_keys": m.skipped_keys,
-            "live_sessions": self.scheduler.live_sessions,
-            "page_cache": cache,
-            "costs": {
-                sid: stub.costs.to_dict() for sid, (stub, _) in self._stubs.items()
-            },
-        }
-
-    def _breaker_state(self) -> str | None:
-        """The circuit-breaker state of the store stack, if it has one."""
-        store = self.store
-        while store is not None:
-            state = getattr(store, "breaker_state", None)
-            if state is not None:
-                return state
-            store = getattr(store, "inner", None)
-        return None
 
     def telemetry(self, portable: bool = True) -> dict:
         """One federation pull: health plus portable telemetry payloads.
 
-        Always reports shard identity, backlog (pending keys summed over
-        every registered stub), scheduler occupancy, breaker state, and
-        the per-session shard-side cost snapshots.  With ``portable``
-        (the process-worker case) it additionally snapshots this
-        process's metric registry (``MetricRegistry.to_json``) and
-        *drains* the trace ring (:func:`repro.obs.drain_portable`) so
-        repeated pulls ship each span exactly once.  Inline shards are
-        pulled with ``portable=False``: they share the router process's
-        registry and ring, and re-shipping those would double-count.
+        Always reports shard identity, keys fetched, page-cache and
+        breaker state.  With ``portable`` (the process-worker case) it
+        also snapshots this process's metric registry and *drains* the
+        trace ring, so repeated pulls ship each span exactly once.
+        Inline shards are pulled with ``portable=False``: they share the
+        router process's registry and ring, and re-shipping those would
+        double-count.
         """
+        paged = _find(self.store, "cache")
+        breaker = _find(self.store, "breaker_state")
         payload = {
             "shard": self.shard,
             "pid": os.getpid(),
             "time": time.time(),
-            "live_sessions": self.scheduler.live_sessions,
-            "backlog": sum(
-                len(stub._pending) for stub, _ in self._stubs.values()
-            ),
-            "breaker": self._breaker_state(),
-            "costs": {
-                sid: stub.costs.to_dict() for sid, (stub, _) in self._stubs.items()
+            "retrievals": self.retrievals,
+            "page_cache": None
+            if paged is None
+            else {
+                "hits": paged.cache.hits,
+                "misses": paged.cache.misses,
+                "evictions": paged.cache.evictions,
+                "hit_ratio": paged.cache.hit_ratio,
+                "buffered_pages": paged.buffered_pages,
             },
+            "breaker": None if breaker is None else breaker.breaker_state,
         }
         if portable:
             payload["metrics"] = REGISTRY.to_json()
@@ -314,10 +122,7 @@ class ShardWorker:
 
 
 def build_shard_store(spec: dict):
-    """Open a shard's store slice from its picklable spec.
-
-    ``spec`` carries the paged file path plus buffering and (optional)
-    chaos configuration::
+    """Open a shard's store slice from its picklable spec::
 
         {"path": ..., "buffer_pages": 64, "shared": True,
          "chaos": None | {"seed", "transient_rate", "blackout_keys",
@@ -329,8 +134,6 @@ def build_shard_store(spec: dict):
     single-process chaos harness — so a blacked-out key degrades the
     interested sessions instead of crashing the shard.
     """
-    from repro.storage.paged import PagedCoefficientStore
-
     store = PagedCoefficientStore(
         spec["path"],
         buffer_pages=int(spec.get("buffer_pages", 64)),
@@ -338,13 +141,6 @@ def build_shard_store(spec: dict):
     )
     chaos = spec.get("chaos")
     if chaos:
-        from repro.storage.faults import FaultInjectingStore
-        from repro.storage.resilient import (
-            CircuitBreaker,
-            ResilientStore,
-            RetryPolicy,
-        )
-
         injector = FaultInjectingStore(
             store,
             seed=int(chaos.get("seed", 0)),
@@ -370,14 +166,14 @@ def shard_worker_main(conn, spec: dict) -> None:
 
     Every command is a ``(method, args, ctx)`` tuple — ``ctx`` is the
     originating request id (or None), bound as the worker-side trace
-    context so spans recorded while serving the command carry the same
-    ``request_id`` attribute as the edge/router spans of that request.
-    The reply is ``(True, result)`` or ``(False, repr(error))``.  Unknown
-    commands and per-command exceptions are reported, not fatal — only a
-    broken pipe or ``close`` ends the loop.  ``spec["trace"]`` turns span
-    recording on in the worker process (spawn children do not inherit
-    the parent's tracing switch); the router drains the resulting ring
-    via the ``telemetry`` command.
+    context so the ``shard.<method>`` span carries the same
+    ``request_id`` as the edge/router spans of that request.  The reply
+    is ``(True, result)``, ``(False, RetrievalError)`` for a gather the
+    store abandoned (re-raised router-side so the scheduler degrades
+    exactly those keys), or ``(False, description)`` for any other
+    failure — reported, not fatal: only a broken pipe or ``close`` ends
+    the loop.  ``spec["trace"]`` turns span recording on (spawn children
+    do not inherit the parent's switch); ``telemetry`` drains the ring.
     """
     if spec.get("trace"):
         set_tracing(True)
@@ -385,20 +181,19 @@ def shard_worker_main(conn, spec: dict) -> None:
     try:
         while True:
             try:
-                message = conn.recv()
+                method, args, ctx = conn.recv()
             except (EOFError, OSError):
                 break
-            method, args, ctx = (
-                message if len(message) == 3 else (*message, None)
-            )
             if method == "close":
                 conn.send((True, None))
                 break
             try:
                 with trace_context(ctx), span(f"shard.{method}", shard=worker.shard):
                     result = getattr(worker, method)(*args)
+            except RetrievalError as exc:
+                conn.send((False, exc))
             except Exception as exc:  # noqa: BLE001 - reported to the router
-                conn.send((False, repr(exc)))
+                conn.send((False, f"{method}: {exc!r}"))
             else:
                 conn.send((True, result))
     finally:
@@ -419,21 +214,28 @@ class InlineShard:
         self._worker = worker
         self.shard = worker.shard
         self.alive = True
+        self._request: tuple | None = None
 
-    @property
-    def process_alive(self) -> bool:
-        """No backing process: the handle's liveness is the worker's."""
-        return self.alive
-
-    def call(self, method: str, *args):
+    def send(self, method: str, *args) -> None:
+        """Queue one command; :meth:`recv` runs it."""
         if not self.alive:
             raise ShardLostError(self.shard, "shard already closed")
+        self._request = (method, args)
+
+    def recv(self):
+        method, args = self._request
         return getattr(self._worker, method)(*args)
+
+    def call(self, method: str, *args):
+        self.send(method, *args)
+        return self.recv()
 
     def close(self) -> None:
         if self.alive:
             self.alive = False
             self._worker.close()
+
+    abandon = close
 
 
 class ProcessShard:
@@ -455,27 +257,42 @@ class ProcessShard:
         silent-death detector polls this)."""
         return self.alive and self._process.is_alive()
 
-    def call(self, method: str, *args):
+    def send(self, method: str, *args) -> None:
+        """Write one command; exactly one :meth:`recv` must follow."""
         if not self.alive:
             raise ShardLostError(self.shard, "shard already lost")
         try:
             self._conn.send((method, args, current_request_id()))
+        except OSError as exc:
+            self.abandon()
+            raise ShardLostError(self.shard, repr(exc)) from None
+
+    def recv(self):
+        """The reply to the command last sent."""
+        try:
             if not self._conn.poll(self.timeout):
                 raise ShardLostError(self.shard, f"no reply in {self.timeout}s")
             ok, payload = self._conn.recv()
         except ShardLostError:
-            self._abandon()
+            self.abandon()
             raise
-        except (EOFError, OSError, BrokenPipeError) as exc:
-            self._abandon()
+        except (EOFError, OSError) as exc:
+            self.abandon()
             raise ShardLostError(self.shard, repr(exc)) from None
-        if not ok:
-            # The worker survived but the command failed — a programming
-            # error surfaced remotely, not an outage.
-            raise RuntimeError(f"shard {self.shard} command {method!r}: {payload}")
-        return payload
+        if ok:
+            return payload
+        if isinstance(payload, RetrievalError):
+            raise payload
+        # The worker survived but the command failed — a programming
+        # error surfaced remotely, not an outage.
+        raise RuntimeError(f"shard {self.shard} command {payload}")
 
-    def _abandon(self) -> None:
+    def call(self, method: str, *args):
+        self.send(method, *args)
+        return self.recv()
+
+    def abandon(self) -> None:
+        """Drop a worker that stopped answering, without the handshake."""
         self.alive = False
         try:
             self._conn.close()
@@ -492,7 +309,7 @@ class ProcessShard:
             self._conn.send(("close", (), None))
             if self._conn.poll(join_timeout):
                 self._conn.recv()
-        except (EOFError, OSError, BrokenPipeError):
+        except (EOFError, OSError):
             pass
         finally:
             try:
@@ -505,8 +322,8 @@ class ProcessShard:
             self._process.join(join_timeout)
 
     def kill(self) -> None:
-        """Hard-kill the worker process (chaos tests simulate an outage)."""
-        self.alive = self.alive and True  # router learns via ShardLostError
+        """Hard-kill the worker process (chaos tests simulate an outage);
+        the router learns of it through :class:`ShardLostError`."""
         self._process.kill()
         self._process.join(5.0)
 
@@ -523,11 +340,11 @@ def spawn_shard(
 ) -> ProcessShard:
     """Spawn one shard worker process (also the supervisor's respawn unit).
 
-    The same spec :func:`start_shard_processes` builds per shard — path,
-    buffering, optional per-shard chaos, tracing — so a respawned worker
-    is indistinguishable from the original: it maps the same shared
-    paged file and will be re-sent its key subsets by the router's
-    journal replay.
+    Every worker maps the same paged file (``shared=True`` page views —
+    one OS page cache across the whole cluster) and holds nothing else,
+    so a respawned worker is indistinguishable from the original.
+    ``trace`` turns span recording on inside the worker process so
+    telemetry pulls can ship the spans back for a merged Chrome trace.
     """
     ctx = mp.get_context(start_method)
     spec = {
@@ -550,66 +367,12 @@ def spawn_shard(
     return ProcessShard(process, parent, index, timeout=timeout)
 
 
-def start_shard_processes(
+def inline_shard(
     paged_path,
-    num_shards: int,
+    index: int,
     buffer_pages: int = 64,
-    shared: bool = True,
     chaos: dict | None = None,
-    chaos_shard: int | None = None,
-    timeout: float = 30.0,
-    start_method: str = "spawn",
-    trace: bool = False,
-) -> list[ProcessShard]:
-    """Spawn ``num_shards`` worker processes over one paged file.
-
-    All workers map the same file (``shared=True`` page views — one OS
-    page cache across the whole cluster); each will be sent only the keys
-    the router's partitioner assigns to it.  ``chaos`` applies the fault
-    spec to every shard, or to just ``chaos_shard`` when given.
-    ``trace`` turns span recording on inside each worker process so
-    telemetry pulls can ship the spans back for a merged Chrome trace.
-    """
-    shards: list[ProcessShard] = []
-    try:
-        for index in range(num_shards):
-            shards.append(
-                spawn_shard(
-                    paged_path,
-                    index,
-                    buffer_pages=buffer_pages,
-                    shared=shared,
-                    chaos=chaos
-                    if chaos_shard is None or chaos_shard == index
-                    else None,
-                    timeout=timeout,
-                    start_method=start_method,
-                    trace=trace,
-                )
-            )
-    except BaseException:
-        for shard in shards:
-            shard.close()
-        raise
-    return shards
-
-
-def start_inline_shards(
-    paged_path,
-    num_shards: int,
-    buffer_pages: int = 64,
-    shared: bool = True,
-    chaos: dict | None = None,
-    chaos_shard: int | None = None,
-) -> list[InlineShard]:
-    """In-process counterpart of :func:`start_shard_processes`."""
-    shards = []
-    for index in range(num_shards):
-        spec = {
-            "path": str(paged_path),
-            "buffer_pages": buffer_pages,
-            "shared": shared,
-            "chaos": chaos if chaos_shard is None or chaos_shard == index else None,
-        }
-        shards.append(InlineShard(ShardWorker(build_shard_store(spec), shard=index)))
-    return shards
+) -> InlineShard:
+    """In-process counterpart of :func:`spawn_shard`."""
+    spec = {"path": str(paged_path), "buffer_pages": buffer_pages, "chaos": chaos}
+    return InlineShard(ShardWorker(build_shard_store(spec), shard=index))

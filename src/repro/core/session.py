@@ -89,6 +89,7 @@ class ProgressiveSession:
         self._skipped_max_iota = 0.0
         self._steps_taken = 0
         self._coefficients = np.zeros(self.plan.num_keys)
+        self._positions: dict[int, int] | None = None
         self._entry_order, self._offsets = self.plan.csr_by_key()
         self._importance = self.plan.importance(self.penalty)
         self._heap: list[tuple[float, int, int]] = []
@@ -145,11 +146,17 @@ class ProgressiveSession:
         return self.plan.keys[mask], self._importance[mask]
 
     def key_position(self, key: int) -> int | None:
-        """Master-list position of ``key``, or None if not in this batch."""
-        pos = int(np.searchsorted(self.plan.keys, key))
-        if pos < self.plan.num_keys and int(self.plan.keys[pos]) == int(key):
-            return pos
-        return None
+        """Master-list position of ``key``, or None if not in this batch.
+
+        A scheduler asks this once per heap entry it pops, so the lookup
+        is a dict built on first use rather than a per-key binary search.
+        """
+        positions = self._positions
+        if positions is None:
+            positions = self._positions = dict(
+                zip(self.plan.keys.tolist(), range(self.plan.num_keys))
+            )
+        return positions.get(int(key))
 
     def is_pending(self, key: int) -> bool:
         """True when ``key`` is in the master list, unretrieved, unskipped."""
@@ -348,10 +355,8 @@ class ProgressiveSession:
             return np.zeros(0, dtype=bool)
         if np.unique(keys).size != keys.size:
             raise ValueError("deliver_many requires distinct keys")
-        pos = np.minimum(
-            np.searchsorted(self.plan.keys, keys), self.plan.num_keys - 1
-        )
-        applied = (self.plan.keys[pos] == keys) & ~self._retrieved[pos]
+        pos, found = self._locate(keys)
+        applied = found & ~self._retrieved[pos]
         if not applied.any():
             return applied
         apos = pos[applied]
@@ -385,6 +390,29 @@ class ProgressiveSession:
         self.costs.add(skipped_keys=1)
         self._mark_skipped(pos)
         return True
+
+    def skip_many(self, keys) -> int:
+        """Vectorized :meth:`skip` for a shed shard's whole key slice.
+
+        Bound mass, counters and :meth:`skipped_keys` end up exactly as
+        after calling :meth:`skip` per key; returns how many keys were
+        pending.
+        """
+        keys = np.asarray(keys, dtype=np.int64).ravel()
+        if not keys.size or not self.plan.num_keys:
+            return 0
+        pos, found = self._locate(keys)
+        pos = np.unique(pos[found])
+        pos = pos[~self._retrieved[pos] & ~self._skipped[pos]]
+        if not pos.size:
+            return 0
+        self.costs.add(skipped_keys=int(pos.size))
+        self._skipped[pos] = True
+        self._skipped_count += int(pos.size)
+        self._skipped_max_iota = max(
+            self._skipped_max_iota, float(self._importance[pos].max())
+        )
+        return int(pos.size)
 
     def retry_skipped(self) -> int:
         """Re-queue every skipped key for retrieval (the store recovered).
@@ -578,6 +606,13 @@ class ProgressiveSession:
                         0.0 if next_iota <= 0.0 else float(k_alpha * next_iota)
                     ),
                 )
+
+    def _locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Master-list positions of ``keys`` and which are in the list."""
+        pos = np.minimum(
+            np.searchsorted(self.plan.keys, keys), self.plan.num_keys - 1
+        )
+        return pos, self.plan.keys[pos] == keys
 
     def _mark_skipped(self, pos: int) -> None:
         self._skipped[pos] = True

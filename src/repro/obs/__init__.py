@@ -36,7 +36,7 @@ from repro.obs.convergence import (
     ConvergenceTrajectory,
 )
 from repro.obs.http import start_metrics_server
-from repro.obs.ledger import LEDGER, CostAccount, CostLedger, merge_cost_reports
+from repro.obs.ledger import LEDGER, CostAccount, CostLedger
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
     Counter,
@@ -86,7 +86,6 @@ __all__ = [
     "enabled",
     "export_portable",
     "get_recorder",
-    "merge_cost_reports",
     "merge_registry_snapshots",
     "profile_run",
     "set_enabled",

@@ -254,16 +254,15 @@ def run_service_scenarios(seed: int = 0) -> dict:
         },
     )
 
-    # --- sharded cluster: 2-shard schedule merge ----------------------
+    # --- sharded cluster: one schedule over 2 stateless shards --------
     # The same two overlapping batches through an inline 2-shard cluster
     # (hash partitioner, shared paged file).  Counters are deterministic:
-    # the N-shard merge serves the exact single-process order, so
-    # retrievals/deliveries are pure functions of the seeds — and the
-    # per-shard split is fixed by the Fibonacci hash.  Supervision is
-    # attached and ticked between sessions: on healthy shards a tick
-    # fetches nothing and delivers nothing, so the counters must stay
-    # exactly at the unsupervised baseline (the bench gates ISSUE 9's
-    # "no-fault supervision is free" claim).
+    # the router runs the single-process scheduler over a scatter-gather
+    # store, so retrievals/deliveries are pure functions of the seeds.
+    # Supervision is attached and ticked between sessions: on healthy
+    # shards a tick fetches nothing and delivers nothing, so the counters
+    # must stay exactly at the unsupervised baseline (the bench gates
+    # ISSUE 9's "no-fault supervision is free" claim).
     import tempfile
     from pathlib import Path as _Path
 
@@ -294,11 +293,6 @@ def run_service_scenarios(seed: int = 0) -> dict:
             accounts = [
                 router._sessions[session_id].session.costs
                 for session_id in cluster_ids
-            ]
-            accounts += [
-                stub.costs
-                for shard in router._shards.values()
-                for stub, _ in shard._worker._stubs.values()
             ]
             scenarios["cluster_sharing"] = _account_result(
                 accounts,

@@ -349,36 +349,3 @@ def active_stage(name: str):
     if account is None:
         return _NOOP_STAGE
     return _Stage(account, name)
-
-
-def merge_cost_reports(first: dict, *others: dict) -> dict:
-    """Fold several :meth:`CostAccount.to_dict` snapshots into one bill.
-
-    The sharded service splits a session's costs across processes: the
-    router account carries rewrite/plan/apply, each shard worker's stub
-    account carries schedule/fetch for its key subset.  This merges them —
-    stage timings and resource counters sum per name; ``owner`` and
-    ``queries`` come from the first report (the authoritative router
-    side).  Inputs are not mutated.
-    """
-    merged = {
-        "owner": first.get("owner", ""),
-        "queries": first.get("queries", 0),
-        "stages": {
-            name: dict(cell) for name, cell in first.get("stages", {}).items()
-        },
-        "counters": dict(first.get("counters", {})),
-    }
-    for report in others:
-        for name, cell in report.get("stages", {}).items():
-            into = merged["stages"].setdefault(
-                name, {"calls": 0, "wall_s": 0.0, "cpu_s": 0.0}
-            )
-            for field in ("calls", "wall_s", "cpu_s"):
-                into[field] += cell.get(field, 0)
-        for name, value in report.get("counters", {}).items():
-            merged["counters"][name] = merged["counters"].get(name, 0) + value
-    ordered = [s for s in STAGES if s in merged["stages"]]
-    ordered += [s for s in sorted(merged["stages"]) if s not in STAGES]
-    merged["stages"] = {name: merged["stages"][name] for name in ordered}
-    return merged

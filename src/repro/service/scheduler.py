@@ -310,36 +310,6 @@ class SharedRetrievalScheduler:
     # The shared schedule
     # ------------------------------------------------------------------
 
-    def step(self) -> int | None:
-        """Serve the globally most important pending coefficient.
-
-        Fetches the coefficient once (or reads it from the coefficient
-        cache) and delivers it to every session whose master list still
-        needs it.  Returns the key served, or None when no session has
-        pending work.  Equivalent to ``serve_chunk(1)`` — one pop, one
-        single-key fetch — and kept as the unit the cluster's per-key
-        shard protocol drives.
-        """
-        with self._lock:
-            served = self.serve_chunk(1)
-            return served[0] if served else None
-
-    def peek(self) -> tuple[float, int] | None:
-        """``(importance, key)`` of the entry :meth:`step` would serve next.
-
-        Prunes stale heap entries (cancelled sessions, re-prioritized
-        epochs, already-delivered keys) on the way, so the answer is the
-        live maximum.  Returns None when no session has pending work.
-        The cluster router merges shard schedules on exactly this view:
-        each shard worker exposes its scheduler's top, and the router
-        always serves the globally largest ``(importance, -key)``.
-        """
-        with self._lock:
-            top = self._prune_to_valid(None)
-            if top is None:
-                return None
-            return (-top[0], top[1])
-
     def advance_session(self, sid: int, k: int = 1, deadline: float | None = None) -> int:
         """Run the shared schedule until session ``sid`` gains ``k`` keys.
 
@@ -398,7 +368,6 @@ class SharedRetrievalScheduler:
         limit: int,
         target_sid: int | None = None,
         need: int | None = None,
-        floor: tuple[float, int] | None = None,
     ) -> list[int]:
         """Serve up to ``limit`` coefficients in global importance order.
 
@@ -408,30 +377,28 @@ class SharedRetrievalScheduler:
         gather, and delivers the chunk to each interested session via
         :meth:`ProgressiveSession.deliver_many`.  The pop loop stops
         early once the ``target_sid`` session would gain ``need`` keys
-        (so a capped advance never serves past its target) or when the
-        next entry's priority is not strictly above ``floor`` — an
-        ``(importance, key)`` pair, the cluster router's merge guard.
-        Returns the keys served, in serve order.
+        (so a capped advance never serves past its target).  Returns
+        the keys served, in serve order.
         """
         with self._lock:
             target = None
             if target_sid is not None:
                 reg = self._registrations.get(target_sid)
                 target = reg.session if reg is not None else None
-            floor_rank = (
-                None if floor is None else (-float(floor[0]), int(floor[1]))
-            )
             keys: list[int] = []
             seen: set[int] = set()
             gains = 0
             while len(keys) < limit:
-                entry = self._pop_entry(floor_rank, seen)
+                entry = self._pop_entry(seen)
                 if entry is None:
                     break
-                key = entry[1]
+                key, owner = entry
                 keys.append(key)
                 seen.add(key)
-                if target is not None and target.is_pending(key):
+                # The pop just verified the key pending for its owner.
+                if target is not None and (
+                    owner == target_sid or target.is_pending(key)
+                ):
                     gains += 1
                     if need is not None and gains >= need:
                         break
@@ -501,7 +468,7 @@ class SharedRetrievalScheduler:
             self._refill(sid, reg)
 
     def _prune_to_valid(
-        self, exclude: set[int] | None
+        self, exclude: set[int]
     ) -> tuple[float, int, int, int] | None:
         """Discard stale heap tops; returns the valid top entry or None.
 
@@ -517,7 +484,7 @@ class SharedRetrievalScheduler:
             if (
                 reg is not None
                 and reg.epoch == epoch
-                and (exclude is None or key not in exclude)
+                and key not in exclude
                 and reg.session.is_pending(key)
             ):
                 return entry
@@ -527,30 +494,20 @@ class SharedRetrievalScheduler:
                 self._note_pop(sid, reg)
         return None
 
-    def _pop_entry(
-        self,
-        floor_rank: tuple[float, int] | None,
-        exclude: set[int] | None = None,
-    ) -> tuple[float, int] | None:
-        """Pop the next valid entry as ``(neg_iota, key)``, or None.
+    def _pop_entry(self, exclude: set[int]) -> tuple[int, int] | None:
+        """Pop the next valid entry as ``(key, owning sid)``, or None.
 
-        ``floor_rank`` leaves the entry on the heap (returning None) when
-        its ``(-importance, key)`` rank is not strictly the better one —
-        the cluster worker's stop condition.  Keys in ``exclude`` are
-        discarded as the stale pops they would have become after the
-        in-flight chunk is served.
+        Keys in ``exclude`` are discarded as the stale pops they would
+        have become after the in-flight chunk is served.
         """
         top = self._prune_to_valid(exclude)
         if top is None:
             return None
-        neg_iota, key, sid, epoch = top
-        if floor_rank is not None and (neg_iota, key) >= floor_rank:
-            return None
-        heapq.heappop(self._heap)
+        _, key, sid, epoch = heapq.heappop(self._heap)
         reg = self._registrations.get(sid)
         if reg is not None and reg.epoch == epoch:
             self._note_pop(sid, reg)
-        return (neg_iota, key)
+        return (key, sid)
 
     def _serve_batch(self, keys: list[int]) -> None:
         """Fetch and deliver one chunk of popped keys, in serve order.

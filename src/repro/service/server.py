@@ -69,6 +69,22 @@ class SessionSnapshot:
     degraded: bool = False
     skipped_count: int = 0
 
+    @classmethod
+    def of(cls, session_id: str, session: ProgressiveSession) -> "SessionSnapshot":
+        """Snapshot ``session`` (callers hold whatever lock guards it)."""
+        return cls(
+            session_id=session_id,
+            estimates=(
+                session.exact_answers() if session.is_exact else session.estimates.copy()
+            ),
+            steps_taken=session.steps_taken,
+            remaining=session.remaining,
+            worst_case_bound=session.worst_case_bound(),
+            is_exact=session.is_exact,
+            degraded=session.degraded,
+            skipped_count=session.skipped_count,
+        )
+
 
 @dataclass(frozen=True)
 class ServiceMetrics:
@@ -200,20 +216,7 @@ class ProgressiveQueryService:
     def poll(self, session_id: str) -> SessionSnapshot:
         """A consistent snapshot of the session's progress and bound."""
         with self._lock:
-            session, _ = self._session(session_id)
-            estimates = (
-                session.exact_answers() if session.is_exact else session.estimates.copy()
-            )
-            return SessionSnapshot(
-                session_id=session_id,
-                estimates=estimates,
-                steps_taken=session.steps_taken,
-                remaining=session.remaining,
-                worst_case_bound=session.worst_case_bound(),
-                is_exact=session.is_exact,
-                degraded=session.degraded,
-                skipped_count=session.skipped_count,
-            )
+            return SessionSnapshot.of(session_id, self._session(session_id)[0])
 
     def set_penalty(self, session_id: str, penalty: Penalty) -> None:
         """Re-target a session (cursor moved); re-ranks its pending keys."""

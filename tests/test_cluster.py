@@ -322,9 +322,11 @@ class TestRouterSurface:
                 router.cancel(sid)
             metrics = router.metrics()
             assert metrics.live_sessions == 0
-            assert all(
-                s["live_sessions"] == 0 for s in metrics.per_shard.values()
-            )
+            # Shards hold no session state; the one schedule is the
+            # router's, and its gauge must agree.
+            assert router.scheduler.live_sessions == 0
+            gauge = router.registry.get("repro_scheduler_live_sessions")
+            assert gauge.value(scheduler=router.scheduler._instance) == 0
 
     def test_run_to_completion_returns_exact_answers(
         self, storage, tmp_path, rng
@@ -354,7 +356,7 @@ class TestRouterSurface:
             sid = router.submit(make_batch(75))
             router.run_to_completion(sid)
             report = router.cost_report(sid)
-            # Router pays rewrite/plan/apply; shards pay schedule/fetch.
+            # One router-side ledger: schedule/fetch contain the pipe.
             for stage in ("rewrite", "plan", "apply", "schedule", "fetch"):
                 assert stage in report["stages"], stage
             assert report["counters"]["retrievals"] > 0

@@ -1,0 +1,289 @@
+"""The scatter-gather data plane: ``ShardedStore`` and ``skip_many``.
+
+The router runs the single-process scheduler over a
+:class:`~repro.cluster.store.ShardedStore`, so everything the cluster
+adds to the bit-identical contract lives in that one ``fetch``:
+
+* values equal the local paged store's, bit for bit, in request order;
+* every shard is *sent* its slice before any reply is *received*;
+* an oversized slice travels as several bounded messages;
+* a lost shard surfaces as ``RetrievalError`` and is shed, while the
+  surviving shards' keys of the same chunk are still delivered;
+* one ``advance`` costs a handful of overlapped round-trips, not one
+  per couple of keys (the tier-1 twin of the benchmark's
+  ``cluster.router.keys_per_shard_call``).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import ShardedStore, build_cluster, make_partitioner
+from repro.cluster import store as store_module
+from repro.cluster.worker import ShardLostError, inline_shard, spawn_shard
+from repro.core.penalties import SsePenalty
+from repro.core.session import ProgressiveSession
+from repro.obs import MetricRegistry
+from repro.queries.workload import partition_count_batch
+from repro.storage.paged import PagedCoefficientStore, write_paged_file
+from repro.storage.resilient import RetrievalError
+from repro.storage.wavelet_store import WaveletStorage
+
+KEY_SPACE = 4096
+
+
+@pytest.fixture(scope="module")
+def paged_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sharded") / "coeffs.pages"
+    values = np.random.default_rng(5).normal(size=KEY_SPACE)
+    write_paged_file(path, values, page_size=64)
+    return path
+
+
+def roundtrips(registry: MetricRegistry):
+    return registry.histogram(
+        "repro_cluster_pipe_roundtrip_seconds", "test", ("shard",)
+    )
+
+
+def make_store(shards, kind="hash", on_lost=lambda index: None):
+    registry = MetricRegistry()
+    store = ShardedStore(
+        shards,
+        make_partitioner(kind, len(shards), KEY_SPACE),
+        roundtrips(registry),
+        on_lost,
+    )
+    return store, registry
+
+
+class FakeShard:
+    """Records the order of pipe operations; serves ``key * 0.5``."""
+
+    def __init__(self, shard: int, log: list) -> None:
+        self.shard = shard
+        self.alive = True
+        self._log = log
+        self._keys = None
+
+    def send(self, method, keys):
+        assert method == "fetch"
+        assert self._keys is None, "two messages in flight on one pipe"
+        self._log.append(("send", self.shard, len(keys)))
+        self._keys = keys
+
+    def recv(self):
+        keys, self._keys = self._keys, None
+        self._log.append(("recv", self.shard, len(keys)))
+        return keys * 0.5
+
+
+class TestGatherEqualsLocalFetch:
+    @pytest.mark.parametrize("kind", ["hash", "range"])
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_bit_equal_in_request_order(self, paged_path, kind, num_shards):
+        shards = [
+            inline_shard(paged_path, index, buffer_pages=4)
+            for index in range(num_shards)
+        ]
+        store, _ = make_store(shards, kind)
+        rng = np.random.default_rng(num_shards)
+        with PagedCoefficientStore(paged_path, buffer_pages=4) as local:
+            for size in (0, 1, 7, 64, 500):
+                keys = rng.choice(KEY_SPACE, size=size, replace=False)
+                got = store.fetch(keys)
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(got, local.fetch(keys))
+        for shard in shards:
+            shard.close()
+
+
+class TestScatterBeforeGather:
+    def test_every_slice_is_sent_before_any_is_received(self):
+        log: list = []
+        store, registry = make_store([FakeShard(i, log) for i in range(4)])
+        keys = np.random.default_rng(1).choice(KEY_SPACE, size=64, replace=False)
+        np.testing.assert_array_equal(store.fetch(keys), keys * 0.5)
+        kinds = [op for op, _, _ in log]
+        assert kinds == ["send"] * 4 + ["recv"] * 4
+        assert sum(size for op, _, size in log if op == "send") == 64
+        # One round-trip sample per slice, on the owning shard's series.
+        histogram = roundtrips(registry)
+        assert [histogram.count(shard=str(i)) for i in range(4)] == [1] * 4
+
+    @pytest.mark.parametrize(
+        "caps, biggest", [({"MAX_SLICE_KEYS": 5}, 5), ({"MAX_SLICE_BYTES": 24}, 3)]
+    )
+    def test_oversized_slice_is_split_and_reassembled(
+        self, monkeypatch, caps, biggest
+    ):
+        for name, value in caps.items():
+            monkeypatch.setattr(store_module, name, value)
+        log: list = []
+        store, _ = make_store([FakeShard(i, log) for i in range(2)])
+        keys = np.random.default_rng(2).choice(KEY_SPACE, size=41, replace=False)
+        np.testing.assert_array_equal(store.fetch(keys), keys * 0.5)
+        sizes = [size for op, _, size in log if op == "send"]
+        assert max(sizes) == biggest and sum(sizes) == 41
+        owners = store.partitioner.shard_of(keys)
+        for shard in range(2):
+            owned = int(np.count_nonzero(owners == shard))
+            sent = [size for op, s, size in log if op == "send" and s == shard]
+            assert len(sent) == math.ceil(owned / biggest)
+
+
+class TestLostShard:
+    def test_closed_shard_raises_retrieval_error_and_is_reported(self, paged_path):
+        lost: list[int] = []
+        shards = [inline_shard(paged_path, i, buffer_pages=4) for i in range(2)]
+        store, _ = make_store(shards, on_lost=lost.append)
+        keys = np.arange(64, dtype=np.int64)
+        shards[1].close()
+        with pytest.raises(RetrievalError):
+            store.fetch(keys)
+        assert lost == [1]
+        # The survivor's pipe is in sync: its own keys still come back.
+        mine = keys[store.partitioner.shard_of(keys) == 0]
+        with PagedCoefficientStore(paged_path, buffer_pages=4) as local:
+            np.testing.assert_array_equal(store.fetch(mine), local.fetch(mine))
+        # Once the router marks the shard shed, its keys fail fast.
+        store.dead.add(1)
+        with pytest.raises(RetrievalError):
+            store.fetch(keys)
+        assert lost == [1]
+        assert store.call(1, "ping") is None
+        shards[0].close()
+
+    @pytest.mark.parametrize("process_shards", [False, True])
+    def test_survivors_deliver_dead_owner_keys_skip_bound_holds(
+        self, tmp_path, process_shards
+    ):
+        rng = np.random.default_rng(77)
+        data = rng.poisson(2.0, size=(32, 32)).astype(np.float64)
+        storage = WaveletStorage.build(data, wavelet="db2")
+        batch = partition_count_batch((32, 32), (3, 3), rng=np.random.default_rng(3))
+        exact = batch.exact_dense(data)
+        with build_cluster(
+            storage,
+            tmp_path / "lost.pages",
+            2,
+            process_shards=process_shards,
+            buffer_pages=16,
+        ) as router:
+            sid = router.submit(batch)
+            router.advance(sid, 8)
+            session = router._sessions[sid].session
+            keys, iotas = session.pending()
+            chunk = keys[np.lexsort((keys, -iotas))][:64]
+            owners = router.partitioner.shard_of(chunk)
+            assert set(owners.tolist()) == {0, 1}, "chunk must span both shards"
+            if process_shards:
+                router._shards[1].kill()
+            else:
+                router._shards[1].close()
+            # The gather that hits the dead pipe still serves shard 0's
+            # slice, and the advance carries on with the survivor.
+            assert router.advance(sid, 64) > 0
+            assert router.dead_shards() == (1,)
+            retrieved = set(session.retrieved_keys().tolist())
+            skipped = set(session.skipped_keys().tolist())
+            assert set(chunk[owners == 0].tolist()) <= retrieved
+            assert set(chunk[owners == 1].tolist()) <= skipped
+            assert set(router.partitioner.shard_of(session.skipped_keys())) == {1}
+            snap = router.poll(sid)
+            assert snap.degraded
+            assert snap.worst_case_bound * (1 + 1e-9) + 1e-9 >= SsePenalty()(
+                snap.estimates - exact
+            )
+
+    def test_worker_retrieval_error_crosses_the_pipe(self, tmp_path):
+        """Chaos stays in the worker: a blacked-out key must reach the
+        router as ``RetrievalError`` (not a generic command failure), so
+        only that key skips and the worker keeps serving."""
+        path = tmp_path / "chaos.pages"
+        write_paged_file(path, np.arange(256, dtype=np.float64), page_size=64)
+        chaos = {"blackout_keys": [7], "max_attempts": 2}
+        shard = spawn_shard(path, 0, buffer_pages=4, chaos=chaos)
+        try:
+            with pytest.raises(RetrievalError) as caught:
+                shard.call("fetch", np.array([3, 7, 9], dtype=np.int64))
+            assert caught.value.keys == [3, 7, 9]
+            np.testing.assert_array_equal(
+                shard.call("fetch", np.array([3, 9], dtype=np.int64)), [3.0, 9.0]
+            )
+            with pytest.raises(RuntimeError, match="no_such_command"):
+                shard.call("no_such_command")
+            assert shard.call("ping")["shard"] == 0
+        finally:
+            shard.close()
+        with pytest.raises(ShardLostError):
+            shard.call("ping")
+
+
+class TestRoundTripBudget:
+    def test_advance_costs_a_few_overlapped_round_trips(self, tmp_path):
+        data = np.random.default_rng(9).poisson(2.0, size=(64, 64)).astype(float)
+        storage = WaveletStorage.build(data, wavelet="db2")
+        batch = partition_count_batch((64, 64), (4, 4), rng=np.random.default_rng(4))
+        registry = MetricRegistry()
+        with build_cluster(
+            storage, tmp_path / "budget.pages", 2, buffer_pages=16, registry=registry
+        ) as router:
+            histogram = roundtrips(registry)
+
+            def trips() -> int:
+                return sum(histogram.count(shard=str(i)) for i in range(2))
+
+            sid = router.submit(batch)
+            chunks = math.ceil(128 / router.scheduler.chunk_size)
+            total_trips = total_keys = 0
+            while router.poll(sid).remaining >= 128:
+                before = trips()
+                assert router.advance(sid, 128) == 128
+                spent = trips() - before
+                assert spent <= 2 * 2 * chunks + 1
+                total_trips += spent
+                total_keys += 128
+            assert total_keys >= 512, "fixture too small to exercise the gate"
+            assert total_keys / total_trips >= 24
+            assert router.metrics().retrievals == total_keys
+
+
+class TestSkipMany:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        advanced=st.integers(0, 40),
+        picks=st.lists(st.integers(-5, 300), max_size=60),
+        seed=st.integers(0, 3),
+    )
+    def test_matches_the_per_key_loop(self, advanced, picks, seed):
+        data = np.random.default_rng(seed).random((16, 16))
+        storage = WaveletStorage.build(data, wavelet="db2")
+        batch = partition_count_batch(
+            (16, 16), (4, 2), rng=np.random.default_rng(seed)
+        )
+        looped = ProgressiveSession(storage, batch)
+        bulk = ProgressiveSession(storage, batch)
+        for session in (looped, bulk):
+            session.advance(advanced)
+            session.skip(int(session.plan.keys[-1]))  # one already skipped
+        # Master keys, duplicates, retrieved keys and keys outside the
+        # batch (negative, beyond the list) all mixed together.
+        master = looped.plan.keys
+        keys = np.array(
+            [int(master[p]) if 0 <= p < master.size else p for p in picks],
+            dtype=np.int64,
+        )
+        count = sum(looped.skip(int(key)) for key in keys)
+        assert bulk.skip_many(keys) == count
+        np.testing.assert_array_equal(bulk.skipped_keys(), looped.skipped_keys())
+        assert bulk.skipped_count == looped.skipped_count
+        assert bulk.worst_case_bound() == looped.worst_case_bound()
+        assert bulk.costs.skipped_keys == looped.costs.skipped_keys
+        np.testing.assert_array_equal(bulk.pending()[0], looped.pending()[0])
+        assert bulk.retry_skipped() == looped.retry_skipped()
