@@ -79,6 +79,13 @@ class ProgressiveSession:
             self.rewrites = storage.rewrite_batch(batch, workers=workers)
         with self.costs.stage("plan"):
             self.plan = QueryPlan.from_rewrites(self.rewrites)
+            # Master key -> position.  A scheduler asks ``is_pending`` once
+            # per heap entry it pops, so this is a dict (not a per-key
+            # binary search), built here rather than on first use: the
+            # first ``advance`` must cost what every later one does.
+            self._positions = dict(
+                zip(self.plan.keys.tolist(), range(self.plan.num_keys))
+            )
         self.estimates = np.zeros(batch.size)
         #: Bounded ring of ``(B, retrievals, bound, wall_time)`` events —
         #: one per applied coefficient; see ``docs/OBSERVABILITY.md``.
@@ -89,7 +96,6 @@ class ProgressiveSession:
         self._skipped_max_iota = 0.0
         self._steps_taken = 0
         self._coefficients = np.zeros(self.plan.num_keys)
-        self._positions: dict[int, int] | None = None
         self._entry_order, self._offsets = self.plan.csr_by_key()
         self._importance = self.plan.importance(self.penalty)
         self._heap: list[tuple[float, int, int]] = []
@@ -146,17 +152,8 @@ class ProgressiveSession:
         return self.plan.keys[mask], self._importance[mask]
 
     def key_position(self, key: int) -> int | None:
-        """Master-list position of ``key``, or None if not in this batch.
-
-        A scheduler asks this once per heap entry it pops, so the lookup
-        is a dict built on first use rather than a per-key binary search.
-        """
-        positions = self._positions
-        if positions is None:
-            positions = self._positions = dict(
-                zip(self.plan.keys.tolist(), range(self.plan.num_keys))
-            )
-        return positions.get(int(key))
+        """Master-list position of ``key``, or None if not in this batch."""
+        return self._positions.get(int(key))
 
     def is_pending(self, key: int) -> bool:
         """True when ``key`` is in the master list, unretrieved, unskipped."""
