@@ -1,0 +1,98 @@
+"""Executable reference model of the progressive query service (the spec).
+
+One coefficient at a time, sets and dicts only: the union of the live
+sessions' pending keys is ordered by ``(-max importance, key)``; the
+head is fetched once (or, blacked out, skipped for every session that
+was waiting on it — skipped mass stays in the bound) and applied to
+every live session that lacks it.  A fetched key stays cached while any
+live session that ever had it pending — at submit or at a later
+re-queue — is still live.  ``chunk_size`` appears nowhere: it must not
+be observable.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+class ModelSession:
+    def __init__(self, plan, penalty, exact_coefficients):
+        self.plan, self.keys = plan, set(plan.keys.tolist())
+        self.exact = plan.exact_estimates(exact_coefficients)
+        self.estimates = np.zeros(plan.batch_size)
+        self.retrieved, self.skipped = set(), set()
+        self.rank(penalty)
+        self.held = self.pending()
+
+    def rank(self, penalty):
+        self.penalty = penalty
+        self.iota = dict(zip(self.plan.keys.tolist(), self.plan.importance(penalty).tolist()))
+
+    def pending(self):
+        return self.keys - self.retrieved - self.skipped
+
+    def apply(self, key, coefficient):
+        self.skipped.discard(key)
+        self.retrieved.add(key)
+        pos = int(np.searchsorted(self.plan.keys, key))
+        for e in np.flatnonzero(self.plan.entry_key_pos == pos):
+            self.estimates[self.plan.entry_qid[e]] += self.plan.entry_val[e] * coefficient
+
+    def answers(self):
+        return self.exact if self.retrieved == self.keys else self.estimates
+
+    def bound(self, k_const):
+        iota = max((self.iota[k] for k in self.keys - self.retrieved), default=0.0)
+        return 0.0 if iota <= 0.0 else float(k_const**self.penalty.homogeneity * iota)
+
+
+class Model:
+    def __init__(self, storage):
+        self.storage, self.k_const = storage, storage.total_l1()
+        self.sessions, self.cache, self.blackout = {}, {}, set()
+        self.retrievals = self.deliveries = self.cache_deliveries = self.skipped_keys = 0
+
+    def submit(self, sid, plan, penalty):
+        self.sessions[sid] = ModelSession(plan, penalty, self.storage.store.peek(plan.keys))
+
+    def requeue(self, sid, penalty=None):
+        """``set_penalty`` (with a penalty) or ``retry_skipped`` (without)."""
+        s = self.sessions[sid]
+        if penalty is not None:
+            s.rank(penalty)
+        elif not s.skipped:
+            return
+        else:
+            s.skipped.clear()
+        s.held |= s.pending()
+
+    def cancel(self, sid):
+        gone, live = self.sessions.pop(sid), self.sessions.values()
+        for key in gone.held & set(self.cache):
+            if not any(key in s.held for s in live):
+                del self.cache[key]
+
+    def advance(self, sid, k):
+        target, live = self.sessions[sid], self.sessions.values()
+        start = len(target.retrieved)
+        while len(target.retrieved) - start < k and target.retrieved != target.keys:
+            heads = [(-s.iota[key], key) for s in live for key in s.pending()]
+            if not heads:
+                break
+            key = min(heads)[1]
+            hit = key in self.cache
+            if not hit and key in self.blackout:
+                for s in live:
+                    if key in s.pending():
+                        s.skipped.add(key)
+                self.skipped_keys += 1
+                continue
+            if not hit:
+                self.cache[key] = float(self.storage.store.peek(np.array([key]))[0])
+                self.retrievals += 1
+            for s in live:
+                if key in s.keys - s.retrieved:
+                    s.apply(key, self.cache[key])
+                    self.deliveries += 1
+                    self.cache_deliveries += hit
+        return len(target.retrieved) - start

@@ -1,0 +1,182 @@
+"""Stateful check of ``ProgressiveQueryService`` against ``tests/model.py``.
+
+Hypothesis interleaves every public operation — submit, advance, poll,
+set_penalty, cancel, a key blackout, heal + retry_skipped — for chunk
+sizes 1, 7 and 64, and after every rule compares the service with the
+reference model: snapshots bit for bit, counters, the Theorem-1 bound
+against the true penalty, and the fetch-once rule at the store.
+
+The heal rule re-queues *every* live session, like
+``ClusterRouter.reintegrate_shard``: a key skipped for the advancing
+session yet pending for another is outside the modelled contract.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    consumes,
+    initialize,
+    invariant,
+    rule,
+)
+
+from repro.core.penalties import CursoredSsePenalty, LpPenalty, SsePenalty
+from repro.core.plan import QueryPlan
+from repro.obs import MetricRegistry
+from repro.queries.workload import partition_count_batch
+from repro.service.server import ProgressiveQueryService
+from repro.storage.faults import FaultInjectingStore
+from repro.storage.resilient import CircuitBreaker, ResilientStore, RetryPolicy
+from repro.storage.wavelet_store import WaveletStorage
+from tests.model import Model
+
+SHAPE = (16, 16)
+STORAGE = WaveletStorage.build(
+    np.random.default_rng(99).poisson(3.0, size=SHAPE).astype(np.float64),
+    wavelet="db2",
+)
+#: Overlapping workloads: every partition of the domain shares the
+#: coarse wavelet keys, so cross-session sharing is the common case.
+BATCHES = [
+    partition_count_batch(SHAPE, cells, rng=np.random.default_rng(seed))
+    for seed, cells in enumerate([(2, 2), (2, 2), (3, 2), (2, 3)])
+]
+PENALTIES = st.sampled_from(
+    [SsePenalty(), LpPenalty(1.5), LpPenalty(3.0), ("cursor", 0), ("cursor", 2)]
+)
+
+
+def make_penalty(spec, batch_size):
+    if isinstance(spec, tuple):
+        return CursoredSsePenalty(batch_size, high_priority=[spec[1]])
+    return spec
+
+
+class RecordingStore:
+    """Base of the store stack: sees only fetches that got past the faults."""
+
+    def __init__(self, inner):
+        self.inner, self.fetched = inner, []
+
+    def fetch(self, keys):
+        self.fetched.extend(np.asarray(keys).ravel().tolist())
+        return self.inner.fetch(keys)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class ServiceMachine(RuleBasedStateMachine):
+    sessions = Bundle("sessions")
+
+    @initialize(chunk=st.sampled_from([1, 7, 64]))
+    def start(self, chunk):
+        self.recorder = RecordingStore(STORAGE.store)
+        self.faults = FaultInjectingStore(self.recorder)
+        store = ResilientStore(
+            self.faults,
+            policy=RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0),
+            breaker=CircuitBreaker(failure_threshold=10**9),
+            sleep=lambda _s: None,
+            registry=MetricRegistry(),
+        )
+        self.service = ProgressiveQueryService(
+            STORAGE.with_store(store), registry=MetricRegistry(), chunk_size=chunk
+        )
+        self.model = Model(STORAGE)
+        self.last_bound = {}
+        self.cancelled = False
+
+    @rule(target=sessions, which=st.integers(0, len(BATCHES) - 1), spec=PENALTIES)
+    def submit(self, which, spec):
+        batch = BATCHES[which]
+        penalty = make_penalty(spec, batch.size)
+        sid = self.service.submit(batch, penalty)
+        plan = QueryPlan.from_rewrites(STORAGE.rewrite_batch(batch))
+        self.model.submit(sid, plan, penalty)
+        return sid
+
+    @rule(sid=sessions, k=st.integers(0, 40))
+    def advance(self, sid, k):
+        cached, seen = set(self.model.cache), len(self.recorder.fetched)
+        assert self.service.advance(sid, k) == self.model.advance(sid, k)
+        fetched = self.recorder.fetched[seen:]
+        # Fetched once, and never while the cache already held the key.
+        assert sorted(fetched) == sorted(set(self.model.cache) - cached)
+
+    @rule(sid=sessions)
+    def poll(self, sid):
+        self.service.poll(sid)
+
+    @rule(sid=sessions, spec=PENALTIES)
+    def set_penalty(self, sid, spec):
+        penalty = make_penalty(spec, self.model.sessions[sid].plan.batch_size)
+        self.service.set_penalty(sid, penalty)
+        self.model.requeue(sid, penalty)
+        self.last_bound.pop(sid, None)
+
+    @rule(sid=consumes(sessions))
+    def cancel(self, sid):
+        self.service.cancel(sid)
+        self.model.cancel(sid)
+        self.last_bound.pop(sid, None)
+        self.cancelled = True
+
+    @rule(seed=st.integers(0, 2**16), count=st.integers(1, 6))
+    def blackout(self, seed, count):
+        pending = sorted(set().union(*(s.pending() for s in self.model.sessions.values())))
+        if pending:
+            dark = np.random.default_rng(seed).choice(pending, size=count).tolist()
+            self.faults.blackout_keys.update(dark)
+            self.model.blackout.update(dark)
+
+    @rule()
+    def heal(self):
+        self.faults.heal()
+        self.model.blackout.clear()
+        for sid, s in self.model.sessions.items():
+            assert self.service.retry_skipped(sid) == len(s.skipped)
+            self.model.requeue(sid)
+
+    @invariant()
+    def service_matches_model(self):
+        union = set()
+        for sid, s in self.model.sessions.items():
+            snap = self.service.poll(sid)
+            assert snap.estimates.tobytes() == s.answers().tobytes()
+            assert snap.steps_taken == len(s.retrieved)
+            assert snap.remaining == len(s.keys - s.retrieved)
+            assert snap.is_exact == (s.retrieved == s.keys)
+            assert snap.skipped_count == len(s.skipped)
+            assert snap.degraded == bool(s.skipped)
+            assert snap.worst_case_bound == s.bound(self.model.k_const)
+            # Theorem 1: the bound covers the true penalty, and only a
+            # penalty switch may raise it.
+            true_penalty = s.penalty(snap.estimates - s.exact)
+            assert snap.worst_case_bound >= true_penalty * (1 - 1e-9) - 1e-9
+            assert snap.worst_case_bound <= self.last_bound.get(sid, np.inf)
+            self.last_bound[sid] = snap.worst_case_bound
+            union |= s.keys
+        m = self.service.metrics()
+        assert (m.retrievals, m.deliveries, m.cache_deliveries, m.skipped_keys) == (
+            self.model.retrievals,
+            self.model.deliveries,
+            self.model.cache_deliveries,
+            self.model.skipped_keys,
+        )
+        if not self.cancelled:
+            # Observation 1 across sessions: the union is fetched once.
+            assert m.retrievals <= len(union)
+            if all(s.retrieved == s.keys for s in self.model.sessions.values()):
+                assert m.retrievals == len(union)
+
+
+ServiceMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None, derandomize=True
+)
+TestServiceMachine = ServiceMachine.TestCase
