@@ -11,13 +11,14 @@ error penalty function:
 
 After ``B`` steps the estimates form the *p-weighted biggest-B
 approximation*, which Theorem 1 (worst case) and Theorem 2 (average case)
-prove optimal among all B-term approximations.  When the heap is exhausted
-the estimates are exact.
+prove optimal among all B-term approximations.  When the order is
+exhausted the estimates are exact.
 
 Two execution surfaces are provided:
 
-* :meth:`BatchBiggestB.steps` — the faithful heap-driven loop of Figure 1,
-  yielding one :class:`ProgressiveStep` per retrieval (interactive use);
+* :meth:`BatchBiggestB.steps` — the faithful loop of Figure 1 (its heap
+  is the importance order sorted once at construction), yielding one
+  :class:`ProgressiveStep` per retrieval (interactive use);
 * :meth:`BatchBiggestB.run` / :meth:`BatchBiggestB.run_progressive` —
   vectorized execution with identical semantics for large experiments,
   returning final answers or estimate snapshots at chosen checkpoints.
@@ -25,7 +26,6 @@ Two execution surfaces are provided:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -37,7 +37,7 @@ from repro.obs import CostAccount, span
 from repro.obs.ledger import activate as _charge_to
 from repro.queries.vector_query import QueryBatch
 from repro.storage.base import LinearStorage
-from repro.storage.resilient import RetrievalError
+from repro.storage.resilient import fetch_degrading
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,7 @@ class BatchBiggestB:
             if self.plan.batch_size != batch.size:
                 raise ValueError("plan must match the batch size")
             # Step 4: importance of every master key, biggest-B order.
-            self.importance = self.plan.importance(self.penalty)
-            self.order = np.lexsort((self.plan.keys, -self.importance))
+            self.importance, self.order = self.plan.ranking(self.penalty)
             self._sorted_importance = self.importance[self.order]
 
     # ------------------------------------------------------------------
@@ -147,14 +146,14 @@ class BatchBiggestB:
     # ------------------------------------------------------------------
 
     def steps(self, readahead: int = 16) -> Iterator[ProgressiveStep]:
-        """The faithful Figure-1 loop: heap, retrieve, increment, repeat.
+        """The faithful Figure-1 loop: extract max, retrieve, increment, repeat.
 
         Yields a :class:`ProgressiveStep` per retrieval; after the last step
         the estimates are exact.
 
         ``readahead`` batches the store reads: the next (up to)
-        ``readahead`` heap maxima are fetched with one ``fetch`` call, then
-        applied and yielded one at a time.  Semantics are unchanged — the
+        ``readahead`` keys of :attr:`order` are fetched with one ``fetch``
+        call, then applied and yielded one at a time.  Semantics are unchanged — the
         step order is identical and retrieval accounting still counts every
         key — but a paged/disk store sees chunked, importance-ordered reads
         instead of ``master_list_size`` single-key probes.  (A consumer that
@@ -171,61 +170,36 @@ class BatchBiggestB:
         """
         if readahead < 1:
             raise ValueError(f"readahead must be positive, got {readahead}")
-        # Step 4: build a max-heap keyed by importance (ties: smaller key
-        # first, matching the vectorized order).
-        heap = [
-            (-float(self.importance[pos]), int(self.plan.keys[pos]), int(pos))
-            for pos in range(self.plan.num_keys)
-        ]
-        heapq.heapify(heap)
         estimates = np.zeros(self.plan.batch_size)
         step = 0
-        # Step 5: extract the maxima, retrieve chunked, advance each query.
-        while heap:
-            chunk = [heapq.heappop(heap) for _ in range(min(readahead, len(heap)))]
-            requested = len(chunk)
+        # Step 5: walk the importance order (step 4's max-heap, sorted
+        # once: ties go to the smaller key), retrieve chunked, advance
+        # each query.
+        for lo in range(0, self.plan.num_keys, readahead):
+            chunk = self.order[lo : lo + readahead]
             # The active-account binding covers only the fetch calls (a
             # generator must not leave a thread-local bound across yields);
             # resilient-store retries inside the fetch still land here.
-            with span("batch.fetch", keys=requested), _charge_to(self.costs), \
+            with span("batch.fetch", keys=chunk.size), _charge_to(self.costs), \
                     self.costs.stage("fetch"):
-                try:
-                    coefficients = self.storage.store.fetch(
-                        np.array([key for _, key, _ in chunk], dtype=np.int64)
-                    )
-                except RetrievalError:
-                    # The chunked read was abandoned (resilient store gave
-                    # up).  Degrade to per-key fetches so one unavailable
-                    # key drops only itself from the progression, not the
-                    # whole readahead chunk.
-                    kept, coefficients = [], []
-                    for entry in chunk:
-                        try:
-                            value = self.storage.store.fetch(
-                                np.array([entry[1]], dtype=np.int64)
-                            )[0]
-                        except RetrievalError:
-                            continue
-                        kept.append(entry)
-                        coefficients.append(value)
-                    chunk = kept
-            self.costs.add(
-                retrievals=len(chunk), skipped_keys=requested - len(chunk)
-            )
+                coefficients, failed = fetch_degrading(
+                    self.storage.store, self.plan.keys[chunk]
+                )
+            if failed:
+                chunk = np.delete(chunk, failed)
+                coefficients = np.delete(coefficients, failed)
+            self.costs.add(retrievals=chunk.size, skipped_keys=len(failed))
             # One concatenated-CSR gather for the surviving chunk; the
             # per-key slices below are views into it, so the yield-per-step
             # surface keeps its semantics without re-slicing the CSR
             # arrays key by key.
-            entries, counts = self.plan.chunk_segments(
-                np.array([pos for _, _, pos in chunk], dtype=np.int64)
-            )
+            entries, counts = self.plan.chunk_segments(chunk)
             edges = np.concatenate(([0], np.cumsum(counts)))
             chunk_qids = self.plan.entry_qid[entries]
             chunk_vals = self.plan.entry_val[entries]
-            for i, ((neg_iota, key, pos), coefficient) in enumerate(
-                zip(chunk, coefficients)
+            for i, (pos, coefficient) in enumerate(
+                zip(chunk.tolist(), coefficients.tolist())
             ):
-                coefficient = float(coefficient)
                 with self.costs.stage("apply"):
                     segment = slice(edges[i], edges[i + 1])
                     np.add.at(
@@ -236,8 +210,8 @@ class BatchBiggestB:
                 step += 1
                 yield ProgressiveStep(
                     step=step,
-                    key=key,
-                    importance=-neg_iota,
+                    key=int(self.plan.keys[pos]),
+                    importance=float(self.importance[pos]),
                     coefficient=coefficient,
                     estimates=estimates.copy(),
                 )

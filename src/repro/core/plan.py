@@ -117,13 +117,20 @@ class QueryPlan:
             self.batch_size,
         )
 
-    def order(self, penalty: Penalty) -> np.ndarray:
-        """Key positions in descending importance (ties: ascending key).
+    def ranking(self, penalty: Penalty) -> tuple[np.ndarray, np.ndarray]:
+        """``(importance, order)``: every key's ``iota_p`` and the key
+        positions in descending importance (ties: ascending key).
 
-        This is the biggest-B progression order of Definition 3/4.
+        ``order`` is the biggest-B progression of Definition 3/4 — for a
+        fixed penalty the whole delivery order is known here, at plan
+        time, and every evaluator walks this one array with a cursor.
         """
         iota = self.importance(penalty)
-        return np.lexsort((self.keys, -iota))
+        return iota, np.lexsort((self.keys, -iota))
+
+    def order(self, penalty: Penalty) -> np.ndarray:
+        """The ``order`` half of :meth:`ranking`."""
+        return self.ranking(penalty)[1]
 
     def column(self, key_pos: int) -> np.ndarray:
         """Dense coefficient column ``(q_hat_i[key])_i`` for one key."""

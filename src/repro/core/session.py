@@ -20,6 +20,19 @@ the Figure-1 loop with exactly that control surface:
 The session never retrieves a coefficient twice, whether it fetched the
 coefficient itself or received it from a scheduler.
 
+The schedule is an array, not a heap: for a fixed penalty the delivery
+order is one ``lexsort`` of the master list on (importance desc, key asc)
+(:meth:`~repro.core.plan.QueryPlan.ranking`), so a session is a state
+holder — estimates, the ``retrieved``/``skipped`` masks, that order and a
+cursor at its first pending rank.  The cursor only moves forward, past
+ranks that were retrieved or skipped; :meth:`set_penalty` re-sorts the
+unretrieved keys (O(n log n), the only re-sort) and :meth:`retry_skipped`
+rewinds the cursor to the first re-queued rank (O(cursor)).
+:meth:`upcoming` reads the next pending keys off the array, and
+:meth:`advance` is *pick* (the queue head), *fetch*
+(:func:`~repro.storage.resilient.fetch_degrading`), *apply* — the same
+three pieces the shared scheduler runs over many sessions.
+
 Degraded mode: when the store abandons a fetch permanently
 (:class:`~repro.storage.resilient.RetrievalError` after retries and the
 circuit breaker give up), the session marks the key *skipped* rather than
@@ -34,7 +47,6 @@ correctness (see ``docs/RESILIENCE.md``).
 
 from __future__ import annotations
 
-import heapq
 import time
 from typing import Callable
 
@@ -47,12 +59,13 @@ from repro.obs import enabled as _telemetry_enabled
 from repro.obs.ledger import activate as _charge_to
 from repro.queries.vector_query import QueryBatch
 from repro.storage.base import LinearStorage
-from repro.storage.resilient import RetrievalError
+from repro.storage.resilient import available_runs, fetch_degrading
 
 #: Keys fetched per store gather when a wall-clock deadline bounds an
 #: :meth:`ProgressiveSession.advance` call (without one, the whole
 #: request is a single gather).  Also the default serve-chunk size of
-#: :class:`~repro.service.scheduler.SharedRetrievalScheduler`.
+#: :class:`~repro.service.scheduler.SharedRetrievalScheduler` and the
+#: first block of the cursor's forward scan.
 DEFAULT_CHUNK = 64
 
 
@@ -79,13 +92,6 @@ class ProgressiveSession:
             self.rewrites = storage.rewrite_batch(batch, workers=workers)
         with self.costs.stage("plan"):
             self.plan = QueryPlan.from_rewrites(self.rewrites)
-            # Master key -> position.  A scheduler asks ``is_pending`` once
-            # per heap entry it pops, so this is a dict (not a per-key
-            # binary search), built here rather than on first use: the
-            # first ``advance`` must cost what every later one does.
-            self._positions = dict(
-                zip(self.plan.keys.tolist(), range(self.plan.num_keys))
-            )
         self.estimates = np.zeros(batch.size)
         #: Bounded ring of ``(B, retrievals, bound, wall_time)`` events —
         #: one per applied coefficient; see ``docs/OBSERVABILITY.md``.
@@ -96,10 +102,10 @@ class ProgressiveSession:
         self._skipped_max_iota = 0.0
         self._steps_taken = 0
         self._coefficients = np.zeros(self.plan.num_keys)
-        self._entry_order, self._offsets = self.plan.csr_by_key()
-        self._importance = self.plan.importance(self.penalty)
-        self._heap: list[tuple[float, int, int]] = []
-        self._rebuild_heap()
+        # Group the plan's entries by key now, not in the first apply:
+        # the first ``advance`` must cost what every later one does.
+        self.plan.csr_by_key()
+        self._rank()
         self._k_const: float | None = None
         self._k_const_version: int | None = None
 
@@ -143,26 +149,39 @@ class ProgressiveSession:
     def pending(self) -> tuple[np.ndarray, np.ndarray]:
         """``(keys, importance)`` of the not-yet-retrieved master keys.
 
-        The scheduler hook: a shared scheduler seeds its global heap from
-        every live session's pending view.  Skipped (unavailable) keys
-        are excluded until :meth:`retry_skipped` re-queues them — the
-        schedule must not spin on keys the store already gave up on.
+        Skipped (unavailable) keys are excluded until
+        :meth:`retry_skipped` re-queues them — the schedule must not spin
+        on keys the store already gave up on.
         """
-        mask = ~self._retrieved & ~self._skipped
+        mask = self.pending_mask()
         return self.plan.keys[mask], self._importance[mask]
+
+    def pending_mask(self) -> np.ndarray:
+        """Boolean mask over master positions: unretrieved and unskipped."""
+        return ~(self._retrieved | self._skipped)
+
+    def has_pending(self, keys: np.ndarray) -> np.ndarray:
+        """Which of ``keys`` are in the master list and pending."""
+        pos, found = self._locate(keys)
+        return found & ~(self._retrieved[pos] | self._skipped[pos])
 
     def key_position(self, key: int) -> int | None:
         """Master-list position of ``key``, or None if not in this batch."""
-        return self._positions.get(int(key))
+        pos, found = self._locate(np.array([key], dtype=np.int64))
+        return int(pos[0]) if found[0] else None
 
     def is_pending(self, key: int) -> bool:
         """True when ``key`` is in the master list, unretrieved, unskipped."""
-        pos = self.key_position(key)
-        return (
-            pos is not None
-            and not self._retrieved[pos]
-            and not self._skipped[pos]
-        )
+        return bool(self.has_pending(np.array([key], dtype=np.int64))[0])
+
+    def upcoming(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, importance)`` of the next ``n`` pending keys, in
+        delivery order (importance desc, key asc); fewer when fewer are
+        pending.  The head of :meth:`pending`, sorted — what a shared
+        scheduler merges across sessions.
+        """
+        head = self._head(n)
+        return self.plan.keys[head], self._importance[head]
 
     def worst_case_bound(self) -> float:
         """Theorem-1 bound on the penalty of the *current* estimates.
@@ -178,17 +197,12 @@ class ProgressiveSession:
         — exactly Theorem 1 applied to the set of coefficients actually
         held.
         """
-        self._prune_heap()
-        next_iota = -self._heap[0][0] if self._heap else 0.0
+        next_iota = self._next_iota()
         if self._skipped_count and self._skipped_max_iota > next_iota:
             next_iota = self._skipped_max_iota
         if next_iota <= 0.0:
             return 0.0
-        version = getattr(self.storage.store, "version", None)
-        if self._k_const is None or version != self._k_const_version:
-            self._k_const = self.storage.total_l1()
-            self._k_const_version = version
-        return float(self._k_const**self.penalty.homogeneity * next_iota)
+        return float(self._k_alpha() * next_iota)
 
     def expected_penalty(self) -> float:
         """Theorem-2 expected penalty of the current estimates."""
@@ -210,11 +224,12 @@ class ProgressiveSession:
         the master list runs out, the ``deadline`` expires, or the store
         abandons fetches).
 
-        The importance-ordered heap maxima are popped in chunks and each
-        chunk is fetched with **one** store gather, then applied with one
-        vectorized pass — answers, retrieval order, counters, and the
-        Theorem-1 bound after every coefficient are identical to the
-        one-key-at-a-time loop (``chunk=1`` reproduces it literally).
+        The next pending keys are read off the importance-ordered queue
+        in chunks; each chunk is fetched with **one** store gather, then
+        applied with one vectorized pass — answers, retrieval order,
+        counters, and the Theorem-1 bound after every coefficient are
+        identical to the one-key-at-a-time loop (``chunk=1`` reproduces
+        it literally).
         Without a ``deadline`` the whole request is a single gather;
         under a deadline the chunk is capped so a slow store is
         re-checked against the clock every few keys.
@@ -238,80 +253,25 @@ class ProgressiveSession:
         # Bind this session's account to the thread so deep layers (the
         # resilient store counting retries) charge the right session.
         with _charge_to(self.costs):
-            while done < k and self._heap:
+            while done < k:
                 if deadline is not None and time.monotonic() - start >= deadline:
                     break
-                batch: list[tuple[int, int]] = []  # (key, pos) in heap order
-                while len(batch) < min(chunk, k - done) and self._heap:
-                    neg_iota, key, pos = heapq.heappop(self._heap)
-                    if self._retrieved[pos] or self._skipped[pos]:
-                        continue  # stale entry: penalty switch or delivery
-                    batch.append((key, pos))
-                if not batch:
+                positions = self._head(min(chunk, k - done))
+                if not positions.size:
                     break
-                done += self._fetch_apply(batch)
+                values, failed = fetch_degrading(
+                    self.storage.store,
+                    self.plan.keys[positions],
+                    lambda _n: self.costs.stage("fetch"),
+                )
+                for lo, hi in available_runs(positions.size, failed):
+                    if hi > lo:
+                        self.costs.add(retrievals=hi - lo)
+                        self._apply_batch(positions[lo:hi], values[lo:hi])
+                        done += hi - lo
+                    if hi < positions.size:
+                        self.skip_many(self.plan.keys[positions[hi : hi + 1]])
         return done
-
-    def _fetch_apply(self, batch: list[tuple[int, int]]) -> int:
-        """Gather-fetch popped ``(key, pos)`` entries and apply them.
-
-        One ``store.fetch`` for the whole chunk; an abandoned gather
-        degrades to per-key fetches so one unavailable key skips only
-        itself (a one-key chunk *is* its own per-key fetch and is marked
-        skipped directly, preserving the scalar loop's exact store-call
-        pattern).  Applies run in heap order as maximal runs between
-        failed keys, so estimates, counters and bound records are
-        bit-identical to the scalar loop.  Returns the applied count.
-        """
-        keys = np.array([key for key, _ in batch], dtype=np.int64)
-        values: np.ndarray | None = None
-        failed: set[int] = set()
-        try:
-            with self.costs.stage("fetch"):
-                values = self.storage.store.fetch(keys)
-        except RetrievalError:
-            if len(batch) == 1:
-                failed.add(batch[0][0])
-            else:
-                kept: list[float] = []
-                for key, _ in batch:
-                    try:
-                        with self.costs.stage("fetch"):
-                            kept.append(
-                                float(
-                                    self.storage.store.fetch(
-                                        np.array([key], dtype=np.int64)
-                                    )[0]
-                                )
-                            )
-                    except RetrievalError:
-                        failed.add(key)
-                values = np.array(kept)
-        applied = 0
-        run: list[int] = []  # positions of an unbroken run of fetched keys
-        run_coeffs: list[float] = []
-        cursor = 0
-        for key, pos in batch:
-            if key in failed:
-                self._flush_run(run, run_coeffs)
-                applied += len(run)
-                run, run_coeffs = [], []
-                self.costs.add(skipped_keys=1)
-                self._mark_skipped(pos)
-            else:
-                run.append(pos)
-                run_coeffs.append(float(values[cursor]))
-                cursor += 1
-        self._flush_run(run, run_coeffs)
-        return applied + len(run)
-
-    def _flush_run(self, positions: list[int], coefficients: list[float]) -> None:
-        if not positions:
-            return
-        self.costs.add(retrievals=len(positions))
-        self._apply_batch(
-            np.array(positions, dtype=np.int64), np.array(coefficients)
-        )
 
     def deliver(self, key: int, coefficient: float) -> bool:
         """Apply a coefficient retrieved externally (scheduler hook).
@@ -320,23 +280,15 @@ class ProgressiveSession:
         :meth:`advance` had fetched it, but without touching the store —
         the caller already paid the retrieval.  Returns True when the key
         was pending (False: not in the master list, or already held).
+        The one-key form of :meth:`deliver_many`.
         """
-        pos = self.key_position(key)
-        if pos is None or self._retrieved[pos]:
-            return False
-        if self._skipped[pos]:
-            # The key came back (e.g. another session's fetch succeeded
-            # after ours was abandoned): un-skip and apply normally.
-            self._unmark_skipped(pos)
-        self.costs.add(deliveries=1)
-        self._apply(pos, float(coefficient))
-        return True
+        return bool(self.deliver_many([key], [coefficient])[0])
 
     def deliver_many(self, keys, coefficients) -> np.ndarray:
         """Apply a chunk of externally retrieved coefficients at once.
 
-        The vectorized form of :meth:`deliver` used by the chunked
-        scheduler engine: one position lookup, one estimate update and
+        What the shared scheduler calls per (session, run of served
+        keys): one position lookup, one estimate update and
         one ledger charge for the whole chunk instead of per key.  The
         keys must be distinct; they are applied in the order given, so
         estimates, counters, and the per-coefficient Theorem-1 bound
@@ -350,7 +302,7 @@ class ProgressiveSession:
             raise ValueError("keys and coefficients must align")
         if keys.size == 0:
             return np.zeros(0, dtype=bool)
-        if np.unique(keys).size != keys.size:
+        if keys.size > 1 and np.unique(keys).size != keys.size:
             raise ValueError("deliver_many requires distinct keys")
         pos, found = self._locate(keys)
         applied = found & ~self._retrieved[pos]
@@ -380,13 +332,9 @@ class ProgressiveSession:
         Theorem-1 bound mass, so :meth:`worst_case_bound` is still a
         valid upper bound.  Returns True when the key was pending (False:
         not in the master list, already held, or already skipped).
+        The one-key form of :meth:`skip_many`.
         """
-        pos = self.key_position(key)
-        if pos is None or self._retrieved[pos] or self._skipped[pos]:
-            return False
-        self.costs.add(skipped_keys=1)
-        self._mark_skipped(pos)
-        return True
+        return bool(self.skip_many([key]))
 
     def skip_many(self, keys) -> int:
         """Vectorized :meth:`skip` for a shed shard's whole key slice.
@@ -415,23 +363,20 @@ class ProgressiveSession:
         """Re-queue every skipped key for retrieval (the store recovered).
 
         Returns the number of keys put back on the schedule.  The keys
-        re-enter the importance heap at their current importance, so the
-        continued run retrieves them exactly where Batch-Biggest-B would
-        have — degradation changes *when* a coefficient arrives, never
-        what the exhausted answers are.
+        never left the importance order — the cursor just rewinds to the
+        first of them — so the continued run retrieves them exactly where
+        Batch-Biggest-B would have: degradation changes *when* a
+        coefficient arrives, never what the exhausted answers are.
         """
-        positions = np.nonzero(self._skipped)[0]
-        if positions.size == 0:
-            return 0
-        self._skipped[:] = False
-        self._skipped_count = 0
-        self._skipped_max_iota = 0.0
-        for pos in positions.tolist():
-            heapq.heappush(
-                self._heap,
-                (-float(self._importance[pos]), int(self.plan.keys[pos]), int(pos)),
-            )
-        return int(positions.size)
+        requeued = self._skipped_count
+        if requeued:
+            behind = np.flatnonzero(self._skipped[self._order[: self._cursor]])
+            if behind.size:
+                self._cursor = int(behind[0])
+            self._skipped[:] = False
+            self._skipped_count = 0
+            self._skipped_max_iota = 0.0
+        return requeued
 
     def set_penalty(self, penalty: Penalty) -> None:
         """Re-rank the remaining retrievals under a new penalty.
@@ -439,11 +384,10 @@ class ProgressiveSession:
         Progress is kept; only the order of future retrievals changes.
         """
         self.penalty = penalty
-        self._importance = self.plan.importance(penalty)
+        self._rank()
         self._skipped_max_iota = (
             float(self._importance[self._skipped].max()) if self._skipped_count else 0.0
         )
-        self._rebuild_heap()
 
     def run_until(
         self,
@@ -475,7 +419,7 @@ class ProgressiveSession:
             raise ValueError("provide at least one stopping condition")
         start = time.monotonic() if deadline is not None else 0.0
         done = 0
-        while self._heap:
+        while self._seek() < self._order.size:
             if max_steps is not None and done >= max_steps:
                 break
             if deadline is not None and time.monotonic() - start >= deadline:
@@ -489,7 +433,7 @@ class ProgressiveSession:
 
     def run_to_completion(self) -> np.ndarray:
         """Retrieve everything; returns the exact answers."""
-        self.advance(self.remaining + len(self._heap))
+        self.advance(self.remaining)
         return self.estimates.copy()
 
     def exact_answers(self) -> np.ndarray:
@@ -516,37 +460,13 @@ class ProgressiveSession:
     # Internals
     # ------------------------------------------------------------------
 
-    def _apply(self, pos: int, coefficient: float) -> None:
-        with self.costs.stage("apply"):
-            self._retrieved[pos] = True
-            self._steps_taken += 1
-            self._coefficients[pos] = coefficient
-            segment = self._entry_order[self._offsets[pos] : self._offsets[pos + 1]]
-            np.add.at(
-                self.estimates,
-                self.plan.entry_qid[segment],
-                self.plan.entry_val[segment] * coefficient,
-            )
-        # Convergence telemetry: one event per applied coefficient.  The
-        # bound is computed from the session's own pending heap, so the
-        # trajectory is monotone regardless of who fetched the key.
-        if _telemetry_enabled():
-            stats = getattr(self.storage.store, "stats", None)
-            self.convergence.record(
-                steps_taken=self._steps_taken,
-                retrievals=(
-                    int(stats.retrievals) if stats is not None else self._steps_taken
-                ),
-                worst_case_bound=self.worst_case_bound(),
-            )
-
     def _apply_batch(
         self,
         positions: np.ndarray,
         coefficients: np.ndarray,
         skipped_max_seq: np.ndarray | None = None,
     ) -> None:
-        """Vectorized :meth:`_apply` for a chunk of key positions.
+        """Apply a chunk of coefficients at their master positions.
 
         One concatenated-CSR gather and one ``np.add.at`` update the
         estimates for the whole chunk; because ``np.add.at`` accumulates
@@ -554,7 +474,7 @@ class ProgressiveSession:
         bit-identical to applying the keys one at a time in the same
         order.  The convergence records are reconstructed per key: after
         the chunk is marked retrieved, the most important *unused*
-        coefficient at step ``i`` is the max of the pruned heap top (all
+        coefficient at step ``i`` is the max of the queue head (all
         keys outside this chunk) and the chunk's own importance suffix
         ``i+1:``, with ``skipped_max_seq`` carrying the per-key skipped
         bound mass when the chunk un-skipped keys on the way.
@@ -574,13 +494,8 @@ class ProgressiveSession:
         if _telemetry_enabled():
             stats = getattr(self.storage.store, "stats", None)
             retrievals = int(stats.retrievals) if stats is not None else 0
-            self._prune_heap()
-            rest = -self._heap[0][0] if self._heap else 0.0
-            version = getattr(self.storage.store, "version", None)
-            if self._k_const is None or version != self._k_const_version:
-                self._k_const = self.storage.total_l1()
-                self._k_const_version = version
-            k_alpha = self._k_const**self.penalty.homogeneity
+            rest = self._next_iota()
+            k_alpha = self._k_alpha()
             iotas = self._importance[positions]
             for i in range(n):
                 next_iota = rest
@@ -611,13 +526,6 @@ class ProgressiveSession:
         )
         return pos, self.plan.keys[pos] == keys
 
-    def _mark_skipped(self, pos: int) -> None:
-        self._skipped[pos] = True
-        self._skipped_count += 1
-        iota = float(self._importance[pos])
-        if iota > self._skipped_max_iota:
-            self._skipped_max_iota = iota
-
     def _unmark_skipped(self, pos: int) -> None:
         self._skipped[pos] = False
         self._skipped_count -= 1
@@ -625,16 +533,62 @@ class ProgressiveSession:
             float(self._importance[self._skipped].max()) if self._skipped_count else 0.0
         )
 
-    def _prune_heap(self) -> None:
-        while self._heap and (
-            self._retrieved[self._heap[0][2]] or self._skipped[self._heap[0][2]]
-        ):
-            heapq.heappop(self._heap)
+    def _rank(self) -> None:
+        """(Re-)sort the unretrieved keys under the current penalty."""
+        self._importance, order = self.plan.ranking(self.penalty)
+        self._order = order[~self._retrieved[order]]
+        self._cursor = 0
 
-    def _rebuild_heap(self) -> None:
-        pending = np.nonzero(~self._retrieved & ~self._skipped)[0]
-        self._heap = [
-            (-float(self._importance[pos]), int(self.plan.keys[pos]), int(pos))
-            for pos in pending
-        ]
-        heapq.heapify(self._heap)
+    def _head(self, n: int) -> np.ndarray:
+        """Master positions of the next ``n`` pending keys, in order.
+
+        A read: nothing is consumed.  Keys leave the queue by being
+        retrieved or skipped, and the cursor catches up lazily.
+        """
+        order, start = self._order, self._seek()
+        width = n
+        while True:
+            block = order[start : start + width]
+            live = block[~(self._retrieved[block] | self._skipped[block])]
+            if live.size >= n or start + width >= order.size:
+                return live[:n]
+            # Keys other sessions' fetches delivered (or skipped keys)
+            # sit inside the window: widen it.
+            width *= 2
+
+    def _seek(self) -> int:
+        """Move the cursor to the first pending rank and return it.
+
+        Forward only, in doubling blocks: the scan is paid once per rank
+        passed, never per poll (``_order.size`` when nothing is pending).
+        """
+        order, cursor, width = self._order, self._cursor, DEFAULT_CHUNK
+        if cursor < order.size:
+            pos = order[cursor]
+            if not (self._retrieved[pos] or self._skipped[pos]):
+                return cursor  # the usual poll: the head has not moved
+        while cursor < order.size:
+            block = order[cursor : cursor + width]
+            live = ~(self._retrieved[block] | self._skipped[block])
+            if live.any():
+                cursor += int(live.argmax())
+                break
+            cursor += block.size
+            width *= 2
+        self._cursor = cursor
+        return cursor
+
+    def _next_iota(self) -> float:
+        """Importance of the most important pending key (0.0 when none)."""
+        head = self._seek()
+        if head == self._order.size:
+            return 0.0
+        return float(self._importance[self._order[head]])
+
+    def _k_alpha(self) -> float:
+        """Theorem 1's ``K**alpha``; ``K`` is cached per store version."""
+        version = getattr(self.storage.store, "version", None)
+        if self._k_const is None or version != self._k_const_version:
+            self._k_const = self.storage.total_l1()
+            self._k_const_version = version
+        return self._k_const**self.penalty.homogeneity

@@ -45,17 +45,14 @@ class ProgressiveRanker:
         self.storage = storage
         self.batch = batch
         self.penalty = penalty if penalty is not None else SsePenalty()
-        self.rewrites = [storage.rewrite(q) for q in batch]
+        self.rewrites = storage.rewrite_batch(batch)
         self.plan = QueryPlan.from_rewrites(self.rewrites)
         self.estimates = np.zeros(batch.size)
         self._retrieved = np.zeros(self.plan.num_keys, dtype=bool)
         self._entry_order, self._offsets = self.plan.csr_by_key()
-        self._importance = self.plan.importance(self.penalty)
-        self._heap = [
-            (-float(self._importance[pos]), int(self.plan.keys[pos]), int(pos))
-            for pos in range(self.plan.num_keys)
-        ]
-        heapq.heapify(self._heap)
+        # The retrieval queue: the plan's importance order and a cursor.
+        self._order = self.plan.order(self.penalty)
+        self._cursor = 0
         self._k_const = storage.total_l1()
         # Per-query max |q_hat| over unused keys, maintained lazily with a
         # per-query max-heap of (|value|, key position).
@@ -123,16 +120,24 @@ class ProgressiveRanker:
 
     @property
     def steps_taken(self) -> int:
-        return int(self._retrieved.sum())
+        return self._cursor
+
+    @property
+    def exhausted(self) -> bool:
+        """True once every master-list coefficient has been retrieved."""
+        return self._cursor == self._order.size
 
     def advance(self, k: int = 1) -> int:
         """Retrieve the next ``k`` most important coefficients."""
         if k < 0:
             raise ValueError("k must be non-negative")
         done = 0
-        while done < k and self._heap:
-            _, key, pos = heapq.heappop(self._heap)
-            coefficient = float(self.storage.store.fetch(np.array([key]))[0])
+        while done < k and not self.exhausted:
+            pos = self._order[self._cursor]
+            self._cursor += 1
+            coefficient = float(
+                self.storage.store.fetch(self.plan.keys[pos : pos + 1])[0]
+            )
             self._retrieved[pos] = True
             segment = self._entry_order[self._offsets[pos] : self._offsets[pos + 1]]
             qids = self.plan.entry_qid[segment]
@@ -175,7 +180,7 @@ class ProgressiveRanker:
             result = self.certain_top_k(k)
             if result is not None:
                 return result
-            if not self._heap:
+            if self.exhausted:
                 order = np.argsort(-self.estimates, kind="stable")
                 return sorted(int(i) for i in order[:k])
             if max_steps is not None and self.steps_taken >= max_steps:
@@ -217,8 +222,8 @@ class ProgressiveRanker:
         """Advance until every query's local-minimum status is decided."""
         while True:
             minima, undecided = self.certain_local_minima(neighbors)
-            if not undecided or not self._heap:
-                if undecided and not self._heap:
+            if not undecided or self.exhausted:
+                if undecided and self.exhausted:
                     # Exhausted: estimates are exact, decide by comparison.
                     extra = [
                         i

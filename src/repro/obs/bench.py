@@ -160,7 +160,7 @@ def run_progressive_scenarios(seed: int = 0) -> dict:
         },
     )
 
-    # The faithful heap loop, chunked reads (readahead=16).
+    # The faithful Figure-1 loop, chunked reads (readahead=16).
     evaluator = BatchBiggestB(storage, batch)
     steps = 0
     for _ in evaluator.steps(readahead=16):

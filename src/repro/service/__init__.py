@@ -4,7 +4,7 @@ One :class:`~repro.service.server.ProgressiveQueryService` serves many
 concurrent clients over a single coefficient store (in-memory or the
 paged disk tier in :mod:`repro.storage.paged`).  A
 :class:`~repro.service.scheduler.SharedRetrievalScheduler` merges the
-retrieval schedules of every live session into one global importance heap
+retrieval schedules of every live session into one global importance order
 — the cross-batch generalization of the paper's Observation 1 — so
 overlapping batches fetch each shared coefficient exactly once.
 

@@ -228,8 +228,8 @@ class ProgressiveQueryService:
     def retry_skipped(self, session_id: str) -> int:
         """Re-queue a degraded session's unavailable keys (store recovered).
 
-        Puts every skipped key back on the session's and the shared
-        schedule's heaps at its current importance; returns how many were
+        Puts every skipped key back on the schedule at its current
+        importance (the session's cursor rewinds); returns how many were
         re-queued (0 for a healthy session).  The continued run retrieves
         them exactly where Batch-Biggest-B would have, so the exhausted
         answers are unaffected by the outage.

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,6 +69,53 @@ class RetrievalError(RuntimeError):
 
 class CircuitOpenError(RetrievalError):
     """Fail-fast rejection: the circuit breaker is open."""
+
+
+def fetch_degrading(store, keys: np.ndarray, timed=nullcontext):
+    """One gather; an abandoned multi-key gather degrades to per-key fetches.
+
+    The single home of the degradation rule every evaluator shares (the
+    scheduler, :meth:`ProgressiveSession.advance
+    <repro.core.session.ProgressiveSession.advance>` and
+    :meth:`BatchBiggestB.steps <repro.core.batch.BatchBiggestB.steps>`).
+    Returns ``(values, failed)``: the values aligned with ``keys`` and the
+    indices (ascending, usually none) of the keys whose own fetch was
+    abandoned as well, so one unavailable key costs only itself, not its
+    chunk.  A one-key gather *is* its own per-key fetch and fails
+    directly — one-key chunks keep the per-key loop's store-call pattern
+    exactly.
+
+    ``timed(n)`` is entered around every store call of ``n`` keys (stage
+    timers, latency histograms); an abandoned call leaves it by exception.
+    """
+    try:
+        with timed(keys.size):
+            return np.asarray(store.fetch(keys), dtype=np.float64), []
+    except RetrievalError:
+        if keys.size == 1:
+            return np.zeros(1), [0]
+    values, failed = np.zeros(keys.size), []
+    for i in range(keys.size):
+        try:
+            with timed(1):
+                values[i] = store.fetch(keys[i : i + 1])[0]
+        except RetrievalError:
+            failed.append(i)
+    return values, failed
+
+
+def available_runs(size: int, failed: list[int]):
+    """Split a fetched chunk of ``size`` keys at its ``failed`` indices.
+
+    Yields ``(start, stop)`` per maximal run of available keys, in chunk
+    order; ``stop < size`` says key ``stop`` failed.  Applying the runs
+    and skipping the failures in this order lands every estimate update,
+    counter and bound record exactly where the per-key loop would.
+    """
+    start = 0
+    for stop in (*failed, size):
+        yield start, stop
+        start = stop + 1
 
 
 @dataclass(frozen=True)

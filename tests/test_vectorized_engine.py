@@ -77,7 +77,7 @@ def drive_service(storage, chunk, store=None, record_order=True):
     The script exercises everything the engine touches: overlapping
     master lists (cross-session sharing and cache deliveries), odd
     advance increments (chunks cut mid-stream), a penalty switch
-    (reprioritize + heap prune), and completion (the exactness stop).
+    (the session queues re-sort), and completion (the exactness stop).
     """
     base = storage.store if store is None else store
     recorder = RecordingStore(base) if record_order else None
@@ -93,7 +93,6 @@ def drive_service(storage, chunk, store=None, record_order=True):
         for sid in (a, b):
             snap = service.poll(sid)
             m = service.metrics()
-            stale = service.scheduler.metrics.stale_pops
             trace.append(
                 (
                     tag,
@@ -109,7 +108,6 @@ def drive_service(storage, chunk, store=None, record_order=True):
                     m.deliveries,
                     m.cache_deliveries,
                     m.skipped_keys,
-                    stale,
                 )
             )
 
@@ -258,37 +256,55 @@ class TestClusterChunkEquality:
         assert got == ref
 
 
-class TestStaleEntryAccounting:
-    def test_reprioritize_prunes_instead_of_duplicating(self, storage):
+class TestArrayQueues:
+    def test_penalty_switches_do_not_stack(self, storage):
         service = ProgressiveQueryService(storage)
         sid = service.submit(make_batch(91))
         service.advance(sid, 10)
-        scheduler = service.scheduler
-        before = len(scheduler._heap)
+        session, reg_id = service._sessions[sid]
+        reg = service.scheduler._registrations[reg_id]
         for alpha in (1.5, 2.0, 3.0, 1.0):
             service.set_penalty(sid, LpPenalty(alpha))
-        # Eager pruning: epochs must not stack up on the heap.
-        assert len(scheduler._heap) <= before + 64
-        assert scheduler.metrics.stale_pops > 0
+        # A switch re-sorts in place: the queue and the cache-holding
+        # mask stay at master-list size however often the penalty moves.
+        assert reg.held.size == session.plan.num_keys
+        assert session._order.size == session.remaining
+        assert np.array_equal(
+            np.sort(session._order), np.flatnonzero(session.pending_mask())
+        )
 
-    def test_deregister_prunes_heap(self, storage):
+    def test_cancel_releases_queue_and_unshared_cache(self, storage):
         service = ProgressiveQueryService(storage)
         a = service.submit(make_batch(92))
-        service.advance(a, 5)
-        assert len(service.scheduler._heap) > 0
+        b = service.submit(make_batch(93))
+        a_keys, b_keys = (
+            set(service._sessions[sid][0].plan.keys.tolist()) for sid in (a, b)
+        )
+        assert a_keys & b_keys and a_keys - b_keys
+        service.run_to_completion(a)
+        scheduler = service.scheduler
+        cached = set(scheduler._coefficients)
+        assert a_keys <= cached
         service.cancel(a)
-        assert len(service.scheduler._heap) == 0
+        # Only the keys the surviving session holds stay cached.
+        assert set(scheduler._coefficients) == cached & b_keys
+        assert len(scheduler._registrations) == 1
+        service.cancel(b)
+        assert not scheduler._registrations
+        assert not scheduler._coefficients
 
-    def test_duplicate_key_pop_counts_stale(self, storage):
-        # Two overlapping sessions put the same key on the heap twice; the
-        # chunked pop discards the duplicate and the scalar path discards
-        # it one serve later — both must count it.
+    def test_shared_keys_fetched_once_for_every_chunk_size(self, storage):
         totals = []
         for chunk in (1, 64):
-            service = ProgressiveQueryService(storage, chunk_size=chunk)
+            recorder = RecordingStore(storage.store)
+            service = ProgressiveQueryService(
+                storage.with_store(recorder), chunk_size=chunk
+            )
             sids = [service.submit(make_batch(seed)) for seed in (71, 72)]
+            union = set()
             for sid in sids:
+                union |= set(service._sessions[sid][0].plan.keys.tolist())
                 service.run_to_completion(sid)
-            totals.append(service.scheduler.metrics.stale_pops)
-        assert totals[0] == totals[1]
-        assert totals[0] > 0
+            assert sorted(recorder.order) == sorted(union)
+            totals.append(service.metrics().retrievals)
+        assert totals[0] == totals[1] == len(union)
