@@ -83,30 +83,38 @@ class BatchBiggestB:
         #: Per-evaluation cost attribution (stage timings + counters).
         self.costs = CostAccount(owner="batch", queries=batch.size)
         # Steps 1-3 of Figure 1: rewrite each query, merge into a master
-        # list.  Callers evaluating one batch under several penalties can
-        # pass the rewrites/plan of a previous evaluator to skip this work
-        # (only the importance ordering depends on the penalty) — the
+        # list (QueryPlan.from_batch; ``workers > 1`` computes the batch's
+        # distinct per-dimension rewrite factors on a process pool).
+        # Callers evaluating one batch under several penalties can pass
+        # the plan (or the rewrites) of a previous evaluator to skip this
+        # work (only the importance ordering depends on the penalty) — the
         # skipped stages then cost this account nothing, which is the
         # point of passing them in.
-        # ``workers > 1`` computes the batch's distinct per-dimension
-        # rewrite factors on a process pool (see LinearStorage.rewrite_batch).
-        if rewrites is not None:
-            self.rewrites = rewrites
-        else:
-            with self.costs.stage("rewrite"):
-                self.rewrites = storage.rewrite_batch(batch, workers=workers)
-        if len(self.rewrites) != batch.size:
+        if rewrites is not None and len(rewrites) != batch.size:
             raise ValueError("rewrites must match the batch size")
-        with self.costs.stage("plan"):
+        self._rewrites = rewrites
+        with _charge_to(self.costs):
             if plan is not None:
                 self.plan = plan
+            elif rewrites is not None:
+                with self.costs.stage("plan"):
+                    self.plan = QueryPlan.from_rewrites(rewrites)
             else:
-                self.plan = QueryPlan.from_rewrites(self.rewrites)
-            if self.plan.batch_size != batch.size:
-                raise ValueError("plan must match the batch size")
+                self.plan = QueryPlan.from_batch(storage, batch, workers=workers)
+        if self.plan.batch_size != batch.size:
+            raise ValueError("plan must match the batch size")
+        with self.costs.stage("plan"):
             # Step 4: importance of every master key, biggest-B order.
             self.importance, self.order = self.plan.ranking(self.penalty)
             self._sorted_importance = self.importance[self.order]
+
+    @property
+    def rewrites(self) -> list:
+        """The rewritten query vectors, built on first access: a plan made
+        from per-dimension factors never needs them."""
+        if self._rewrites is None:
+            self._rewrites = self.storage.rewrite_batch(self.batch)
+        return self._rewrites
 
     # ------------------------------------------------------------------
     # Sizes (Observation 1's accounting)
@@ -193,10 +201,8 @@ class BatchBiggestB:
             # per-key slices below are views into it, so the yield-per-step
             # surface keeps its semantics without re-slicing the CSR
             # arrays key by key.
-            entries, counts = self.plan.chunk_segments(chunk)
+            chunk_qids, chunk_vals, counts = self.plan.chunk_segments(chunk)
             edges = np.concatenate(([0], np.cumsum(counts)))
-            chunk_qids = self.plan.entry_qid[entries]
-            chunk_vals = self.plan.entry_val[entries]
             for i, (pos, coefficient) in enumerate(
                 zip(chunk.tolist(), coefficients.tolist())
             ):
@@ -256,17 +262,10 @@ class BatchBiggestB:
                 with self.costs.stage("fetch"):
                     fetched = self.storage.store.fetch(ordered_keys)
                 self.costs.add(retrievals=int(ordered_keys.size))
-                coeff_by_pos = np.empty(self.plan.num_keys)
-                coeff_by_pos[self.order] = fetched
-                rank = np.empty(self.plan.num_keys, dtype=np.int64)
-                rank[self.order] = np.arange(self.plan.num_keys)
-                entry_rank = rank[self.plan.entry_key_pos]
-                by_rank = np.argsort(entry_rank, kind="stable")
-                sorted_rank = entry_rank[by_rank]
-                contrib = (
-                    self.plan.entry_val * coeff_by_pos[self.plan.entry_key_pos]
-                )[by_rank]
-                qid_sorted = self.plan.entry_qid[by_rank]
+                # Every column in delivery order; column r is rank r's.
+                qid_sorted, val_sorted, counts = self.plan.chunk_segments(self.order)
+                sorted_rank = np.repeat(np.arange(self.plan.num_keys), counts)
+                contrib = val_sorted * np.repeat(fetched, counts)
                 self._progression_cache = (
                     version,
                     (sorted_rank, contrib, qid_sorted),

@@ -74,8 +74,9 @@ def explain(
     but no individual coefficients.
     """
     penalty = penalty if penalty is not None else SsePenalty()
-    rewrites = [storage.rewrite(q) for q in batch]
-    plan = QueryPlan.from_rewrites(rewrites)
+    # The plan a session would run: for a grid batch under SSE nothing
+    # below reads a column, so none is built.
+    plan = QueryPlan.from_batch(storage, batch)
     iota = plan.importance(penalty)
     sorted_iota = np.sort(iota)[::-1]
     total = float(sorted_iota.sum())

@@ -88,10 +88,8 @@ class ProgressiveSession:
         self.costs = CostAccount(owner="session", queries=batch.size)
         # ``workers > 1`` parallelizes the rewrite front end (the distinct
         # per-dimension factors) without changing the resulting plan.
-        with self.costs.stage("rewrite"):
-            self.rewrites = storage.rewrite_batch(batch, workers=workers)
-        with self.costs.stage("plan"):
-            self.plan = QueryPlan.from_rewrites(self.rewrites)
+        with _charge_to(self.costs):
+            self.plan = QueryPlan.from_batch(storage, batch, workers=workers)
         self.estimates = np.zeros(batch.size)
         #: Bounded ring of ``(B, retrievals, bound, wall_time)`` events —
         #: one per applied coefficient; see ``docs/OBSERVABILITY.md``.
@@ -102,10 +100,13 @@ class ProgressiveSession:
         self._skipped_max_iota = 0.0
         self._steps_taken = 0
         self._coefficients = np.zeros(self.plan.num_keys)
-        # Group the plan's entries by key now, not in the first apply:
-        # the first ``advance`` must cost what every later one does.
-        self.plan.csr_by_key()
-        self._rank()
+        self._exact: np.ndarray | None = None
+        # Rank, and build the first block of columns, now and not in the
+        # first apply: the first ``advance`` must cost what every later
+        # one does.
+        with self.costs.stage("plan"):
+            self._rank()
+            self.plan.build_next_block()
         self._k_const: float | None = None
         self._k_const_version: int | None = None
 
@@ -444,7 +445,8 @@ class ProgressiveSession:
         recomputes the answers with the same single
         :meth:`~repro.core.plan.QueryPlan.exact_estimates` reduction that
         :meth:`BatchBiggestB.run` uses, so the result is bit-identical to an
-        independent batch evaluation regardless of delivery order.
+        independent batch evaluation regardless of delivery order.  The
+        O(entries) reduction runs once; later calls copy its result.
         """
         if not self.is_exact:
             if self.degraded:
@@ -454,7 +456,9 @@ class ProgressiveSession:
                     "(retry_skipped() once the store recovers)"
                 )
             raise ValueError("session is not exhausted; answers are estimates")
-        return self.plan.exact_estimates(self._coefficients)
+        if self._exact is None:
+            self._exact = self.plan.exact_estimates(self._coefficients)
+        return self._exact.copy()
 
     # ------------------------------------------------------------------
     # Internals
@@ -482,12 +486,8 @@ class ProgressiveSession:
         n = int(positions.size)
         base_steps = self._steps_taken
         with self.costs.stage("apply"):
-            entries, counts = self.plan.chunk_segments(positions)
-            np.add.at(
-                self.estimates,
-                self.plan.entry_qid[entries],
-                self.plan.entry_val[entries] * np.repeat(coefficients, counts),
-            )
+            qid, val, counts = self.plan.chunk_segments(positions)
+            np.add.at(self.estimates, qid, val * np.repeat(coefficients, counts))
             self._retrieved[positions] = True
             self._coefficients[positions] = coefficients
             self._steps_taken += n

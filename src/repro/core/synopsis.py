@@ -52,8 +52,7 @@ class DataSynopsis:
         coefficients — exactly how a compressed-domain query answering
         system works.
         """
-        rewrites = [self.storage.rewrite(q) for q in batch]
-        plan = QueryPlan.from_rewrites(rewrites)
+        plan = QueryPlan.from_batch(self.storage, batch)
         coeffs = np.zeros(plan.num_keys)
         positions = np.searchsorted(self.keys, plan.keys)
         positions = np.clip(positions, 0, max(self.size - 1, 0))

@@ -45,11 +45,9 @@ class ProgressiveRanker:
         self.storage = storage
         self.batch = batch
         self.penalty = penalty if penalty is not None else SsePenalty()
-        self.rewrites = storage.rewrite_batch(batch)
-        self.plan = QueryPlan.from_rewrites(self.rewrites)
+        self.plan = QueryPlan.from_batch(storage, batch)
         self.estimates = np.zeros(batch.size)
         self._retrieved = np.zeros(self.plan.num_keys, dtype=bool)
-        self._entry_order, self._offsets = self.plan.csr_by_key()
         # The retrieval queue: the plan's importance order and a cursor.
         self._order = self.plan.order(self.penalty)
         self._cursor = 0
@@ -59,20 +57,21 @@ class ProgressiveRanker:
         self._per_query_heaps: list[list[tuple[float, int]]] = [
             [] for _ in range(batch.size)
         ]
-        for e in range(self.plan.num_entries):
-            q = int(self.plan.entry_qid[e])
-            self._per_query_heaps[q].append(
-                (-abs(float(self.plan.entry_val[e])), int(self.plan.entry_key_pos[e]))
-            )
+        # The per-query bounds read every column: the plan is built whole.
+        entry_qid, entry_val = self.plan.entry_qid, self.plan.entry_val
+        for q, magnitude, pos in zip(
+            entry_qid.tolist(),
+            np.abs(entry_val).tolist(),
+            self.plan.entry_key_pos.tolist(),
+        ):
+            self._per_query_heaps[q].append((-magnitude, pos))
         for h in self._per_query_heaps:
             heapq.heapify(h)
         # Cauchy-Schwarz bound state: residual L2 energy of each query's
         # unretrieved coefficients, and of the data's unretrieved
         # coefficients (Parseval: equals ||Delta||**2 minus fetched energy).
         self._resid_q2 = np.bincount(
-            self.plan.entry_qid,
-            weights=self.plan.entry_val**2,
-            minlength=batch.size,
+            entry_qid, weights=entry_val**2, minlength=batch.size
         )
         self._resid_data2 = storage.total_l2_squared()
 
@@ -139,9 +138,7 @@ class ProgressiveRanker:
                 self.storage.store.fetch(self.plan.keys[pos : pos + 1])[0]
             )
             self._retrieved[pos] = True
-            segment = self._entry_order[self._offsets[pos] : self._offsets[pos + 1]]
-            qids = self.plan.entry_qid[segment]
-            vals = self.plan.entry_val[segment]
+            qids, vals, _ = self.plan.chunk_segments(np.array([pos]))
             np.add.at(self.estimates, qids, vals * coefficient)
             np.add.at(self._resid_q2, qids, -(vals**2))
             self._resid_data2 -= coefficient * coefficient

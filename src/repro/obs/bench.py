@@ -315,7 +315,7 @@ def run_service_scenarios(seed: int = 0) -> dict:
     )
     from repro.core.plan import QueryPlan
 
-    master_keys = QueryPlan.from_rewrites(storage.rewrite_batch(batch)).keys
+    master_keys = QueryPlan.from_batch(storage, batch).keys
     blackout = np.random.default_rng(seed + 99).choice(
         master_keys, size=5, replace=False
     )

@@ -124,6 +124,35 @@ class LinearStorage(ABC):
                 self._precompute_factors(queries, workers)
             return [self.rewrite(q) for q in queries]
 
+    def rewrite_factors(self, query: VectorQuery) -> "list | None":
+        """``query``'s rewrite as per-axis sparse factors, or None.
+
+        When not None, ``rewrite(query)`` *is*
+        ``SparseTensor.from_outer(factors)`` — same vectors, multiplied
+        left to right, keys flat in C order over the factors' lengths —
+        so :meth:`~repro.core.plan.QueryPlan.from_batch` can plan a grid
+        batch without building any tensor.  None (the default) when the
+        rewrite is not one separable term.
+        """
+        return None
+
+    def rewrite_batch_factors(self, queries, workers: int | None = None) -> "list | None":
+        """:meth:`rewrite_factors` of every query, or None as soon as one
+        has none.  ``workers`` as in :meth:`rewrite_batch`; the factors
+        are memoized, so falling back to :meth:`rewrite_batch` after a
+        non-None answer needs no pool."""
+        queries = list(queries)
+        if not queries or self.rewrite_factors(queries[0]) is None:
+            return None
+        with span(
+            "rewrite.batch", queries=len(queries), strategy=self.strategy_name,
+            form="factors",
+        ):
+            if workers is not None and workers > 1:
+                self._precompute_factors(queries, workers)
+            factors = [self.rewrite_factors(query) for query in queries]
+            return None if any(f is None for f in factors) else factors
+
     def _rewrite_factor_specs(self, queries) -> "list[tuple] | None":
         """Hashable per-dimension factor tasks for ``queries``, or None.
 

@@ -24,6 +24,7 @@ from repro.storage.counter import CountingStore
 from repro.util import check_shape
 from repro.wavelets.filters import WaveletFilter, get_filter, resolve_filters
 from repro.wavelets.point import point_tensor
+from repro.wavelets.query_transform import monomial_factors
 from repro.wavelets.sparse import SparseTensor
 from repro.wavelets.transform import wavedec_nd, waverec_nd
 
@@ -122,6 +123,18 @@ class WaveletStorage(LinearStorage):
     def rewrite(self, query: VectorQuery) -> SparseTensor:
         """Sparse wavelet transform of the query vector (Equation 2)."""
         return query.wavelet_tensor(self.filters, self.shape)
+
+    def rewrite_factors(self, query: VectorQuery):
+        """The per-axis factors of a one-monomial query; None otherwise
+        (a sum of outer products is not an outer product)."""
+        terms = query.polynomial.terms
+        if len(terms) != 1:
+            return None
+        query.rect.validate_for(self.shape)
+        exponents, coefficient = terms[0]
+        return monomial_factors(
+            self.filters, self.shape, query.rect.bounds, exponents, coefficient
+        )
 
     def _rewrite_factor_specs(self, queries) -> list[tuple]:
         """Per-dimension factor tasks for :meth:`LinearStorage.rewrite_batch`.

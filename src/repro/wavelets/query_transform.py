@@ -289,7 +289,7 @@ def haar_indicator_coefficients(n: int, lo: int, hi: int) -> SparseVector:
 # ----------------------------------------------------------------------
 
 
-def monomial_tensor(
+def monomial_factors(
     filt: "WaveletFilter | str | Sequence[WaveletFilter | str]",
     shape: Sequence[int],
     bounds: Sequence[tuple[int, int]],
@@ -297,13 +297,16 @@ def monomial_tensor(
     coefficient: float = 1.0,
     rtol: float = DEFAULT_RTOL,
     method: str | None = None,
-) -> SparseTensor:
-    """Sparse transform of ``coefficient * prod_i x_i**e_i * chi_R``.
+) -> list[SparseVector]:
+    """Per-axis 1-D factors of ``coefficient * prod_i x_i**e_i * chi_R``.
 
     ``bounds`` gives the inclusive per-dimension range and ``exponents`` the
-    per-dimension monomial exponents.  The result is the outer product of
-    per-dimension factors (scaled into the first factor).  ``filt`` may be a
-    single filter or one per axis (matched filters).
+    per-dimension monomial exponents; ``coefficient`` is scaled into the
+    first factor.  ``filt`` may be a single filter or one per axis (matched
+    filters).  The monomial's transform is the outer product of these
+    vectors, left to right (:func:`monomial_tensor`); a factored
+    :class:`~repro.core.plan.QueryPlan` multiplies the same vectors in the
+    same order without building the tensor.
     """
     shape = tuple(int(s) for s in shape)
     filters = resolve_filters(filt, len(shape))
@@ -315,7 +318,23 @@ def monomial_tensor(
     ]
     if coefficient != 1.0:
         factors = [factors[0].scaled(coefficient)] + factors[1:]
-    return SparseTensor.from_outer(factors)
+    return factors
+
+
+def monomial_tensor(
+    filt: "WaveletFilter | str | Sequence[WaveletFilter | str]",
+    shape: Sequence[int],
+    bounds: Sequence[tuple[int, int]],
+    exponents: Sequence[int],
+    coefficient: float = 1.0,
+    rtol: float = DEFAULT_RTOL,
+    method: str | None = None,
+) -> SparseTensor:
+    """Sparse transform of ``coefficient * prod_i x_i**e_i * chi_R``: the
+    outer product of its :func:`monomial_factors`."""
+    return SparseTensor.from_outer(
+        monomial_factors(filt, shape, bounds, exponents, coefficient, rtol, method)
+    )
 
 
 def query_tensor(

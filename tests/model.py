@@ -35,8 +35,9 @@ class ModelSession:
         self.skipped.discard(key)
         self.retrieved.add(key)
         pos = int(np.searchsorted(self.plan.keys, key))
-        for e in np.flatnonzero(self.plan.entry_key_pos == pos):
-            self.estimates[self.plan.entry_qid[e]] += self.plan.entry_val[e] * coefficient
+        column = self.plan.column(pos)
+        for q in np.flatnonzero(column):
+            self.estimates[q] += column[q] * coefficient
 
     def answers(self):
         return self.exact if self.retrieved == self.keys else self.estimates

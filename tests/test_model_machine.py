@@ -97,7 +97,7 @@ class ServiceMachine(RuleBasedStateMachine):
         batch = BATCHES[which]
         penalty = make_penalty(spec, batch.size)
         sid = self.service.submit(batch, penalty)
-        plan = QueryPlan.from_rewrites(STORAGE.rewrite_batch(batch))
+        plan = QueryPlan.from_batch(STORAGE, batch)
         self.model.submit(sid, plan, penalty)
         return sid
 

@@ -49,7 +49,7 @@ class TestTraceOut:
             assert event["dur"] >= 0
         names = {e["name"] for e in spans}
         assert "rewrite.batch" in names
-        assert "plan.from_rewrites" in names
+        assert "plan.from_factors" in names
 
     def test_serve_demo_trace_covers_scheduler(self, tmp_path, capsys):
         out = tmp_path / "trace.json"

@@ -237,4 +237,4 @@ class TestPipelineSpans:
         evaluator = BatchBiggestB(storage, batch)
         evaluator.run()
         names = {r.name for r in tracing.records()}
-        assert {"rewrite.batch", "plan.from_rewrites", "batch.run"} <= names
+        assert {"rewrite.batch", "plan.from_factors", "batch.run"} <= names

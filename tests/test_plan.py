@@ -72,13 +72,17 @@ class TestImportanceAndOrder:
 
 
 class TestCsrAndEstimates:
-    def test_csr_by_key_groups_entries(self):
+    def test_chunk_segments_groups_entries(self):
         plan = QueryPlan.from_rewrites(make_rewrites())
-        entry_order, offsets = plan.csr_by_key()
-        for pos in range(plan.num_keys):
-            segment = entry_order[offsets[pos] : offsets[pos + 1]]
-            assert np.all(plan.entry_key_pos[segment] == pos)
-        assert offsets[-1] == plan.num_entries
+        positions = np.array([3, 0, 2, 1])
+        qid, val, counts = plan.chunk_segments(positions)
+        edges = np.concatenate(([0], np.cumsum(counts)))
+        for i, pos in enumerate(positions):
+            of_key = plan.entry_key_pos == pos
+            segment = slice(edges[i], edges[i + 1])
+            np.testing.assert_array_equal(qid[segment], plan.entry_qid[of_key])
+            np.testing.assert_array_equal(val[segment], plan.entry_val[of_key])
+        assert edges[-1] == plan.num_entries
 
     def test_exact_estimates(self):
         plan = QueryPlan.from_rewrites(make_rewrites())
