@@ -42,6 +42,10 @@ Subpackages
 ``repro.service``
     The concurrent progressive query service: many live sessions over one
     store with cross-batch I/O sharing and an optional paged disk tier.
+    The one definition of the session API.
+``repro.cluster``
+    That same service over shard workers (``ClusterRouter``), behind an
+    asyncio HTTP edge.
 """
 
 from repro.core.batch import BatchBiggestB, ProgressiveStep

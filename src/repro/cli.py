@@ -94,8 +94,10 @@ def _build_relation(args: argparse.Namespace) -> Relation:
     raise ValueError(f"unknown dataset {args.dataset!r}")
 
 
-def _build_batch(relation: Relation, args: argparse.Namespace):
-    rng = np.random.default_rng(args.seed + 1)
+def _build_batch(
+    relation: Relation, args: argparse.Namespace, seed: int | None = None
+):
+    rng = np.random.default_rng(args.seed + 1 if seed is None else seed)
     if args.dataset == "temperature":
         return partition_sum_batch(
             relation.shape,
@@ -144,6 +146,42 @@ def _add_batch_args(parser: argparse.ArgumentParser) -> None:
                         help="partition cells per grouping dimension")
     parser.add_argument("--min-width", type=int, default=1, dest="min_width")
     parser.add_argument("--wavelet", default="db2")
+
+
+def _chaos_spec(args: argparse.Namespace, key_space: int) -> dict | None:
+    """The ``--fault-rate`` / ``--blackout`` flags as a chaos spec for
+    :func:`repro.storage.faults.chaos_stack` (None when both are off), so
+    the degradation is reproducible from the flags and ``--fault-seed``."""
+    if not (args.fault_rate > 0 or args.blackout > 0):
+        return None
+    blackout_keys = np.random.default_rng(args.fault_seed).choice(
+        key_space, size=min(args.blackout, key_space), replace=False
+    )
+    return {
+        "seed": args.fault_seed,
+        "transient_rate": args.fault_rate,
+        "blackout_keys": [int(k) for k in blackout_keys],
+        "max_attempts": args.max_attempts,
+    }
+
+
+def _run_demo_sessions(args: argparse.Namespace):
+    """The ``metrics`` / ``cost`` workload: two overlapping partition
+    batches run to completion on one service; returns it and their ids."""
+    relation = _build_relation(args)
+    storage = WaveletStorage.build(
+        relation.frequency_distribution(), wavelet=args.wavelet
+    )
+    service = ProgressiveQueryService(storage)
+    session_ids = []
+    for seed in (args.seed + 1, args.seed + 2):
+        rng = np.random.default_rng(seed)
+        batch = partition_count_batch(
+            relation.shape, args.cells, rng=rng, min_width=args.min_width
+        )
+        session_ids.append(service.submit(batch))
+        service.run_to_completion(session_ids[-1])
+    return service, session_ids
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -298,61 +336,23 @@ def cmd_serve_demo(args: argparse.Namespace) -> int:
             page_size=args.page_size,
             buffer_pages=args.buffer_pages,
         )
-    chaos = args.fault_rate > 0 or args.blackout > 0
+    chaos = _chaos_spec(args, storage.store.key_space_size)
     resilient = None
     if chaos:
-        # The chaos harness: injected faults under the resilient wrapper,
-        # so the degradation the service reports is fully reproducible
-        # from (--fault-seed, --fault-rate, --blackout).
-        from repro.storage.faults import FaultInjectingStore
-        from repro.storage.resilient import CircuitBreaker, ResilientStore, RetryPolicy
+        from repro.storage.faults import chaos_stack
 
-        blackout_rng = np.random.default_rng(args.fault_seed)
-        blackout_keys = blackout_rng.choice(
-            storage.store.key_space_size,
-            size=min(args.blackout, storage.store.key_space_size),
-            replace=False,
-        )
-        injector = FaultInjectingStore(
-            storage.store,
-            seed=args.fault_seed,
-            transient_rate=args.fault_rate,
-            blackout_keys=blackout_keys,
-        )
-        resilient = ResilientStore(
-            injector,
-            policy=RetryPolicy(
-                max_attempts=args.max_attempts, base_delay=0.001, max_delay=0.05
-            ),
-            breaker=CircuitBreaker(failure_threshold=10_000),
-        )
+        resilient = chaos_stack(storage.store, chaos)
         storage = storage.with_store(resilient)
         print(
             f"chaos: transient fault rate {args.fault_rate:.0%}, "
-            f"{len(blackout_keys)} blacked-out keys, seed {args.fault_seed}, "
+            f"{len(chaos['blackout_keys'])} blacked-out keys, seed {args.fault_seed}, "
             f"retries up to {args.max_attempts} attempts"
         )
     try:
-        rng_seeds = range(args.seed + 1, args.seed + 1 + args.clients)
-        batches = []
-        for seed in rng_seeds:
-            rng = np.random.default_rng(seed)
-            if args.dataset == "temperature":
-                batches.append(
-                    partition_sum_batch(
-                        relation.shape,
-                        args.cells,
-                        measure_attribute=relation.ndim - 1,
-                        rng=rng,
-                        min_width=args.min_width,
-                    )
-                )
-            else:
-                batches.append(
-                    partition_count_batch(
-                        relation.shape, args.cells, rng=rng, min_width=args.min_width
-                    )
-                )
+        batches = [
+            _build_batch(relation, args, seed)
+            for seed in range(args.seed + 1, args.seed + 1 + args.clients)
+        ]
 
         service = ProgressiveQueryService(storage)
         answers: dict[int, np.ndarray] = {}
@@ -430,7 +430,7 @@ def cmd_serve_demo(args: argparse.Namespace) -> int:
             )
             print(
                 f"chaos report: {resilient.retry_count():,} retries | "
-                f"{injector.faults_injected:,} injected faults | "
+                f"{resilient.inner.faults_injected:,} injected faults | "
                 f"breaker {resilient.breaker_state} | "
                 f"{metrics.skipped_keys} keys skipped"
             )
@@ -489,23 +489,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     storage = WaveletStorage.build(
         relation.frequency_distribution(), wavelet=args.wavelet
     )
-    chaos = None
-    if args.fault_rate > 0 or args.blackout > 0:
-        blackout_rng = np.random.default_rng(args.fault_seed)
-        blackout_keys = blackout_rng.choice(
-            storage.store.key_space_size,
-            size=min(args.blackout, storage.store.key_space_size),
-            replace=False,
-        )
-        chaos = {
-            "seed": args.fault_seed,
-            "transient_rate": args.fault_rate,
-            "blackout_keys": [int(k) for k in blackout_keys],
-            "max_attempts": args.max_attempts,
-        }
+    chaos = _chaos_spec(args, storage.store.key_space_size)
+    if chaos:
         print(
             f"chaos: transient fault rate {args.fault_rate:.0%}, "
-            f"{len(blackout_keys)} blacked-out keys, seed {args.fault_seed}"
+            f"{len(chaos['blackout_keys'])} blacked-out keys, seed {args.fault_seed}"
             + (
                 f", shard {args.chaos_shard} only"
                 if args.chaos_shard is not None
@@ -618,18 +606,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     every instrumented layer, then the registry is dumped in Prometheus
     text or JSON exposition format.
     """
-    relation = _build_relation(args)
-    storage = WaveletStorage.build(
-        relation.frequency_distribution(), wavelet=args.wavelet
-    )
-    service = ProgressiveQueryService(storage)
-    for seed in (args.seed + 1, args.seed + 2):
-        rng = np.random.default_rng(seed)
-        batch = partition_count_batch(
-            relation.shape, args.cells, rng=rng, min_width=args.min_width
-        )
-        session_id = service.submit(batch)
-        service.run_to_completion(session_id)
+    _run_demo_sessions(args)
     if args.format == "json":
         print(obs.REGISTRY.render_json())
     else:
@@ -645,20 +622,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
     cost report — stage wall/CPU timings plus resource counters — is
     printed as a table (or the whole ledger as JSON).
     """
-    relation = _build_relation(args)
-    storage = WaveletStorage.build(
-        relation.frequency_distribution(), wavelet=args.wavelet
-    )
-    service = ProgressiveQueryService(storage)
-    session_ids = []
-    for seed in (args.seed + 1, args.seed + 2):
-        rng = np.random.default_rng(seed)
-        batch = partition_count_batch(
-            relation.shape, args.cells, rng=rng, min_width=args.min_width
-        )
-        session_id = service.submit(batch)
-        service.run_to_completion(session_id)
-        session_ids.append(session_id)
+    service, session_ids = _run_demo_sessions(args)
     if args.format == "json":
         print(json.dumps(
             {sid: service.cost_report(sid) for sid in session_ids},

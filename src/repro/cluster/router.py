@@ -1,19 +1,20 @@
-"""The cluster router: the one scheduler over stateless shards.
+"""The cluster router: the service over stateless shards.
 
-The router owns the authoritative
-:class:`~repro.core.session.ProgressiveSession` objects and drives **the
-unmodified** :class:`~repro.service.scheduler.SharedRetrievalScheduler`
-over them — the same ``register`` / ``advance_session`` /
-``reprioritize`` / ``deregister`` calls
-:class:`~repro.service.server.ProgressiveQueryService` makes.  The only
-difference from the 1-process service is the scheduler's store: a
-:class:`~repro.cluster.store.ShardedStore` whose ``fetch(keys)`` splits each chunk with the
-deterministic :class:`~repro.cluster.partition.Partitioner`, sends every
-shard its slice before receiving from any, and reassembles the values in
-request order — one overlapped round-trip per shard per chunk.  Because
-the router runs literally the loop the bit-identical suites use as their
+:class:`ClusterRouter` *is* the
+:class:`~repro.service.server.ProgressiveQueryService` — every session
+method (``submit`` / ``advance`` / ``poll`` / ``set_penalty`` /
+``retry_skipped`` / ``cancel`` / ...) is inherited, none is defined
+here — with the scheduler's store pointed at a
+:class:`~repro.cluster.store.ShardedStore`, whose ``fetch(keys)`` splits
+each chunk with the deterministic
+:class:`~repro.cluster.partition.Partitioner`, sends every shard its
+slice before receiving from any, and reassembles the values in request
+order — one overlapped round-trip per shard per chunk.  Because the
+router runs literally the loop the bit-identical suites use as their
 reference, an N-shard cluster is *bit-identical at every poll* to the
-1-process service by construction (``tests/test_cluster.py``).
+1-process service by construction (``tests/test_cluster.py``).  What
+this module adds is cluster-specific: shard lifecycle, telemetry
+federation, ``status`` / ``healthz`` and ``close``.
 
 Shard outages degrade, never crash: a worker that stops answering is
 *shed* — every session's still-pending keys it owns are marked skipped,
@@ -26,8 +27,6 @@ re-drives the skipped keys, healing back to bit-exact answers.
 
 from __future__ import annotations
 
-import itertools
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -37,14 +36,11 @@ from repro.cluster.codec import encode_session_status
 from repro.cluster.partition import Partitioner
 from repro.cluster.store import ShardedStore
 from repro.cluster.supervise import SHARD_STATE_VALUES
-from repro.core.penalties import Penalty
-from repro.core.session import DEFAULT_CHUNK, ProgressiveSession
-from repro.obs import LEDGER, REGISTRY, MetricRegistry, span
+from repro.core.session import DEFAULT_CHUNK
+from repro.obs import MetricRegistry, span
 from repro.obs.metrics import merge_registry_snapshots, snapshot_to_prometheus
 from repro.obs.trace import absorb_portable, get_recorder
-from repro.queries.vector_query import QueryBatch
-from repro.service.scheduler import SharedRetrievalScheduler
-from repro.service.server import SessionSnapshot
+from repro.service.server import ProgressiveQueryService, ServiceMetrics
 from repro.storage.base import LinearStorage
 
 
@@ -57,42 +53,26 @@ def _quantile(sorted_values, q: float) -> float | None:
 
 
 @dataclass(frozen=True)
-class ClusterMetrics:
-    """The router scheduler's counters plus, in ``per_shard``, each live
-    worker's pid, ``retrievals`` (keys that shard fetched) and page-cache
-    state.  ``shed_shards`` lists shards lost and shed."""
+class ClusterMetrics(ServiceMetrics):
+    """The service snapshot plus the shard view: in ``per_shard``, each
+    live worker's pid, ``retrievals`` (keys that shard fetched) and
+    page-cache state.  ``shed_shards`` lists shards lost and shed."""
 
-    retrievals: int
-    deliveries: int
-    shared_deliveries: int
-    cache_deliveries: int
-    skipped_keys: int
-    live_sessions: int
-    sessions_submitted: int
-    num_shards: int
-    shed_shards: tuple[int, ...]
+    num_shards: int = 0
+    shed_shards: tuple[int, ...] = ()
     per_shard: dict[int, dict] = field(default_factory=dict)
 
-    @property
-    def shared_hit_ratio(self) -> float:
-        return self.shared_deliveries / self.deliveries if self.deliveries else 0.0
 
+class ClusterRouter(ProgressiveQueryService):
+    """The progressive query service over shard workers.
 
-@dataclass
-class _ClusterSession:
-    session: ProgressiveSession
-    sid: int  # the scheduler's registration id
-    shard_ids: tuple[int, ...]  # owners of the session's master keys
-    ledger_name: str = ""  # the name LEDGER actually registered (dedup-safe)
-
-
-class ClusterRouter:
-    """Route progressive sessions across shard workers.
-
-    Thread-safe like the single-process service: one lock serializes the
-    client surface, so the HTTP edge can drive it from a worker thread
-    while tests poke it directly.
+    Thread-safe like its base: one lock serializes the client surface, so
+    the HTTP edge can drive it from a worker thread while tests poke it
+    directly.
     """
+
+    FRONT = "cluster"
+    SUBMITTED_LABELS = ()
 
     def __init__(
         self,
@@ -109,26 +89,17 @@ class ClusterRouter:
                 f"partitioner expects {partitioner.num_shards} shards, "
                 f"got {len(shards)}"
             )
-        #: The query-rewrite strategy; its store is only read for the
-        #: Theorem-1 aggregates (all fetching happens in the workers).
-        self.storage = storage
+        # ``storage`` is the query-rewrite strategy; its store is only
+        # read for the Theorem-1 aggregates (all fetching happens in the
+        # workers).  ``chunk_size`` is the keys per gather (1 reproduces
+        # the per-key loop literally).
+        super().__init__(storage, registry, chunk_size)
+        registry = self.registry
         self.partitioner = partitioner
-        self.registry = registry = REGISTRY if registry is None else registry
-        self._lock = threading.RLock()
-        self._sessions: dict[str, _ClusterSession] = {}
-        self._ids = itertools.count(1)
-        self._submitted_total = registry.counter(
-            "repro_cluster_sessions_submitted_total",
-            "Progressive sessions opened on the cluster router",
-        )
         self._shard_up = registry.gauge(
             "repro_cluster_shard_up",
             "1 while the shard worker answers, 0 once shed",
             ("shard",),
-        )
-        self._advance_seconds = registry.histogram(
-            "repro_cluster_advance_seconds",
-            "Wall-clock latency of router advance() calls",
         )
         self._shard_restarts = registry.counter(
             "repro_cluster_shard_restarts_total",
@@ -141,8 +112,9 @@ class ClusterRouter:
             "Shard lifecycle state (0=up, 1=recovering, 2=down)",
             ("shard",),
         )
-        #: The scheduler's store; ``_shards``/``_dead`` alias its tables.
-        self.store = ShardedStore(
+        #: The store the base's scheduler is re-pointed at (it was built
+        #: over the local one); ``_shards``/``_dead`` alias its tables.
+        self.store = self.scheduler.store = ShardedStore(
             shards,
             partitioner,
             registry.histogram(
@@ -156,11 +128,6 @@ class ClusterRouter:
         self._dead = self.store.dead
         if len(self._shards) != len(shards):
             raise ValueError("shard indices must be unique")
-        #: The one scheduler; ``chunk_size`` is the keys per gather (1
-        #: reproduces the per-key loop literally).
-        self.scheduler = SharedRetrievalScheduler(
-            self.store, registry=registry, chunk_size=chunk_size
-        )
         #: The attached ShardSupervisor (None = outages shed permanently).
         self.supervisor = None
         #: Recovery epoch: bumped once per successful reintegration.
@@ -170,110 +137,6 @@ class ClusterRouter:
         self._telemetry: dict[int, dict] = {}
         for index in self._shards:
             self._publish_state(index)
-
-    # ------------------------------------------------------------------
-    # Client surface (mirrors ProgressiveQueryService)
-    # ------------------------------------------------------------------
-
-    def submit(
-        self,
-        batch: QueryBatch,
-        penalty: Penalty | None = None,
-        workers: int | None = None,
-    ) -> str:
-        """Open a session and register it with the shared schedule."""
-        batch.validate_for(self.storage.shape)
-        with self._lock, span("cluster.submit", queries=batch.size):
-            session = ProgressiveSession(
-                self.storage, batch, penalty=penalty, workers=workers
-            )
-            session_id = f"s{next(self._ids)}"
-            keys = session.plan.keys
-            owners = self.partitioner.shard_of(keys)
-            if self._dead:
-                # The owner is already gone: the keys are skipped from
-                # birth, so the session starts degraded-but-bounded.
-                session.skip_many(keys[np.isin(owners, sorted(self._dead))])
-            self._sessions[session_id] = _ClusterSession(
-                session,
-                self.scheduler.register(session),
-                tuple(np.unique(owners).tolist()),
-                ledger_name=LEDGER.register(session_id, session.costs),
-            )
-            self._submitted_total.inc()
-            return session_id
-
-    def advance(
-        self, session_id: str, k: int = 1, deadline: float | None = None
-    ) -> int:
-        """Serve global-importance order until this session gains ``k``.
-
-        It *is* :meth:`SharedRetrievalScheduler.advance_session`: the
-        globally most important pending coefficients are served in
-        gathers of up to ``chunk_size`` keys, every interested session
-        receives them, and the call returns early at exhaustion, on
-        shard loss (the affected keys degrade to skipped), or once the
-        wall-clock ``deadline`` elapses.
-        """
-        with self._lock, span("cluster.advance", sid=session_id, k=k):
-            t0 = time.perf_counter()
-            gained = self.scheduler.advance_session(
-                self._session(session_id).sid, k, deadline=deadline
-            )
-            self._advance_seconds.observe(time.perf_counter() - t0)
-            return gained
-
-    def run_to_completion(self, session_id: str) -> np.ndarray:
-        """Advance until exact; returns the exact answers.
-
-        Raises like :meth:`ProgressiveSession.exact_answers` when the
-        session degraded along the way (shard loss, blacked-out keys) —
-        use :meth:`poll` for the bounded estimates instead.
-        """
-        with self._lock:
-            session = self._session(session_id).session
-            self.advance(session_id, session.remaining)
-            return session.exact_answers()
-
-    def poll(self, session_id: str) -> SessionSnapshot:
-        """A consistent snapshot (same shape as the 1-process service)."""
-        with self._lock:
-            return SessionSnapshot.of(session_id, self._session(session_id).session)
-
-    def set_penalty(self, session_id: str, penalty: Penalty) -> None:
-        """Re-target a session; the schedule re-ranks its pending keys."""
-        with self._lock:
-            record = self._session(session_id)
-            record.session.set_penalty(penalty)
-            self.scheduler.reprioritize(record.sid)
-
-    def retry_skipped(self, session_id: str) -> int:
-        """Re-queue skipped keys whose owning shard is still alive.
-
-        Keys owned by shed shards stay skipped (nobody can serve them),
-        so the Theorem-1 bound keeps covering them; returns the number of
-        keys actually re-queued.
-        """
-        with self._lock:
-            record = self._session(session_id)
-            skipped = record.session.skipped_keys()
-            orphaned = np.isin(
-                self.partitioner.shard_of(skipped), sorted(self._dead)
-            )
-            requeued = int(skipped.size - np.count_nonzero(orphaned))
-            if requeued:
-                record.session.retry_skipped()
-                record.session.skip_many(skipped[orphaned])
-                self.scheduler.reprioritize(record.sid)
-            return requeued
-
-    def cancel(self, session_id: str) -> None:
-        """Close a session; coefficients nobody else holds are released."""
-        with self._lock:
-            record = self._session(session_id)
-            del self._sessions[session_id]
-            LEDGER.unregister(record.ledger_name or session_id)
-            self.scheduler.deregister(record.sid)
 
     # ------------------------------------------------------------------
     # Supervision and recovery
@@ -356,18 +219,11 @@ class ClusterRouter:
     # ------------------------------------------------------------------
 
     def metrics(self) -> ClusterMetrics:
-        """The schedule's counters plus a fresh pull of worker health."""
+        """The service snapshot plus a fresh pull of worker health."""
         with self._lock:
             health = self.pull_telemetry()
-            m = self.scheduler.metrics
             return ClusterMetrics(
-                retrievals=m.retrievals,
-                deliveries=m.deliveries,
-                shared_deliveries=m.shared_deliveries,
-                cache_deliveries=m.cache_deliveries,
-                skipped_keys=m.skipped_keys,
-                live_sessions=len(self._sessions),
-                sessions_submitted=int(self._submitted_total.value()),
+                **vars(super().metrics()),
                 num_shards=len(self._shards),
                 shed_shards=tuple(sorted(self._dead)),
                 per_shard={
@@ -376,28 +232,13 @@ class ClusterRouter:
             )
 
     def cost_report(self, session_id: str) -> dict:
-        """The session's whole bill, shaped like the single-process one.
-
-        The ledger lives router-side (``schedule`` and ``fetch`` contain
-        the pipe round-trips), so this issues no shard command;
-        ``shards`` lists the owners of the session's master keys.
-        """
+        """The session's bill plus ``shards``, the owners of its master
+        keys.  The ledger lives router-side (``schedule`` and ``fetch``
+        contain the pipe round-trips), so this issues no shard command."""
         with self._lock:
-            record = self._session(session_id)
-            report = record.session.costs.to_dict()
-            report.update(
-                session_id=session_id,
-                master_keys=record.session.plan.num_keys,
-                steps_taken=record.session.steps_taken,
-                is_exact=record.session.is_exact,
-                shards=list(record.shard_ids),
-            )
+            report = super().cost_report(session_id)
+            report["shards"] = self._owners(self._session(session_id).session)
             return report
-
-    def costs_json(self) -> dict:
-        """Every live session's cost report (the ``/costs.json`` body)."""
-        with self._lock:
-            return {sid: self.cost_report(sid) for sid in self._sessions}
 
     def pull_telemetry(self, max_age: float | None = None) -> dict[int, dict]:
         """Federate shard telemetry into the router.
@@ -489,11 +330,11 @@ class ClusterRouter:
             return {
                 "sessions": {
                     session_id: encode_session_status(
-                        record.session,
-                        shard_ids=record.shard_ids,
+                        entry.session,
+                        shard_ids=self._owners(entry.session),
                         trajectory_tail=trajectory_tail,
                     )
-                    for session_id, record in sorted(self._sessions.items())
+                    for session_id, entry in sorted(self._sessions.items())
                 },
                 "shards": shards,
                 "live_sessions": health["live_sessions"],
@@ -540,10 +381,6 @@ class ClusterRouter:
         with self._lock:
             return len(self._shards) - len(self._dead)
 
-    def session_ids(self) -> list[str]:
-        with self._lock:
-            return sorted(self._sessions)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -572,13 +409,16 @@ class ClusterRouter:
     # Internals
     # ------------------------------------------------------------------
 
-    def _session(self, session_id: str) -> _ClusterSession:
-        try:
-            return self._sessions[session_id]
-        except KeyError:
-            raise KeyError(
-                f"unknown or cancelled session {session_id!r}"
-            ) from None
+    def _unavailable(self, keys: np.ndarray) -> np.ndarray:
+        """Keys whose owning shard is shed: nobody can serve them."""
+        if not self._dead:
+            return super()._unavailable(keys)
+        return np.isin(self.partitioner.shard_of(keys), sorted(self._dead))
+
+    def _owners(self, session) -> list[int]:
+        """The shards that own ``session``'s master keys."""
+        counts = np.bincount(self.partitioner.shard_of(session.plan.keys))
+        return np.flatnonzero(counts).tolist()
 
     def _shard_state_name(self, index: int) -> str:
         """Lifecycle name under the router lock (no supervisor lock —
@@ -598,8 +438,8 @@ class ClusterRouter:
     def _backlog(self) -> np.ndarray:
         """Pending keys per owning shard, summed over the live sessions."""
         backlog = np.zeros(self.partitioner.num_shards, dtype=np.int64)
-        for record in self._sessions.values():
-            keys, _ = record.session.pending()
+        for entry in self._sessions.values():
+            keys, _ = entry.session.pending()
             backlog += np.bincount(
                 self.partitioner.shard_of(keys), minlength=backlog.size
             )
@@ -612,8 +452,8 @@ class ClusterRouter:
         self._dead.add(index)
         self._publish_state(index)
         self._shards[index].abandon()
-        for record in self._sessions.values():
-            keys, _ = record.session.pending()
-            record.session.skip_many(
+        for entry in self._sessions.values():
+            keys, _ = entry.session.pending()
+            entry.session.skip_many(
                 keys[self.partitioner.shard_of(keys) == index]
             )

@@ -32,14 +32,9 @@ from repro.obs.trace import (
     span,
     trace_context,
 )
-from repro.storage.faults import FaultInjectingStore
+from repro.storage.faults import chaos_stack
 from repro.storage.paged import PagedCoefficientStore
-from repro.storage.resilient import (
-    CircuitBreaker,
-    ResilientStore,
-    RetrievalError,
-    RetryPolicy,
-)
+from repro.storage.resilient import RetrievalError
 
 
 class ShardLostError(RuntimeError):
@@ -101,13 +96,7 @@ class ShardWorker:
             "retrievals": self.retrievals,
             "page_cache": None
             if paged is None
-            else {
-                "hits": paged.cache.hits,
-                "misses": paged.cache.misses,
-                "evictions": paged.cache.evictions,
-                "hit_ratio": paged.cache.hit_ratio,
-                "buffered_pages": paged.buffered_pages,
-            },
+            else {**paged.cache.snapshot(), "buffered_pages": paged.buffered_pages},
             "breaker": None if breaker is None else breaker.breaker_state,
         }
         if portable:
@@ -128,9 +117,8 @@ def build_shard_store(spec: dict):
          "chaos": None | {"seed", "transient_rate", "blackout_keys",
                           "latency", "max_attempts"}}
 
-    With chaos configured, the paged store is wrapped in the seeded
-    :class:`~repro.storage.faults.FaultInjectingStore` under a zero-delay
-    :class:`~repro.storage.resilient.ResilientStore`, exactly like the
+    With chaos configured, the paged store is wrapped by
+    :func:`~repro.storage.faults.chaos_stack`, exactly like the
     single-process chaos harness — so a blacked-out key degrades the
     interested sessions instead of crashing the shard.
     """
@@ -140,25 +128,7 @@ def build_shard_store(spec: dict):
         shared=bool(spec.get("shared", True)),
     )
     chaos = spec.get("chaos")
-    if chaos:
-        injector = FaultInjectingStore(
-            store,
-            seed=int(chaos.get("seed", 0)),
-            transient_rate=float(chaos.get("transient_rate", 0.0)),
-            blackout_keys=chaos.get("blackout_keys", ()),
-            latency=float(chaos.get("latency", 0.0)),
-        )
-        store = ResilientStore(
-            injector,
-            policy=RetryPolicy(
-                max_attempts=int(chaos.get("max_attempts", 8)),
-                base_delay=0.0,
-                max_delay=0.0,
-            ),
-            breaker=CircuitBreaker(failure_threshold=10_000),
-            sleep=lambda _s: None,
-        )
-    return store
+    return chaos_stack(store, chaos) if chaos else store
 
 
 def shard_worker_main(conn, spec: dict) -> None:

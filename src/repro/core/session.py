@@ -360,23 +360,28 @@ class ProgressiveSession:
         )
         return int(pos.size)
 
-    def retry_skipped(self) -> int:
-        """Re-queue every skipped key for retrieval (the store recovered).
+    def retry_skipped(self, keep: np.ndarray | None = None) -> int:
+        """Re-queue the skipped keys for retrieval (the store recovered).
 
         Returns the number of keys put back on the schedule.  The keys
         never left the importance order — the cursor just rewinds to the
         first of them — so the continued run retrieves them exactly where
         Batch-Biggest-B would have: degradation changes *when* a
         coefficient arrives, never what the exhausted answers are.
+        ``keep`` (a mask over :meth:`skipped_keys`) names keys that are
+        still unavailable: they stay skipped, their accounting untouched.
         """
-        requeued = self._skipped_count
+        requeue = self._skipped.copy()
+        if keep is not None:
+            requeue[np.flatnonzero(requeue)[keep]] = False
+        requeued = int(np.count_nonzero(requeue))
         if requeued:
-            behind = np.flatnonzero(self._skipped[self._order[: self._cursor]])
+            behind = np.flatnonzero(requeue[self._order[: self._cursor]])
             if behind.size:
                 self._cursor = int(behind[0])
-            self._skipped[:] = False
-            self._skipped_count = 0
-            self._skipped_max_iota = 0.0
+            self._skipped &= ~requeue
+            self._skipped_count -= requeued
+            self._skipped_max_iota = self._max_skipped_iota()
         return requeued
 
     def set_penalty(self, penalty: Penalty) -> None:
@@ -386,9 +391,7 @@ class ProgressiveSession:
         """
         self.penalty = penalty
         self._rank()
-        self._skipped_max_iota = (
-            float(self._importance[self._skipped].max()) if self._skipped_count else 0.0
-        )
+        self._skipped_max_iota = self._max_skipped_iota()
 
     def run_until(
         self,
@@ -529,9 +532,13 @@ class ProgressiveSession:
     def _unmark_skipped(self, pos: int) -> None:
         self._skipped[pos] = False
         self._skipped_count -= 1
-        self._skipped_max_iota = (
-            float(self._importance[self._skipped].max()) if self._skipped_count else 0.0
-        )
+        self._skipped_max_iota = self._max_skipped_iota()
+
+    def _max_skipped_iota(self) -> float:
+        """The largest importance among the skipped keys (their bound mass)."""
+        if not self._skipped_count:
+            return 0.0
+        return float(self._importance[self._skipped].max())
 
     def _rank(self) -> None:
         """(Re-)sort the unretrieved keys under the current penalty."""

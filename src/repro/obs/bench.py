@@ -212,12 +212,7 @@ def run_service_scenarios(seed: int = 0) -> dict:
     from repro.data.synthetic import uniform_dataset
     from repro.queries.workload import partition_count_batch
     from repro.service.server import ProgressiveQueryService
-    from repro.storage.faults import FaultInjectingStore
-    from repro.storage.resilient import (
-        CircuitBreaker,
-        ResilientStore,
-        RetryPolicy,
-    )
+    from repro.storage.faults import chaos_stack
     from repro.storage.wavelet_store import WaveletStorage
 
     import numpy as np
@@ -244,7 +239,7 @@ def run_service_scenarios(seed: int = 0) -> dict:
     service.run_to_completion(session_ids[-1])
     metrics = service.metrics()
     accounts = [
-        service._session(session_id)[0].costs for session_id in session_ids
+        service._session(session_id).session.costs for session_id in session_ids
     ]
     scenarios["sharing"] = _account_result(
         accounts,
@@ -291,7 +286,7 @@ def run_service_scenarios(seed: int = 0) -> dict:
                 router.supervisor.tick()
             cluster_metrics = router.metrics()
             accounts = [
-                router._sessions[session_id].session.costs
+                router._session(session_id).session.costs
                 for session_id in cluster_ids
             ]
             scenarios["cluster_sharing"] = _account_result(
@@ -319,15 +314,10 @@ def run_service_scenarios(seed: int = 0) -> dict:
     blackout = np.random.default_rng(seed + 99).choice(
         master_keys, size=5, replace=False
     )
-    injector = FaultInjectingStore(
-        storage.store, seed=seed + 100, transient_rate=0.2,
-        blackout_keys=blackout,
-    )
-    resilient = ResilientStore(
-        injector,
-        policy=RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0),
-        breaker=CircuitBreaker(failure_threshold=10_000),
-        sleep=lambda _s: None,
+    resilient = chaos_stack(
+        storage.store,
+        {"seed": seed + 100, "transient_rate": 0.2,
+         "blackout_keys": blackout, "max_attempts": 3},
     )
     chaos_service = ProgressiveQueryService(storage.with_store(resilient))
     session_id = chaos_service.submit(batch)
@@ -335,7 +325,7 @@ def run_service_scenarios(seed: int = 0) -> dict:
         if chaos_service.advance(session_id, 64) == 0:
             break
     snapshot = chaos_service.poll(session_id)
-    account = chaos_service._session(session_id)[0].costs
+    account = chaos_service._session(session_id).session.costs
     scenarios["degraded"] = _account_result(
         [account],
         extra_counters={"session_skipped": snapshot.skipped_count},

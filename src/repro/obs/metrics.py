@@ -1,12 +1,11 @@
 """The metric registry: counters, gauges and histograms with exposition.
 
 One :class:`MetricRegistry` is the single source of truth for every
-operational counter in the repository.  The former ad-hoc surfaces —
-``SchedulerMetrics`` on the shared retrieval scheduler, ``ServiceMetrics``
-on the query service and ``PageCacheStats`` on the paged store — are now
-thin *views* over registry metrics, so one ``render_prometheus()`` call
-(or the ``/metrics`` endpoint, or ``repro metrics``) sees the whole
-pipeline at once.
+operational counter in the repository, so one ``render_prometheus()``
+call (or the ``/metrics`` endpoint, or ``repro metrics``) sees the whole
+pipeline at once.  Nothing else holds a count: the service's
+``metrics()`` snapshot (one ``ServiceMetrics`` shape on both fronts) and
+the paged store's ``PageCacheStats`` read registry series back.
 
 Design constraints, in order:
 
@@ -50,7 +49,7 @@ def set_enabled(enabled: bool) -> bool:
     """Turn metric collection on or off; returns the previous state.
 
     Disabled metrics ignore every ``inc``/``set``/``observe`` (and the
-    compatibility views derived from them read as zero), which makes the
+    snapshots read back from them show zero), which makes the
     telemetry cost a single boolean check — see
     ``tests/test_telemetry_overhead.py`` for the enforced budget.
     """
@@ -120,7 +119,7 @@ class _Metric:
     def remove(self, **labels: object) -> None:
         """Drop one labelset's sample (its value reads as zero again).
 
-        This is the reset hook for compatibility views like the paged
+        This is the reset hook for read-back views like the paged
         store's ``PageCacheStats.reset``; Prometheus-facing code should
         normally let counters grow monotonically.
         """

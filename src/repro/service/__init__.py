@@ -2,7 +2,9 @@
 
 One :class:`~repro.service.server.ProgressiveQueryService` serves many
 concurrent clients over a single coefficient store (in-memory or the
-paged disk tier in :mod:`repro.storage.paged`).  A
+paged disk tier in :mod:`repro.storage.paged`); it is the only
+definition of the session API, and the cluster router
+(:mod:`repro.cluster`) is the same service over shard workers.  A
 :class:`~repro.service.scheduler.SharedRetrievalScheduler` merges the
 retrieval schedules of every live session into one global importance order
 — the cross-batch generalization of the paper's Observation 1 — so
@@ -13,7 +15,7 @@ See ``docs/SERVICE.md`` for the architecture and
 multi-threaded demonstration of the sharing savings.
 """
 
-from repro.service.scheduler import SchedulerMetrics, SharedRetrievalScheduler
+from repro.service.scheduler import SharedRetrievalScheduler
 from repro.service.server import (
     ProgressiveQueryService,
     ServiceMetrics,
@@ -22,7 +24,6 @@ from repro.service.server import (
 
 __all__ = [
     "ProgressiveQueryService",
-    "SchedulerMetrics",
     "ServiceMetrics",
     "SessionSnapshot",
     "SharedRetrievalScheduler",

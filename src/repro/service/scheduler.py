@@ -60,88 +60,6 @@ from repro.storage.resilient import available_runs, fetch_degrading
 _INSTANCE_IDS = itertools.count()
 
 
-class SchedulerMetrics:
-    """Counters for the shared retrieval schedule.
-
-    Since the telemetry refactor this is a read-only *view* over the
-    ``repro.obs`` metric registry (the ``repro_scheduler_*_total`` series
-    with this scheduler's ``scheduler=`` label) — the attribute surface
-    is unchanged, so existing callers keep working, but the registry is
-    the single source of truth and every mutation is one of its atomic
-    (lock-guarded) operations.
-
-    Attributes
-    ----------
-    retrievals:
-        Coefficient fetches issued against the store — the paper's cost.
-    deliveries:
-        Coefficient applications into sessions.  With sharing, deliveries
-        exceed retrievals; the surplus is I/O another session already paid.
-    cache_deliveries:
-        Deliveries served from the coefficient cache (no fetch at all:
-        the key was retrieved for a session that is still live).
-    skipped_keys:
-        Keys the schedule marked unavailable after the store abandoned
-        their fetch (retries and circuit breaker exhausted).  Affected
-        sessions degrade — their Theorem-1 bounds stay valid — instead
-        of crashing the serving loop.
-    """
-
-    def __init__(self, registry: MetricRegistry, instance: str) -> None:
-        self._instance = instance
-        self._retrievals = registry.counter(
-            "repro_scheduler_retrievals_total",
-            "Coefficient fetches issued against the store (the paper's cost)",
-            ("scheduler",),
-        )
-        self._deliveries = registry.counter(
-            "repro_scheduler_deliveries_total",
-            "Coefficient applications into sessions",
-            ("scheduler",),
-        )
-        self._cache_deliveries = registry.counter(
-            "repro_scheduler_cache_deliveries_total",
-            "Deliveries served from the cross-session coefficient cache",
-            ("scheduler",),
-        )
-        self._skipped_keys = registry.counter(
-            "repro_scheduler_skipped_keys_total",
-            "Keys marked unavailable after the store abandoned their fetch",
-            ("scheduler",),
-        )
-
-    @property
-    def retrievals(self) -> int:
-        return int(self._retrievals.value(scheduler=self._instance))
-
-    @property
-    def deliveries(self) -> int:
-        return int(self._deliveries.value(scheduler=self._instance))
-
-    @property
-    def cache_deliveries(self) -> int:
-        return int(self._cache_deliveries.value(scheduler=self._instance))
-
-    @property
-    def skipped_keys(self) -> int:
-        return int(self._skipped_keys.value(scheduler=self._instance))
-
-    @property
-    def shared_deliveries(self) -> int:
-        """Deliveries that did not require their own fetch."""
-        return self.deliveries - self.retrievals
-
-    @property
-    def shared_hit_ratio(self) -> float:
-        """Fraction of deliveries that re-used another session's fetch.
-
-        Defined as 0.0 on a freshly started service (``deliveries == 0``)
-        rather than NaN/raising — dashboards render it immediately.
-        """
-        deliveries = self.deliveries
-        return self.shared_deliveries / deliveries if deliveries else 0.0
-
-
 @dataclass
 class _Registration:
     session: ProgressiveSession
@@ -176,7 +94,22 @@ class SharedRetrievalScheduler:
         self.chunk_size = int(chunk_size)
         self.registry = REGISTRY if registry is None else registry
         self._instance = str(next(_INSTANCE_IDS))
-        self.metrics = SchedulerMetrics(self.registry, self._instance)
+        #: The schedule's counters (this scheduler's ``scheduler=`` sample
+        #: of each ``repro_scheduler_<name>_total``); see :meth:`counts`.
+        self._counters = {
+            name: self.registry.counter(
+                f"repro_scheduler_{name}_total", help_text, ("scheduler",)
+            )
+            for name, help_text in (
+                ("retrievals", "Coefficient fetches issued against the store "
+                 "(the paper's cost)"),
+                ("deliveries", "Coefficient applications into sessions"),
+                ("cache_deliveries", "Deliveries served from the cross-session "
+                 "coefficient cache"),
+                ("skipped_keys", "Keys marked unavailable after the store "
+                 "abandoned their fetch"),
+            )
+        }
         self._live_sessions = self.registry.gauge(
             "repro_scheduler_live_sessions",
             "Sessions currently registered with the shared schedule",
@@ -246,6 +179,25 @@ class SharedRetrievalScheduler:
     def live_sessions(self) -> int:
         with self._lock:
             return len(self._registrations)
+
+    def counts(self) -> dict[str, int]:
+        """This scheduler's counters, read from the registry.
+
+        ``retrievals`` are store fetches (the paper's cost); ``deliveries``
+        are coefficient applications into sessions — with sharing they
+        exceed retrievals, the surplus being I/O another session paid;
+        ``cache_deliveries`` needed no fetch at all (a still-live session
+        retrieved the key); ``skipped_keys`` were marked unavailable after
+        the store abandoned their fetch — the affected sessions degrade,
+        their Theorem-1 bounds staying valid, instead of crashing the loop.
+        """
+        return {
+            name: int(counter.value(scheduler=self._instance))
+            for name, counter in self._counters.items()
+        }
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        self._counters[name].inc(amount, scheduler=self._instance)
 
     # ------------------------------------------------------------------
     # The shared schedule
@@ -397,7 +349,7 @@ class SharedRetrievalScheduler:
             failed = missing[lost].tolist()
             fetched = np.delete(missing, lost) if lost else missing
             cache.update(zip(keys[fetched].tolist(), values[fetched].tolist()))
-            self.metrics._retrievals.inc(fetched.size, scheduler=self._instance)
+            self._count("retrievals", fetched.size)
         for lo, hi in available_runs(keys.size, failed):
             if hi > lo:
                 self._deliver_run(keys[lo:hi], values[lo:hi], cached[lo:hi])
@@ -418,15 +370,13 @@ class SharedRetrievalScheduler:
                 # cross-session cache hits on *its* account.
                 reg.session.costs.add(cache_hits=hits)
         if deliveries:
-            self.metrics._deliveries.inc(deliveries, scheduler=self._instance)
+            self._count("deliveries", deliveries)
         if cache_deliveries:
-            self.metrics._cache_deliveries.inc(
-                cache_deliveries, scheduler=self._instance
-            )
+            self._count("cache_deliveries", cache_deliveries)
 
     def _skip_key(self, key: int) -> None:
         skipped = sum(
             reg.session.skip(key) for reg in self._registrations.values()
         )
         if skipped:
-            self.metrics._skipped_keys.inc(scheduler=self._instance)
+            self._count("skipped_keys")

@@ -1,4 +1,4 @@
-"""The progressive query service façade.
+"""The progressive query service: the one definition of the session API.
 
 :class:`ProgressiveQueryService` is the front door of the service layer:
 clients submit query batches, poll progressive estimates with Theorem-1
@@ -8,7 +8,9 @@ when the accuracy suffices — while one
 live session's retrieval schedule so overlapping batches share I/O, and
 the coefficients themselves can live on a paged disk tier
 (:class:`~repro.storage.paged.PagedCoefficientStore`) behind an LRU
-buffer pool.
+buffer pool.  :class:`~repro.cluster.router.ClusterRouter` is this class
+with the scheduler's store spread over shard workers; it adds shard
+lifecycle and telemetry federation and defines no session method itself.
 
 All public methods are thread-safe; a dashboard per client thread driving
 one service object is the intended deployment shape (see
@@ -21,6 +23,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,14 +91,13 @@ class SessionSnapshot:
 
 @dataclass(frozen=True)
 class ServiceMetrics:
-    """Service-wide instrumentation snapshot.
+    """Service-wide instrumentation snapshot, read from the registry.
 
-    Since the telemetry refactor this is a *compatibility view*: every
-    field is derived from the ``repro.obs`` metric registry (see
-    ``docs/OBSERVABILITY.md``), which is the single source of truth and
-    additionally carries latency histograms and exposition
-    (``render_prometheus`` / ``to_json`` / the ``/metrics`` endpoint)
-    that this snapshot does not.
+    Every count is the scheduler's ``repro_scheduler_*_total`` series (or
+    this front's ``sessions_submitted_total``) at snapshot time; the
+    ``repro.obs`` metric registry (``docs/OBSERVABILITY.md``) is the
+    source of truth and additionally carries latency histograms and
+    exposition (``render_prometheus`` / ``to_json`` / ``/metrics``).
 
     ``retrievals`` counts actual store fetches; ``deliveries`` counts
     coefficient applications into sessions.  ``shared_hit_ratio`` is the
@@ -119,8 +121,21 @@ class ServiceMetrics:
     skipped_keys: int = 0
 
 
+class _Entry(NamedTuple):
+    """One live session and its scheduler registration id."""
+
+    session: ProgressiveSession
+    sid: int
+
+
 class ProgressiveQueryService:
     """Serve many concurrent progressive batch evaluations over one store."""
+
+    #: Names this front's series (``repro_<front>_*``) and spans
+    #: (``<front>.submit``); ``SUBMITTED_LABELS`` are the label names of
+    #: its ``sessions_submitted_total`` counter.
+    FRONT = "service"
+    SUBMITTED_LABELS: tuple[str, ...] = ("scheduler",)
 
     def __init__(
         self,
@@ -129,25 +144,30 @@ class ProgressiveQueryService:
         chunk_size: int | None = None,
     ) -> None:
         self.storage = storage
-        self.registry = REGISTRY if registry is None else registry
+        self.registry = registry = REGISTRY if registry is None else registry
         kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
         self.scheduler = SharedRetrievalScheduler(
-            storage.store, registry=self.registry, **kwargs
+            storage.store, registry=registry, **kwargs
         )
         self._lock = threading.RLock()
-        self._sessions: dict[str, tuple[ProgressiveSession, int]] = {}
+        self._sessions: dict[str, _Entry] = {}
+        #: session id -> the name LEDGER actually registered (dedup-safe).
+        self._ledger_names: dict[str, str] = {}
         self._ids = itertools.count(1)
-        self._submitted_total = self.registry.counter(
-            "repro_service_sessions_submitted_total",
+        self._submitted_total = registry.counter(
+            f"repro_{self.FRONT}_sessions_submitted_total",
             "Progressive sessions opened by submit()",
-            ("scheduler",),
+            self.SUBMITTED_LABELS,
         )
-        self._submit_seconds = self.registry.histogram(
-            "repro_service_submit_seconds",
+        self._submitted_labels = dict.fromkeys(
+            self.SUBMITTED_LABELS, self.scheduler._instance
+        )
+        self._submit_seconds = registry.histogram(
+            f"repro_{self.FRONT}_submit_seconds",
             "Wall-clock latency of submit() (rewrite + plan + registration)",
         )
-        self._advance_seconds = self.registry.histogram(
-            "repro_service_advance_seconds",
+        self._advance_seconds = registry.histogram(
+            f"repro_{self.FRONT}_advance_seconds",
             "Wall-clock latency of advance() calls",
         )
 
@@ -171,22 +191,27 @@ class ProgressiveQueryService:
         ``workers > 1``
         computes the batch's distinct rewrite factors on a process pool
         before assembly — worthwhile for cold caches on large domains, since
-        submit latency is dominated by the rewrite front end.
+        submit latency is dominated by the rewrite front end.  Keys that
+        are :meth:`_unavailable` already are skipped from birth, so the
+        session starts degraded-but-bounded.
         """
         batch.validate_for(self.storage.shape)
-        with self._lock, span("service.submit", queries=batch.size):
+        with self._lock, span(f"{self.FRONT}.submit", queries=batch.size):
             t0 = time.perf_counter()
             session = ProgressiveSession(
                 self.storage, batch, penalty=penalty, workers=workers
             )
+            keys = session.plan.keys
+            session.skip_many(keys[self._unavailable(keys)])
             session_id = f"s{next(self._ids)}"
-            sid = self.scheduler.register(session)
-            self._sessions[session_id] = (session, sid)
+            self._sessions[session_id] = _Entry(
+                session, self.scheduler.register(session)
+            )
             # Expose the session's cost account process-wide (``repro
             # cost`` / ``/costs.json``); the ledger disambiguates id
             # collisions across service instances with a ``#n`` suffix.
-            LEDGER.register(session_id, session.costs)
-            self._submitted_total.inc(scheduler=self.scheduler._instance)
+            self._ledger_names[session_id] = LEDGER.register(session_id, session.costs)
+            self._submitted_total.inc(**self._submitted_labels)
             self._submit_seconds.observe(time.perf_counter() - t0)
             return session_id
 
@@ -198,25 +223,33 @@ class ProgressiveQueryService:
         ``deadline`` (wall-clock seconds for this call) caps how long a
         slow store can hold the client: the call returns early with
         whatever progress was made — latency degrades, correctness never.
+        It also returns early at exhaustion and when the remaining keys
+        are unavailable (they degrade to skipped).
         """
-        with self._lock:
+        with self._lock, span(f"{self.FRONT}.advance", sid=session_id, k=k):
             t0 = time.perf_counter()
-            _, sid = self._session(session_id)
-            gained = self.scheduler.advance_session(sid, k, deadline=deadline)
+            gained = self.scheduler.advance_session(
+                self._session(session_id).sid, k, deadline=deadline
+            )
             self._advance_seconds.observe(time.perf_counter() - t0)
             return gained
 
     def run_to_completion(self, session_id: str) -> np.ndarray:
-        """Advance until the session is exact; returns the exact answers."""
+        """Advance until the session is exact; returns the exact answers.
+
+        Raises like :meth:`ProgressiveSession.exact_answers` when the
+        session degraded along the way (blacked-out keys, shard loss) —
+        use :meth:`poll` for the bounded estimates instead.
+        """
         with self._lock:
-            session, sid = self._session(session_id)
-            self.scheduler.advance_session(sid, session.remaining)
+            session = self._session(session_id).session
+            self.advance(session_id, session.remaining)
             return session.exact_answers()
 
     def poll(self, session_id: str) -> SessionSnapshot:
         """A consistent snapshot of the session's progress and bound."""
         with self._lock:
-            return SessionSnapshot.of(session_id, self._session(session_id)[0])
+            return SessionSnapshot.of(session_id, self._session(session_id).session)
 
     def set_penalty(self, session_id: str, penalty: Penalty) -> None:
         """Re-target a session (cursor moved); re-ranks its pending keys."""
@@ -228,15 +261,19 @@ class ProgressiveQueryService:
     def retry_skipped(self, session_id: str) -> int:
         """Re-queue a degraded session's unavailable keys (store recovered).
 
-        Puts every skipped key back on the schedule at its current
+        Puts the skipped keys back on the schedule at their current
         importance (the session's cursor rewinds); returns how many were
-        re-queued (0 for a healthy session).  The continued run retrieves
-        them exactly where Batch-Biggest-B would have, so the exhausted
+        re-queued (0 for a healthy session).  Keys still
+        :meth:`_unavailable` stay skipped, untouched, so the Theorem-1
+        bound keeps covering them.  The continued run retrieves the rest
+        exactly where Batch-Biggest-B would have, so the exhausted
         answers are unaffected by the outage.
         """
         with self._lock:
             session, sid = self._session(session_id)
-            requeued = session.retry_skipped()
+            requeued = session.retry_skipped(
+                keep=self._unavailable(session.skipped_keys())
+            )
             if requeued:
                 self.scheduler.reprioritize(sid)
             return requeued
@@ -250,9 +287,14 @@ class ProgressiveQueryService:
         is an error, not a crash with a raw ``KeyError``.
         """
         with self._lock:
-            self._session(session_id)  # friendly error for unknown ids
-            _, sid = self._sessions.pop(session_id)
+            sid = self._session(session_id).sid  # friendly error for unknown ids
+            del self._sessions[session_id]
+            LEDGER.unregister(self._ledger_names.pop(session_id))
             self.scheduler.deregister(sid)
+
+    def session_ids(self) -> list[str]:
+        with self._lock:
+            return sorted(self._sessions)
 
     # ------------------------------------------------------------------
     # Instrumentation
@@ -275,8 +317,7 @@ class ProgressiveQueryService:
         complete trajectory from a truncated one.
         """
         with self._lock:
-            session, _ = self._session(session_id)
-            return session.convergence.trajectory()
+            return self._session(session_id).session.convergence.trajectory()
 
     def cost_report(self, session_id: str) -> dict:
         """What did *this* session cost?  (See ``docs/OBSERVABILITY.md``.)
@@ -289,7 +330,7 @@ class ProgressiveQueryService:
         session's progress (master-list size, steps taken, exactness).
         """
         with self._lock:
-            session, _ = self._session(session_id)
+            session = self._session(session_id).session
             report = session.costs.to_dict()
             report.update(
                 session_id=session_id,
@@ -299,44 +340,51 @@ class ProgressiveQueryService:
             )
             return report
 
+    def costs_json(self) -> dict:
+        """Every live session's cost report (the ``/costs.json`` body)."""
+        with self._lock:
+            return {sid: self.cost_report(sid) for sid in self._sessions}
+
     def metrics(self) -> ServiceMetrics:
         """A :class:`ServiceMetrics` snapshot (see its docstring)."""
         with self._lock:
-            m = self.scheduler.metrics
-            per_session = {
-                session_id: session.steps_taken
-                for session_id, (session, _) in self._sessions.items()
-            }
+            counts = self.scheduler.counts()
+            deliveries = counts["deliveries"]
+            shared = deliveries - counts["retrievals"]
             cache = getattr(self.storage.store, "cache", None)
-            page_cache = None
-            if cache is not None:
-                page_cache = {
-                    "hits": cache.hits,
-                    "misses": cache.misses,
-                    "evictions": cache.evictions,
-                    "hit_ratio": cache.hit_ratio,
-                }
             return ServiceMetrics(
-                retrievals=m.retrievals,
-                deliveries=m.deliveries,
-                shared_deliveries=m.shared_deliveries,
-                cache_deliveries=m.cache_deliveries,
-                shared_hit_ratio=m.shared_hit_ratio,
+                **counts,  # retrievals, deliveries, cache_deliveries, skipped_keys
+                shared_deliveries=shared,
+                # 0.0, not NaN, on a freshly started service.
+                shared_hit_ratio=shared / deliveries if deliveries else 0.0,
                 live_sessions=len(self._sessions),
                 sessions_submitted=int(
-                    self._submitted_total.value(scheduler=self.scheduler._instance)
+                    self._submitted_total.value(**self._submitted_labels)
                 ),
-                per_session_steps=per_session,
-                page_cache=page_cache,
-                skipped_keys=m.skipped_keys,
+                per_session_steps={
+                    session_id: entry.session.steps_taken
+                    for session_id, entry in self._sessions.items()
+                },
+                page_cache=None if cache is None else cache.snapshot(),
             )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _session(self, session_id: str) -> tuple[ProgressiveSession, int]:
+    def _session(self, session_id: str) -> _Entry:
         try:
             return self._sessions[session_id]
         except KeyError:
             raise KeyError(f"unknown or cancelled session {session_id!r}") from None
+
+    def _unavailable(self, keys: np.ndarray) -> np.ndarray:
+        """Mask of ``keys`` nobody can serve right now.
+
+        The one place a front's store topology reaches the session API:
+        such keys are skipped at :meth:`submit` and stay skipped across
+        :meth:`retry_skipped`.  One local store is all or nothing (its
+        failures surface per fetch), so the base answers all-False; the
+        cluster router answers "the owning shard is shed".
+        """
+        return np.zeros(len(keys), dtype=bool)

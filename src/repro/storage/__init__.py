@@ -21,7 +21,7 @@ retrieval (:class:`~repro.storage.counter.CountingStore`).
 from repro.storage.base import KeyedVector, LinearStorage
 from repro.storage.blocks import BlockedStore, LruBuffer
 from repro.storage.counter import CountingStore, IOStatistics
-from repro.storage.faults import FaultInjectingStore, InjectedFault
+from repro.storage.faults import FaultInjectingStore, InjectedFault, chaos_stack
 from repro.storage.identity import IdentityStorage
 from repro.storage.layout import LAYOUTS, layout_cost_table
 from repro.storage.local_prefix_sum import LocalPrefixSumStorage
@@ -64,5 +64,6 @@ __all__ = [
     "RetrievalError",
     "RetryPolicy",
     "WaveletStorage",
+    "chaos_stack",
     "write_paged_file",
 ]

@@ -34,6 +34,8 @@ import time
 
 import numpy as np
 
+from repro.storage.resilient import CircuitBreaker, ResilientStore, RetryPolicy
+
 
 class InjectedFault(OSError):
     """A failure injected by :class:`FaultInjectingStore`."""
@@ -171,3 +173,34 @@ class FaultInjectingStore:
 
     def reset_stats(self) -> None:
         self.inner.reset_stats()
+
+
+def chaos_stack(store, chaos: dict) -> ResilientStore:
+    """Wrap ``store`` in the seeded chaos harness described by ``chaos``::
+
+        {"seed", "transient_rate", "blackout_keys", "latency", "max_attempts"}
+
+    (every key optional).  The :class:`FaultInjectingStore` sits under a
+    zero-delay :class:`~repro.storage.resilient.ResilientStore` — it is
+    the result's ``inner`` — so transients are retried at full speed and
+    a blacked-out key degrades the interested sessions instead of
+    crashing the serving loop.  The one wiring behind ``repro serve-demo``,
+    every cluster shard and the bench's degraded scenario.
+    """
+    injector = FaultInjectingStore(
+        store,
+        seed=int(chaos.get("seed", 0)),
+        transient_rate=float(chaos.get("transient_rate", 0.0)),
+        blackout_keys=chaos.get("blackout_keys", ()),
+        latency=float(chaos.get("latency", 0.0)),
+    )
+    return ResilientStore(
+        injector,
+        policy=RetryPolicy(
+            max_attempts=int(chaos.get("max_attempts", 8)),
+            base_delay=0.0,
+            max_delay=0.0,
+        ),
+        breaker=CircuitBreaker(failure_threshold=10_000),
+        sleep=lambda _s: None,
+    )

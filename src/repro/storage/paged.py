@@ -108,6 +108,15 @@ class PageCacheStats:
         total = self.requests
         return self.hits / total if total else 0.0
 
+    def snapshot(self) -> dict[str, int | float]:
+        """The counters as one JSON-ready dict (service metrics, telemetry)."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "hit_ratio": self.hit_ratio,
+        }
+
     def _record(self, hits: int, misses: int, evictions: int) -> None:
         if hits:
             self._hits.inc(hits, store=self._instance)

@@ -383,6 +383,76 @@ class TestRouterSurface:
             assert "repro_cluster_sessions_submitted_total" in text
             assert "repro_cluster_shard_up" in text
 
+    def test_retry_leaves_orphaned_keys_skipped_and_charged_once(
+        self, storage, tmp_path
+    ):
+        """Regression: ``retry_skipped`` used to un-skip and re-skip the
+        keys of a shed shard, re-charging them to the session's
+        ``skipped_keys`` on every call."""
+        with build_cluster(
+            storage, tmp_path / "orphan.pages", 2,
+            process_shards=False, buffer_pages=16,
+            chaos={"seed": 3, "blackout_keys": [], "max_attempts": 2},
+            chaos_shard=0,
+        ) as router:
+            sid = router.submit(make_batch(79))
+            session = router._session(sid).session
+            # Two kinds of skipped keys: a blackout on live shard 0 ...
+            head, _ = session.upcoming(30)
+            dark = head[router.partitioner.shard_of(head) == 0][:5]
+            injector = router._shards[0]._worker.store.inner
+            injector.blackout_keys.update(dark.tolist())
+            router.advance(sid, 40)
+            # ... and everything shard 1 still owed once it is shed.
+            router.mark_lost(1)
+            orphaned = int(
+                np.count_nonzero(
+                    router.partitioner.shard_of(session.skipped_keys()) == 1
+                )
+            )
+            assert dark.size == 5 and orphaned > 0
+            snap = router.poll(sid)
+            assert snap.skipped_count == orphaned + dark.size
+            charged = router.cost_report(sid)["counters"]["skipped_keys"]
+            assert charged == snap.skipped_count
+            bound = snap.worst_case_bound
+
+            injector.heal()
+            assert router.retry_skipped(sid) == dark.size  # re-queued only
+            for _ in range(3):
+                assert router.retry_skipped(sid) == 0
+            snap = router.poll(sid)
+            assert snap.skipped_count == orphaned
+            assert snap.worst_case_bound <= bound
+            assert router.cost_report(sid)["counters"]["skipped_keys"] == charged
+            # The re-queued keys are served; the orphans stay bounded.
+            router.advance(sid, snap.remaining)
+            snap = router.poll(sid)
+            assert snap.degraded and snap.skipped_count == orphaned
+            assert snap.remaining == orphaned
+
+    def test_session_api_is_inherited_from_the_service(self, storage, tmp_path):
+        from repro.cluster import ClusterRouter
+
+        for name in (
+            "submit", "advance", "run_to_completion", "poll", "set_penalty",
+            "retry_skipped", "cancel", "convergence", "costs_json", "_session",
+        ):
+            assert name not in vars(ClusterRouter), name
+            assert getattr(ClusterRouter, name) is getattr(
+                ProgressiveQueryService, name
+            )
+        with build_cluster(
+            storage, tmp_path / "conv.pages", 2,
+            process_shards=False, buffer_pages=16,
+        ) as router:
+            sid = router.submit(make_batch(81))
+            router.advance(sid, 10)
+            trajectory = router.convergence(sid)
+            assert [r.steps_taken for r in trajectory] == list(range(1, 11))
+            bounds = [r.worst_case_bound for r in trajectory]
+            assert bounds == sorted(bounds, reverse=True)
+
     def test_mismatched_partitioner_is_rejected(self, storage, tmp_path):
         from repro.cluster import ClusterRouter, make_partitioner
         from repro.cluster.worker import InlineShard, ShardWorker

@@ -242,6 +242,31 @@ class TestServiceCostReport:
         assert account is not None
         assert account is service._session(session_id)[0].costs
 
+    @pytest.mark.parametrize("front", ["service", "router"])
+    def test_cancel_unregisters_the_account(self, workload, tmp_path, front):
+        """Regression: the in-process ``cancel`` leaked every session's
+        account into the process-wide ledger; the router's did not."""
+        from repro.cluster import build_cluster
+
+        storage, batch = workload
+        obs.LEDGER.reset()
+        if front == "service":
+            service = ProgressiveQueryService(storage)
+        else:
+            service = build_cluster(
+                storage, tmp_path / "ledger.pages", 2, process_shards=False
+            )
+        try:
+            for _ in range(3):
+                session_id = service.submit(batch)
+                service.advance(session_id, 4)
+                assert obs.LEDGER.names() == [session_id]
+                service.cancel(session_id)
+            assert obs.LEDGER.names() == []
+        finally:
+            if front == "router":
+                service.close()
+
     def test_costs_json_endpoint_serves_ledger(self, workload):
         storage, batch = workload
         obs.LEDGER.reset()

@@ -209,8 +209,8 @@ class TestTelemetry:
         assert metrics.deliveries == 0
         assert metrics.shared_hit_ratio == 0.0
         assert metrics.shared_hit_ratio == metrics.shared_hit_ratio  # not NaN
-        # The scheduler-level view agrees.
-        assert service.scheduler.metrics.shared_hit_ratio == 0.0
+        # A second snapshot agrees (the scheduler keeps no view of its own).
+        assert service.metrics().shared_hit_ratio == 0.0
 
     def test_threaded_clients_produce_exact_counter_totals(self, storage):
         """Stress the registry's atomic counter ops: concurrent clients
