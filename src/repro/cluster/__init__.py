@@ -166,13 +166,12 @@ def build_cluster(
         for shard in shards:
             shard.close()
         raise
-    kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
     router = ClusterRouter(
         storage.with_store(router_store),
         shards,
         make_partitioner(partitioner, num_shards, router_store.key_space_size),
         registry=registry,
-        **kwargs,
+        chunk_size=chunk_size,
     )
     if supervise:
         router.attach_supervisor(

@@ -28,6 +28,8 @@ Malformed payloads raise :class:`CodecError`, which the edge maps to
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.core.penalties import (
     CursoredSsePenalty,
     LaplacianPenalty,
@@ -217,13 +219,5 @@ def encode_session_status(
         "skipped_count": int(session.skipped_count),
         "worst_case_bound": float(session.worst_case_bound()),
         "shards": [int(i) for i in shard_ids],
-        "bound_trajectory": [
-            {
-                "steps_taken": int(r.steps_taken),
-                "retrievals": int(r.retrievals),
-                "worst_case_bound": float(r.worst_case_bound),
-                "wall_time": float(r.wall_time),
-            }
-            for r in tail
-        ],
+        "bound_trajectory": [dataclasses.asdict(r) for r in tail],
     }

@@ -577,13 +577,9 @@ class ClusterHttpServer:
                 payload = self._json(body)
                 k = int(payload.get("k", 1))
                 deadline = payload.get("deadline")
-                gained = await self._call(
-                    self.router.advance, session_id, k,
+                gained, snapshot = await self._call(
+                    self._advance, session_id, k,
                     float(deadline) if deadline is not None else None,
-                    rid=rid, route=route,
-                )
-                snapshot = await self._call(
-                    self.router.poll, session_id, admit=False,
                     rid=rid, route=route,
                 )
                 return 200, {
@@ -591,12 +587,8 @@ class ClusterHttpServer:
                 }, "application/json", ()
             if action == "penalty" and method == "POST":
                 payload = self._json(body)
-                await self._call(
-                    self._set_penalty, session_id, payload, rid=rid, route=route
-                )
                 snapshot = await self._call(
-                    self.router.poll, session_id, admit=False,
-                    rid=rid, route=route,
+                    self._set_penalty, session_id, payload, rid=rid, route=route
                 )
                 return 200, snapshot_to_json(snapshot), "application/json", ()
             if action == "retry" and method == "POST":
@@ -637,12 +629,19 @@ class ClusterHttpServer:
             "snapshot": snapshot_to_json(self.router.poll(session_id)),
         }
 
-    def _set_penalty(self, session_id: str, payload: dict) -> None:
+    def _advance(self, session_id: str, k: int, deadline: float | None):
+        """Advance and snapshot in one executor hop."""
+        gained = self.router.advance(session_id, k, deadline)
+        return gained, self.router.poll(session_id)
+
+    def _set_penalty(self, session_id: str, payload: dict):
+        """Re-target and snapshot in one executor hop."""
         spec = payload.get("penalty", payload if payload else None)
         if spec is None or "kind" not in spec:
             raise CodecError("request needs a penalty spec")
-        size = len(self.router.poll(session_id).estimates)
+        size = self.router._session(session_id).session.batch.size
         self.router.set_penalty(session_id, decode_penalty(spec, size))
+        return self.router.poll(session_id)
 
     def _scrape_text(self) -> str:
         """Fresh-enough federated /metrics body (pull + render)."""

@@ -36,7 +36,6 @@ from repro.cluster.codec import encode_session_status
 from repro.cluster.partition import Partitioner
 from repro.cluster.store import ShardedStore
 from repro.cluster.supervise import SHARD_STATE_VALUES
-from repro.core.session import DEFAULT_CHUNK
 from repro.obs import MetricRegistry, span
 from repro.obs.metrics import merge_registry_snapshots, snapshot_to_prometheus
 from repro.obs.trace import absorb_portable, get_recorder
@@ -80,7 +79,7 @@ class ClusterRouter(ProgressiveQueryService):
         shards,
         partitioner: Partitioner,
         registry: MetricRegistry | None = None,
-        chunk_size: int = DEFAULT_CHUNK,
+        chunk_size: int | None = None,
     ) -> None:
         if not shards:
             raise ValueError("a cluster needs at least one shard")
@@ -91,8 +90,8 @@ class ClusterRouter(ProgressiveQueryService):
             )
         # ``storage`` is the query-rewrite strategy; its store is only
         # read for the Theorem-1 aggregates (all fetching happens in the
-        # workers).  ``chunk_size`` is the keys per gather (1 reproduces
-        # the per-key loop literally).
+        # workers).  ``chunk_size`` caps the keys per gather (1 reproduces
+        # the per-key loop literally; None = one gather per advance).
         super().__init__(storage, registry, chunk_size)
         registry = self.registry
         self.partitioner = partitioner

@@ -63,10 +63,18 @@ from repro.storage.resilient import available_runs, fetch_degrading
 
 #: Keys fetched per store gather when a wall-clock deadline bounds an
 #: :meth:`ProgressiveSession.advance` call (without one, the whole
-#: request is a single gather).  Also the default serve-chunk size of
-#: :class:`~repro.service.scheduler.SharedRetrievalScheduler` and the
+#: request is a single gather) or one of
+#: :class:`~repro.service.scheduler.SharedRetrievalScheduler`, and the
 #: first block of the cursor's forward scan.
 DEFAULT_CHUNK = 64
+
+
+def _max_after(values: np.ndarray, last: float) -> np.ndarray:
+    """``out[i] = max(values[i+1:], last)``: a running max from the right."""
+    tail = np.empty(values.size)
+    tail[:-1] = values[1:]
+    tail[-1] = last
+    return np.maximum.accumulate(tail[::-1])[::-1]
 
 
 class ProgressiveSession:
@@ -166,22 +174,16 @@ class ProgressiveSession:
         pos, found = self._locate(keys)
         return found & ~(self._retrieved[pos] | self._skipped[pos])
 
-    def key_position(self, key: int) -> int | None:
-        """Master-list position of ``key``, or None if not in this batch."""
-        pos, found = self._locate(np.array([key], dtype=np.int64))
-        return int(pos[0]) if found[0] else None
-
-    def is_pending(self, key: int) -> bool:
-        """True when ``key`` is in the master list, unretrieved, unskipped."""
-        return bool(self.has_pending(np.array([key], dtype=np.int64))[0])
-
-    def upcoming(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def upcoming(
+        self, n: int, floor: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """``(keys, importance)`` of the next ``n`` pending keys, in
         delivery order (importance desc, key asc); fewer when fewer are
-        pending.  The head of :meth:`pending`, sorted — what a shared
+        pending — or, with ``floor``, when fewer are at least that
+        important.  The head of :meth:`pending`, sorted — what a shared
         scheduler merges across sessions.
         """
-        head = self._head(n)
+        head = self._head(n, floor)
         return self.plan.keys[head], self._importance[head]
 
     def worst_case_bound(self) -> float:
@@ -312,16 +314,20 @@ class ProgressiveSession:
         apos = pos[applied]
         acoeff = coefficients[applied]
         skipped_max_seq: np.ndarray | None = None
-        if self._skipped[apos].any():
+        was_skipped = self._skipped[apos]
+        if was_skipped.any():
             # Keys came back (another session's fetch succeeded after
-            # ours was abandoned): un-skip in delivery order, tracking
-            # the bound mass the scalar loop would have seen *per key* —
-            # the convergence records depend on it.
-            skipped_max_seq = np.empty(apos.size)
-            for i, p in enumerate(apos.tolist()):
-                if self._skipped[p]:
-                    self._unmark_skipped(int(p))
-                skipped_max_seq[i] = self._skipped_max_iota
+            # ours was abandoned).  The scalar loop un-skips them one by
+            # one, and the convergence records depend on the bound mass
+            # it sees *after each key*: the keys skipped outside this
+            # chunk, and the chunk's own skipped keys still to come.
+            self._skipped[apos] = False
+            self._skipped_count -= int(np.count_nonzero(was_skipped))
+            self._skipped_max_iota = self._max_skipped_iota()
+            skipped_max_seq = _max_after(
+                np.where(was_skipped, self._importance[apos], 0.0),
+                self._skipped_max_iota,
+            )
         self.costs.add(deliveries=int(apos.size))
         self._apply_batch(apos, acoeff, skipped_max_seq)
         return applied
@@ -479,12 +485,11 @@ class ProgressiveSession:
         estimates for the whole chunk; because ``np.add.at`` accumulates
         element by element in array order, the floating-point result is
         bit-identical to applying the keys one at a time in the same
-        order.  The convergence records are reconstructed per key: after
-        the chunk is marked retrieved, the most important *unused*
-        coefficient at step ``i`` is the max of the queue head (all
-        keys outside this chunk) and the chunk's own importance suffix
-        ``i+1:``, with ``skipped_max_seq`` carrying the per-key skipped
-        bound mass when the chunk un-skipped keys on the way.
+        order.  The convergence records carry the bound after each key:
+        the most important *unused* coefficient then is the max of the
+        chunk's own importance suffix, the queue head behind the chunk,
+        and the skipped bound mass (``skipped_max_seq``, per key, when
+        the chunk un-skipped keys on the way).
         """
         n = int(positions.size)
         base_steps = self._steps_taken
@@ -495,32 +500,21 @@ class ProgressiveSession:
             self._coefficients[positions] = coefficients
             self._steps_taken += n
         if _telemetry_enabled():
+            steps = np.arange(base_steps + 1, base_steps + n + 1)
             stats = getattr(self.storage.store, "stats", None)
-            retrievals = int(stats.retrievals) if stats is not None else 0
-            rest = self._next_iota()
-            k_alpha = self._k_alpha()
-            iotas = self._importance[positions]
-            for i in range(n):
-                next_iota = rest
-                if i + 1 < n:
-                    tail = float(iotas[i + 1 :].max())
-                    if tail > next_iota:
-                        next_iota = tail
-                skipped_max = (
-                    float(skipped_max_seq[i])
-                    if skipped_max_seq is not None
-                    else self._skipped_max_iota
-                )
-                if self._skipped_count or skipped_max_seq is not None:
-                    if skipped_max > next_iota:
-                        next_iota = skipped_max
-                self.convergence.record(
-                    steps_taken=base_steps + i + 1,
-                    retrievals=retrievals if stats is not None else base_steps + i + 1,
-                    worst_case_bound=(
-                        0.0 if next_iota <= 0.0 else float(k_alpha * next_iota)
-                    ),
-                )
+            next_iota = _max_after(self._importance[positions], self._next_iota())
+            if skipped_max_seq is not None:
+                np.maximum(next_iota, skipped_max_seq, out=next_iota)
+            elif self._skipped_count:
+                np.maximum(next_iota, self._skipped_max_iota, out=next_iota)
+            bounds = self._k_alpha() * next_iota
+            if next_iota[-1] <= 0.0:  # non-increasing: zeros are a tail
+                bounds[next_iota <= 0.0] = 0.0
+            self.convergence.record_many(
+                steps,
+                steps if stats is None else np.full(n, int(stats.retrievals)),
+                bounds,
+            )
 
     def _locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Master-list positions of ``keys`` and which are in the list."""
@@ -528,11 +522,6 @@ class ProgressiveSession:
             np.searchsorted(self.plan.keys, keys), self.plan.num_keys - 1
         )
         return pos, self.plan.keys[pos] == keys
-
-    def _unmark_skipped(self, pos: int) -> None:
-        self._skipped[pos] = False
-        self._skipped_count -= 1
-        self._skipped_max_iota = self._max_skipped_iota()
 
     def _max_skipped_iota(self) -> float:
         """The largest importance among the skipped keys (their bound mass)."""
@@ -546,22 +535,26 @@ class ProgressiveSession:
         self._order = order[~self._retrieved[order]]
         self._cursor = 0
 
-    def _head(self, n: int) -> np.ndarray:
-        """Master positions of the next ``n`` pending keys, in order.
+    def _head(self, n: int, floor: float | None = None) -> np.ndarray:
+        """Master positions of the next ``n`` pending keys, in order,
+        stopping at the first rank less important than ``floor``.
 
         A read: nothing is consumed.  Keys leave the queue by being
         retrieved or skipped, and the cursor catches up lazily.
         """
         order, start = self._order, self._seek()
-        width = n
+        # A floor mostly ends the window within a few ranks: start small.
+        width = n if floor is None else min(n, DEFAULT_CHUNK)
         while True:
             block = order[start : start + width]
+            last = start + width >= order.size
+            if floor is not None and block.size and self._importance[block[-1]] < floor:
+                # Importance descends by rank: the floor cuts a prefix.
+                block, last = block[self._importance[block] >= floor], True
             live = block[~(self._retrieved[block] | self._skipped[block])]
-            if live.size >= n or start + width >= order.size:
+            if live.size >= n or last:
                 return live[:n]
-            # Keys other sessions' fetches delivered (or skipped keys)
-            # sit inside the window: widen it.
-            width *= 2
+            width *= 2  # delivered or skipped keys sit inside the window: widen it
 
     def _seek(self) -> int:
         """Move the cursor to the first pending rank and return it.

@@ -3,7 +3,9 @@
 Every :class:`~repro.core.session.ProgressiveSession` owns a bounded
 :class:`ConvergenceLog`; each applied coefficient appends one
 :class:`ConvergenceRecord` ``(steps_taken, retrievals, worst_case_bound,
-wall_time)``.  A dashboard polling
+wall_time)``.  Coefficients are applied a chunk at a time, so the log
+takes a chunk's records as columns (:meth:`ConvergenceLog.record_many`)
+and they share one ``wall_time`` — they landed together.  A dashboard polling
 ``ProgressiveQueryService.convergence(session_id)`` can therefore plot
 the Theorem-1 bound against the progressive budget B as it decays —
 reproduced from live telemetry rather than offline replay.
@@ -27,10 +29,13 @@ trajectory instead of silently plotting a partial one.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.obs.metrics import REGISTRY, _switch
 
@@ -84,85 +89,95 @@ class ConvergenceTrajectory(list):
 
 
 class ConvergenceLog:
-    """A thread-safe bounded ring of :class:`ConvergenceRecord` events."""
+    """A thread-safe bounded ring of convergence events, kept as columns.
+
+    Four numpy columns of ``capacity`` slots; record number ``j`` since
+    the last :meth:`clear` lives in slot ``j % capacity``, so a chunk of
+    records lands with one indexed store per column and
+    :class:`ConvergenceRecord` objects exist only on read.
+    """
 
     def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
             raise ValueError("convergence log capacity must be positive")
-        self._ring: deque[ConvergenceRecord] = deque(maxlen=int(capacity))
+        self.capacity = int(capacity)
+        self._steps = np.zeros(self.capacity, dtype=np.int64)
+        self._retrievals = np.zeros(self.capacity, dtype=np.int64)
+        self._bounds = np.zeros(self.capacity)
+        self._walls = np.zeros(self.capacity)
         self._lock = threading.Lock()
         self._t0 = time.perf_counter()
-        self._dropped = 0
-
-    @property
-    def capacity(self) -> int:
-        return self._ring.maxlen or 0
+        #: Records written since the last clear (retained or not).
+        self._written = 0
 
     @property
     def dropped(self) -> int:
         """Records evicted by ring overflow since the last :meth:`clear`."""
         with self._lock:
-            return self._dropped
+            return max(0, self._written - self.capacity)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._ring)
+            return min(self._written, self.capacity)
 
-    def record(
-        self, steps_taken: int, retrievals: int, worst_case_bound: float
-    ) -> None:
-        """Append one event (no-op while telemetry is disabled)."""
-        if not _switch.enabled:
+    def record(self, steps_taken: int, retrievals: int, worst_case_bound: float) -> None:
+        """Append one event: the one-element form of :meth:`record_many`."""
+        self.record_many([steps_taken], [retrievals], [worst_case_bound])
+
+    def record_many(self, steps, retrievals, bounds) -> None:
+        """Append one event per element of the aligned columns, in order
+        (no-op while telemetry is disabled).
+
+        The records of one call share one ``wall_time``: they landed
+        together.  Overflow drops the oldest, counted once per call.
+        """
+        n = len(steps)
+        if not n or not _switch.enabled:
             return
-        event = ConvergenceRecord(
-            steps_taken=int(steps_taken),
-            retrievals=int(retrievals),
-            worst_case_bound=float(worst_case_bound),
-            wall_time=time.perf_counter() - self._t0,
-        )
+        wall = time.perf_counter() - self._t0
+        keep = min(n, self.capacity)
+        if keep < n:  # only the newest can survive
+            steps, retrievals, bounds = steps[-keep:], retrievals[-keep:], bounds[-keep:]
         with self._lock:
-            if len(self._ring) == self._ring.maxlen:
-                self._dropped += 1
-                _RECORDS_DROPPED.inc()
-            self._ring.append(event)
+            written = self._written + n
+            stop = (written - 1) % self.capacity + 1  # one past the newest
+            # Contiguous unless the chunk wraps the ring; then the negative
+            # indices reach back from its end.
+            slots = np.arange(stop - keep, stop) if stop < keep else slice(stop - keep, stop)
+            self._steps[slots] = steps
+            self._retrievals[slots] = retrievals
+            self._bounds[slots] = bounds
+            self._walls[slots] = wall
+            self._written = written
+        dropped = min(n, written - self.capacity)
+        if dropped > 0:
+            _RECORDS_DROPPED.inc(dropped)
 
     def trajectory(self) -> ConvergenceTrajectory:
         """The retained events, oldest first (with ``dropped`` riding along)."""
         with self._lock:
-            return ConvergenceTrajectory(
-                self._ring, self._dropped, self._ring.maxlen or 0
-            )
+            size = min(self._written, self.capacity)
+            slots = np.arange(self._written - size, self._written) % self.capacity
+            columns = (self._steps, self._retrievals, self._bounds, self._walls)
+            rows = zip(*(column[slots].tolist() for column in columns))
+            dropped = self._written - size
+        return ConvergenceTrajectory(
+            itertools.starmap(ConvergenceRecord, rows), dropped, self.capacity
+        )
 
     def as_dicts(self) -> list[dict]:
         """JSON-friendly trajectory (what a dashboard endpoint would ship)."""
-        return [
-            {
-                "steps_taken": r.steps_taken,
-                "retrievals": r.retrievals,
-                "worst_case_bound": r.worst_case_bound,
-                "wall_time": r.wall_time,
-            }
-            for r in self.trajectory()
-        ]
+        return self.payload()["records"]
 
     def payload(self) -> dict:
         """The full dashboard payload: records plus overflow accounting."""
         trajectory = self.trajectory()
         return {
-            "records": [
-                {
-                    "steps_taken": r.steps_taken,
-                    "retrievals": r.retrievals,
-                    "worst_case_bound": r.worst_case_bound,
-                    "wall_time": r.wall_time,
-                }
-                for r in trajectory
-            ],
+            "records": [dataclasses.asdict(r) for r in trajectory],
             "dropped": trajectory.dropped,
             "capacity": trajectory.capacity,
         }
 
     def clear(self) -> None:
         with self._lock:
-            self._ring.clear()
-            self._dropped = 0
+            self._written = 0

@@ -21,20 +21,29 @@ overlap too — whole-domain partitions share every coarse wavelet key.  The
   gets overlapping keys served without new I/O (the Storyboard-style
   reuse of precomputed state).
 
-Serving is three shared pieces per chunk of up to ``chunk_size`` keys:
+An ``advance`` without a deadline is served as **one chunk** — one pick,
+one gather, one apply, for any number of live sessions (an explicit
+``chunk_size``, the :data:`MAX_CHUNK_KEYS` cap, or a deadline's
+:data:`~repro.core.session.DEFAULT_CHUNK` cut it into several).  The
+three shared pieces:
 
-* **pick** — merge the live queues' heads.  The first ``n`` distinct keys
-  of the merged order can only come from each session's own next ``n``
-  pending keys, so the merge is one stable ``lexsort`` of at most
-  ``sessions * n`` entries (with one live session: that session's slice,
-  no sort) and is *exact*, not a heuristic.  Nothing is ever stale: the
-  queues are read fresh per chunk, so a delivery, a penalty switch
-  (the session re-sorts) or a cancellation needs no bookkeeping here;
+* **pick** — merge the live queues' heads up to the key that brings the
+  advancing session its ``k``-th gain.  That session's own next ``k``
+  pending keys bound the chunk: the importance of the last of them is a
+  *floor*, every entry the merged order ranks before it is at least that
+  important, so every other session contributes just its pending entries
+  at or above the floor (read off its rank order from the cursor; no
+  pass over the queue).  One stable ``lexsort`` of those windows (with one live
+  session: that session's slice, no sort), first occurrence per key, cut
+  at the ``k``-th gain — *exact*, not a heuristic.  Nothing is ever
+  stale: the queues are read fresh per chunk, so a delivery, a penalty
+  switch (the session re-sorts) or a cancellation needs no bookkeeping
+  here;
 * **fetch** — :func:`~repro.storage.resilient.fetch_degrading`: one store
   gather for the uncached keys; an abandoned gather degrades to per-key
   fetches so only the still-failing keys are skipped;
 * **apply** — one vectorized :meth:`ProgressiveSession.deliver_many` per
-  (session, run of available keys).
+  (session, run of available keys), convergence records included.
 
 Answers, delivery order, counters, and degraded-state semantics are
 identical for every ``chunk_size`` (1 reproduces the fetch-per-coefficient
@@ -56,6 +65,12 @@ from repro.obs import REGISTRY, MetricRegistry, span
 from repro.obs.ledger import activate as _charge_to, note_fetch
 from repro.storage.resilient import available_runs, fetch_degrading
 
+#: Keys per chunk when nothing else caps it (the flush rule
+#: ``cluster/store.py`` applies to a pipe message): a larger ``advance`` —
+#: ``run_to_completion`` of a 200k-key plan — is served in pieces, so one
+#: apply never concatenates a whole plan's entries.
+MAX_CHUNK_KEYS = 8192
+
 #: Distinguishes scheduler instances inside the process-global registry.
 _INSTANCE_IDS = itertools.count()
 
@@ -75,8 +90,8 @@ class SharedRetrievalScheduler:
     Thread-safe: every public method holds the scheduler lock, so client
     threads can drive different sessions concurrently against one store.
 
-    ``chunk_size`` caps the keys served per store gather
-    (:meth:`serve_chunk`); 1 reproduces the scalar
+    ``chunk_size`` caps the keys served per store gather (None, the
+    default: an ``advance`` is one gather); 1 reproduces the scalar
     fetch-per-coefficient loop exactly, store-call pattern included.
     """
 
@@ -84,14 +99,14 @@ class SharedRetrievalScheduler:
         self,
         store,
         registry: MetricRegistry | None = None,
-        chunk_size: int = DEFAULT_CHUNK,
+        chunk_size: int | None = None,
     ) -> None:
-        if chunk_size < 1:
+        if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         #: The shared coefficient store (a CountingStore or a
         #: PagedCoefficientStore — anything with ``fetch``).
         self.store = store
-        self.chunk_size = int(chunk_size)
+        self.chunk_size = chunk_size
         self.registry = REGISTRY if registry is None else registry
         self._instance = str(next(_INSTANCE_IDS))
         #: The schedule's counters (this scheduler's ``scheduler=`` sample
@@ -207,18 +222,23 @@ class SharedRetrievalScheduler:
         """Run the shared schedule until session ``sid`` gains ``k`` keys.
 
         Other sessions receive every served coefficient they need along
-        the way — that is the point.  The schedule is served in chunks of
-        up to ``chunk_size`` keys, each fetched with one store
-        gather and delivered with one vectorized update per (session,
-        chunk); the chunk is capped so the target session never overshoots
-        ``k``, which keeps the set and order of served keys identical to
-        the scalar loop.  Returns the number of coefficients the target
-        session actually gained (less than ``k`` at exhaustion, when the
-        remaining keys are unavailable, or once the wall-clock
-        ``deadline`` — seconds for this call — elapses).
+        the way — that is the point.  Without a ``deadline`` the request
+        is one chunk — one pick ending at the target's ``k``-th gain
+        (:meth:`_pick`), one store gather, one vectorized update per
+        session — never past ``k``, so the set and order of served keys
+        are those of the scalar loop.  The loop runs again only when a
+        key was skipped or a cap cut the chunk: ``chunk_size``,
+        :data:`MAX_CHUNK_KEYS`, or — under a ``deadline``, so the clock
+        is re-read — :data:`~repro.core.session.DEFAULT_CHUNK`.  Returns
+        the number of coefficients the target session actually gained
+        (less than ``k`` at exhaustion, when the remaining keys are
+        unavailable, or once ``deadline`` seconds have elapsed).
         """
         if k < 0:
             raise ValueError("k must be non-negative")
+        limit = self.chunk_size or (
+            MAX_CHUNK_KEYS if deadline is None else DEFAULT_CHUNK
+        )
         with self._lock, span("scheduler.advance", sid=sid, k=k):
             t0 = time.perf_counter()
             session = self._registrations[sid].session
@@ -239,63 +259,39 @@ class SharedRetrievalScheduler:
                         # moment the target turns exact, so the chunk must
                         # not reach past the target's last pending key.
                         need = min(need, session.remaining)
-                    if not self.serve_chunk(
-                        self.chunk_size, target_sid=sid, need=need
-                    ).size:
+                    keys = self._pick(session, need, limit)
+                    if not keys.size:
                         break
+                    self._serve_batch(keys)
             self._advance_seconds.observe(time.perf_counter() - t0)
             return session.steps_taken - start
-
-    def serve_chunk(
-        self,
-        limit: int,
-        target_sid: int | None = None,
-        need: int | None = None,
-    ) -> np.ndarray:
-        """Serve up to ``limit`` coefficients in global importance order.
-
-        Picks the next distinct keys of the merged session queues
-        (:meth:`_pick`), cut short once the ``target_sid`` session would
-        gain ``need`` of them (so a capped advance never serves past its
-        target), fetches the uncached ones with **one** store gather, and
-        delivers the chunk to every session that lacks them.  Returns the
-        keys served, in serve order.
-        """
-        with self._lock:
-            reg = self._registrations.get(target_sid)
-            keys = self._pick(limit, reg.session if reg else None, need)
-            if keys.size:
-                self._serve_batch(keys)
-            return keys
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _pick(
-        self, limit: int, target: ProgressiveSession | None, need: int | None
-    ) -> np.ndarray:
-        """The first ``limit`` distinct keys of the merged pending order,
-        cut after the one that brings ``target`` its ``need``-th gain.
+    def _pick(self, target: ProgressiveSession, need: int, limit: int) -> np.ndarray:
+        """The merged pending order up to the key that brings ``target``
+        its ``need``-th gain, at most ``limit`` distinct keys.
 
-        The global order is (importance desc, key asc, sid asc) over
-        every live session's pending entries, a key counting at its first
-        — most important — occurrence.  Those first ``limit`` distinct
-        keys hold at most ``limit`` entries of any one session, all of
-        them inside that session's :meth:`ProgressiveSession.upcoming`
-        window, so merging the windows is exact.  Windows are
-        concatenated in sid order and ``lexsort`` is stable, so ties
-        fall to the lower sid.  The target cannot gain more than ``need``
-        of its own entries, so its window stops there — with one live
-        queue that window *is* the chunk.
+        The order is (importance desc, key asc, sid asc) over every live
+        session's pending entries, a key counting at its first — most
+        important — occurrence.  The target's window is its next ``need``
+        entries and the last one's importance is the floor of every other
+        window (the module docstring has the argument); a target with
+        fewer pending (degraded) sets no floor, so the merged remainder
+        is served.  No window needs more than ``limit`` entries: the
+        first ``limit`` distinct keys hold at most that many of any one
+        session.  Windows are concatenated in sid order and ``lexsort``
+        is stable, so ties fall to the lower sid.
         """
-        if need is None:
-            need = limit
+        window = min(need, limit)
+        own = target.upcoming(window)
+        floor = float(own[1][-1]) if own[0].size == window else None
         keys, iotas = [], []
         for reg in self._registrations.values():
-            session = reg.session
-            head_keys, head_iotas = session.upcoming(
-                min(limit, need) if session is target else limit
+            head_keys, head_iotas = (
+                own if reg.session is target else reg.session.upcoming(limit, floor)
             )
             if head_keys.size:
                 keys.append(head_keys)
@@ -307,12 +303,10 @@ class SharedRetrievalScheduler:
         first = np.unique(merged, return_index=True)[1]
         first.sort()
         keys = merged[first[:limit]]
-        if target is not None:
-            # Another session's entry for a key the target is waiting on
-            # is a gain for the target too.
-            gains = np.cumsum(target.has_pending(keys))
-            keys = keys[: int(np.searchsorted(gains, need)) + 1]
-        return keys
+        # Another session's entry for a key the target is waiting on is
+        # a gain for the target too.
+        gains = np.cumsum(target.has_pending(keys))
+        return keys[: int(np.searchsorted(gains, need)) + 1]
 
     @contextmanager
     def _timed_fetch(self, n: int):
@@ -339,7 +333,8 @@ class SharedRetrievalScheduler:
         cache = self._coefficients
         cached = np.array([key in cache for key in keys.tolist()], dtype=bool)
         values = np.empty(keys.size)
-        values[cached] = [cache[key] for key in keys[cached].tolist()]
+        if cached.any():
+            values[cached] = [cache[key] for key in keys[cached].tolist()]
         failed: list[int] = []
         if not cached.all():
             missing = np.flatnonzero(~cached)

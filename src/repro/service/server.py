@@ -145,9 +145,8 @@ class ProgressiveQueryService:
     ) -> None:
         self.storage = storage
         self.registry = registry = REGISTRY if registry is None else registry
-        kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
         self.scheduler = SharedRetrievalScheduler(
-            storage.store, registry=registry, **kwargs
+            storage.store, registry=registry, chunk_size=chunk_size
         )
         self._lock = threading.RLock()
         self._sessions: dict[str, _Entry] = {}

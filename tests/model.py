@@ -21,6 +21,8 @@ class ModelSession:
         self.exact = plan.exact_estimates(exact_coefficients)
         self.estimates = np.zeros(plan.batch_size)
         self.retrieved, self.skipped = set(), set()
+        #: One ``(steps_taken, worst_case_bound)`` per applied coefficient.
+        self.records = []
         self.rank(penalty)
         self.held = self.pending()
 
@@ -94,6 +96,7 @@ class Model:
             for s in live:
                 if key in s.keys - s.retrieved:
                     s.apply(key, self.cache[key])
+                    s.records.append((len(s.retrieved), s.bound(self.k_const)))
                     self.deliveries += 1
                     self.cache_deliveries += hit
         return len(target.retrieved) - start

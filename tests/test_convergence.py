@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
+from repro.obs import REGISTRY, ConvergenceLog
 from repro.core.session import ProgressiveSession
 from repro.data.synthetic import uniform_dataset
 from repro.queries.workload import partition_count_batch
@@ -81,6 +84,55 @@ class TestSessionConvergence:
             "worst_case_bound",
             "wall_time",
         }
+
+
+class TestRecordMany:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.integers(1, 12),
+        sizes=st.lists(st.integers(0, 30), max_size=8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_split_equals_per_key_record(self, capacity, sizes, seed):
+        """Chunks of any size — empty, larger than the ring — leave the
+        columns, ``len``, ``dropped`` and the dropped counter exactly as
+        one ``record`` per key does."""
+        rng = np.random.default_rng(seed)
+        total = sum(sizes)
+        steps = np.arange(1, total + 1)
+        retrievals = np.cumsum(rng.integers(0, 3, size=total))
+        bounds = np.sort(rng.random(total))[::-1]
+        dropped_total = REGISTRY.get("repro_convergence_records_dropped_total")
+
+        def columns(log):
+            return [
+                (r.steps_taken, r.retrievals, r.worst_case_bound)
+                for r in log.trajectory()
+            ]
+
+        per_key, chunked = ConvergenceLog(capacity), ConvergenceLog(capacity)
+        before = dropped_total.value()
+        for row in zip(steps, retrievals, bounds):
+            per_key.record(*row)
+        counted = dropped_total.value() - before
+        lo = 0
+        for size in sizes:
+            chunked.record_many(
+                steps[lo : lo + size], retrievals[lo : lo + size], bounds[lo : lo + size]
+            )
+            lo += size
+            walls = [r.wall_time for r in chunked.trajectory()]
+            assert walls == sorted(walls)
+        assert columns(chunked) == columns(per_key)
+        assert len(chunked) == len(per_key) == min(total, capacity)
+        assert chunked.dropped == per_key.dropped == max(0, total - capacity)
+        assert dropped_total.value() - before - counted == counted == per_key.dropped
+        trajectory = chunked.trajectory()
+        assert (trajectory.dropped, trajectory.capacity) == (chunked.dropped, capacity)
+        for row in columns(chunked):  # plain JSON-friendly scalars on read
+            assert [type(v) for v in row] == [int, int, float]
+        chunked.clear()
+        assert (len(chunked), chunked.dropped, columns(chunked)) == (0, 0, [])
 
 
 class TestServiceConvergence:

@@ -2,7 +2,8 @@
 
 Hypothesis interleaves every public operation — submit, advance, poll,
 set_penalty, cancel, a key blackout, heal + retry_skipped — for chunk
-sizes 1, 7 and 64, and after every rule compares the service with the
+sizes 1, 7, 64 and the default (None: the pick sizes itself, one chunk
+per advance), and after every rule compares the service with the
 reference model: snapshots bit for bit, counters, the Theorem-1 bound
 against the true penalty, and the fetch-once rule at the store.
 
@@ -20,6 +21,7 @@ session yet pending for another is outside the modelled contract.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -78,6 +80,38 @@ class RecordingStore:
         return getattr(self.inner, name)
 
 
+#: Chunk caps under test; None is the default (the pick sizes itself).
+CHUNKS = [1, 7, 64, None]
+
+
+def make_front(shards, partitioner, chunk):
+    """``(service, fault injector, recorder)``: the in-process service, or
+    a router over ``shards`` inline shards, on one recorded store stack."""
+    recorder = RecordingStore(STORAGE.store)
+    faults = FaultInjectingStore(recorder)
+    store = ResilientStore(
+        faults,
+        policy=RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0),
+        breaker=CircuitBreaker(failure_threshold=10**9),
+        sleep=lambda _s: None,
+        registry=MetricRegistry(),
+    )
+    storage = STORAGE.with_store(store)
+    if shards:
+        service = ClusterRouter(
+            storage,
+            [InlineShard(ShardWorker(store, i)) for i in range(shards)],
+            make_partitioner(partitioner, shards, store.key_space_size),
+            registry=MetricRegistry(),
+            chunk_size=chunk,
+        )
+    else:
+        service = ProgressiveQueryService(
+            storage, registry=MetricRegistry(), chunk_size=chunk
+        )
+    return service, faults, recorder
+
+
 class ServiceMachine(RuleBasedStateMachine):
     """The in-process front; subclasses set ``SHARDS`` to run the same
     rules against a router over that many inline shards."""
@@ -86,30 +120,11 @@ class ServiceMachine(RuleBasedStateMachine):
     PARTITIONER = "hash"
     sessions = Bundle("sessions")
 
-    @initialize(chunk=st.sampled_from([1, 7, 64]))
+    @initialize(chunk=st.sampled_from(CHUNKS))
     def start(self, chunk):
-        self.recorder = RecordingStore(STORAGE.store)
-        self.faults = FaultInjectingStore(self.recorder)
-        store = ResilientStore(
-            self.faults,
-            policy=RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0),
-            breaker=CircuitBreaker(failure_threshold=10**9),
-            sleep=lambda _s: None,
-            registry=MetricRegistry(),
+        self.service, self.faults, self.recorder = make_front(
+            self.SHARDS, self.PARTITIONER, chunk
         )
-        storage = STORAGE.with_store(store)
-        if self.SHARDS:
-            self.service = ClusterRouter(
-                storage,
-                [InlineShard(ShardWorker(store, i)) for i in range(self.SHARDS)],
-                make_partitioner(self.PARTITIONER, self.SHARDS, store.key_space_size),
-                registry=MetricRegistry(),
-                chunk_size=chunk,
-            )
-        else:
-            self.service = ProgressiveQueryService(
-                storage, registry=MetricRegistry(), chunk_size=chunk
-            )
         self.model = Model(STORAGE)
         self.last_bound = {}
         self.cancelled = False
@@ -189,6 +204,12 @@ class ServiceMachine(RuleBasedStateMachine):
             assert snap.worst_case_bound >= true_penalty * (1 - 1e-9) - 1e-9
             assert snap.worst_case_bound <= self.last_bound.get(sid, np.inf)
             self.last_bound[sid] = snap.worst_case_bound
+            # One convergence record per applied coefficient, carrying the
+            # bound the one-key-at-a-time loop saw right after it.
+            assert [
+                (r.steps_taken, r.worst_case_bound)
+                for r in self.service.convergence(sid)
+            ] == s.records
             union |= s.keys
         m = self.service.metrics()
         assert (m.retrievals, m.deliveries, m.cache_deliveries, m.skipped_keys) == (
@@ -225,3 +246,44 @@ TestServiceMachine = ServiceMachine.TestCase
 TestRouterMachine1 = RouterMachine1.TestCase
 TestRouterMachine2Hash = RouterMachine2Hash.TestCase
 TestRouterMachine2Range = RouterMachine2Range.TestCase
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize(
+    "shards, partitioner", [(0, "hash"), (1, "hash"), (2, "hash"), (2, "range")]
+)
+def test_degraded_target_with_nothing_pending_serves_the_merged_remainder(
+    shards, partitioner, chunk
+):
+    """The corner the pick's floor rule must not break: a target with
+    nothing pending yet not exact (all it lacks is skipped) sets no floor,
+    so its ``advance`` serves what every other session still has pending,
+    as the model does.
+    """
+    service, faults, _ = make_front(shards, partitioner, chunk)
+    model = Model(STORAGE)
+    sids = []
+    for batch in (BATCHES[0], BATCHES[2]):
+        sids.append(service.submit(batch))
+        model.submit(sids[-1], QueryPlan.from_batch(STORAGE, batch), SsePenalty())
+    a, b = sids
+    dark = model.sessions[a].keys
+    faults.blackout_keys.update(dark)
+    model.blackout.update(dark)
+    for sid, k in ((a, 5), (b, 3)):
+        assert service.advance(sid, k) == model.advance(sid, k)
+        for session_id, s in model.sessions.items():
+            snap = service.poll(session_id)
+            assert snap.estimates.tobytes() == s.answers().tobytes()
+            assert (snap.steps_taken, snap.skipped_count) == (
+                len(s.retrieved), len(s.skipped)
+            )
+            assert snap.worst_case_bound == s.bound(model.k_const)
+        # A's first advance gained nothing, ran A dry, and went on to
+        # serve B every key B does not share with A.
+        assert service.poll(a).skipped_count == len(dark)
+        assert service.poll(b).steps_taken == len(model.sessions[b].keys - dark) > 5
+    m = service.metrics()
+    assert (m.retrievals, m.deliveries, m.skipped_keys) == (
+        model.retrievals, model.deliveries, model.skipped_keys
+    )
