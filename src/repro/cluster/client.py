@@ -1,10 +1,14 @@
-"""A small stdlib HTTP client for the cluster edge.
+"""A small stdlib client for the cluster edge.
 
-Wraps ``http.client`` around the JSON wire format in
-:mod:`repro.cluster.codec` so tests, the CI smoke driver, and scripts can
-drive a cluster without hand-writing requests.  Estimates come back as
-``numpy`` arrays; because JSON floats round-trip exactly, they are
-bit-equal to what the router computed.
+Speaks the wire format in :mod:`repro.cluster.codec` over one keep-alive
+``TCP_NODELAY`` socket so tests, the CI smoke driver, and scripts can
+drive a cluster without hand-writing requests.  Requests are JSON; every
+request asks for snapshots as frames
+(:data:`~repro.cluster.codec.SNAPSHOT_FRAME_TYPE`), so ``estimates`` come
+back as writable float64 ``numpy`` arrays over the received bytes —
+bit-equal to what the router computed, with no per-float parsing.  The
+reply reader is as small as the edge's request reader: status line,
+header dict, ``Content-Length`` body.
 
 Overload surfaces as :class:`ClusterBusyError` (HTTP 429) carrying the
 server's ``Retry-After`` hint; other error statuses raise
@@ -27,15 +31,24 @@ idempotent or never reached the server.
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import time
 import uuid
 
-import numpy as np
-
-from repro.cluster.codec import encode_batch
+from repro.cluster.codec import (
+    SNAPSHOT_FRAME_TYPE,
+    CodecError,
+    decode_snapshot_frame,
+    encode_batch,
+    split_head,
+)
 from repro.queries.vector_query import QueryBatch
+
+
+#: Every request asks for snapshots framed; anything else stays JSON.
+_ACCEPT = f"{SNAPSHOT_FRAME_TYPE}, application/json"
+_MAX_LINE = 64 * 1024
 
 
 class ClusterApiError(RuntimeError):
@@ -56,7 +69,7 @@ class ClusterBusyError(ClusterApiError):
 
 
 class ClusterClient:
-    """Synchronous JSON client for one cluster edge endpoint."""
+    """Synchronous client for one cluster edge endpoint."""
 
     def __init__(
         self,
@@ -83,7 +96,8 @@ class ClusterClient:
         self.retry_multiplier = float(retry_multiplier)
         self.retry_max_delay = float(retry_max_delay)
         self._sleep = sleep
-        self._conn: http.client.HTTPConnection | None = None
+        self._sock: socket.socket | None = None
+        self._reader = None  # the socket's buffered read side
         #: The request id the edge echoed back for the last request.
         self.last_request_id: str | None = None
         #: Set to force the next request's id (one-shot; then generated
@@ -94,69 +108,86 @@ class ClusterClient:
     # -- transport ------------------------------------------------------
 
     def _send(self, method: str, path: str, body, headers: dict):
-        """One wire attempt over the (possibly fresh) keep-alive conn."""
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-        self._conn.request(method, path, body=body, headers=headers)
-        response = self._conn.getresponse()
-        return response, response.read()
+        """One wire attempt over the (possibly fresh) keep-alive socket;
+        returns ``(status, headers, body)``.  A reply that ends early or
+        does not parse raises :class:`ConnectionError`, like any other
+        transport failure."""
+        if self._sock is None:
+            self._sock = socket.create_connection((self.host, self.port), self.timeout)
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._reader = self._sock.makefile("rb")
+        lines = [f"{method} {path} HTTP/1.1", f"Host: {self.host}:{self.port}"]
+        lines += [f"{name}: {value}" for name, value in headers.items()]
+        if body is not None:
+            lines.append(f"Content-Length: {len(body)}")
+        self._sock.sendall(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + (body or b""))
+        head = bytearray()
+        while not head.endswith(b"\r\n\r\n"):
+            line = self._reader.readline(_MAX_LINE)
+            if not line.endswith(b"\n"):
+                raise ConnectionError("edge closed the connection mid-reply")
+            head += line
+        status_line, reply_headers = split_head(head[:-4])
+        try:
+            status = int(status_line.split(" ", 2)[1])
+            raw = bytearray(int(reply_headers.get("content-length") or 0))
+        except (IndexError, ValueError):
+            raise ConnectionError(f"malformed reply: {status_line!r}") from None
+        if self._reader.readinto(raw) != len(raw):
+            raise ConnectionError("edge closed the connection mid-reply")
+        if reply_headers.get("connection", "").lower() == "close":
+            self._reset_conn()
+        return status, reply_headers, raw
 
     def _reset_conn(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def _request(
-        self,
-        method: str,
-        path: str,
-        payload: dict | None = None,
-        accept: tuple[int, ...] = (),
+        self, method: str, path: str, payload: dict | None = None, accept: tuple[int, ...] = ()
     ):
         """One logical round-trip; ``accept`` lists error statuses whose
         JSON body should be returned instead of raised (healthz detail
         on 503).  Transport attempts: the initial send, one free
         immediate reconnect (a stale keep-alive socket is routine), then
         up to :attr:`retries` backed-off resends — all carrying the same
-        ``X-Request-Id``."""
+        ``X-Request-Id``.  A snapshot frame decodes to its flat field
+        dict, ``estimates`` a writable float64 array."""
         body = None
         request_id = self.next_request_id or uuid.uuid4().hex[:12]
         self.next_request_id = None
-        headers = {"X-Request-Id": request_id}
+        headers = {"X-Request-Id": request_id, "Accept": _ACCEPT}
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
         attempts = 2 + max(0, self.retries)
-        response = raw = None
         for attempt in range(attempts):
-            if attempt >= 2:
-                retry = attempt - 1  # paid retries are 1-based
-                self._sleep(
-                    min(
-                        self.retry_max_delay,
-                        self.retry_base_delay
-                        * self.retry_multiplier ** (retry - 1),
-                    )
-                )
+            if attempt >= 2:  # paid retry number attempt - 1
+                delay = self.retry_base_delay * self.retry_multiplier ** (attempt - 2)
+                self._sleep(min(self.retry_max_delay, delay))
             try:
-                response, raw = self._send(method, path, body, headers)
+                status, reply_headers, raw = self._send(method, path, body, headers)
                 break
-            except (http.client.HTTPException, OSError):
+            except OSError:
                 self._reset_conn()
                 if attempt == attempts - 1:
                     raise
-        self.last_request_id = response.getheader("X-Request-Id", request_id)
-        if response.status == 429:
-            retry_after = float(response.getheader("Retry-After", "1") or "1")
-            message = self._error_message(raw)
-            raise ClusterBusyError(message, retry_after)
-        if response.status >= 400 and response.status not in accept:
-            raise ClusterApiError(response.status, self._error_message(raw))
+        self.last_request_id = reply_headers.get("x-request-id", request_id)
+        if status == 429:
+            retry_after = float(reply_headers.get("retry-after") or "1")
+            raise ClusterBusyError(self._error_message(raw), retry_after)
+        if status >= 400 and status not in accept:
+            raise ClusterApiError(status, self._error_message(raw))
         if not raw:
             return None
-        content_type = response.getheader("Content-Type", "")
+        content_type = reply_headers.get("content-type", "")
+        if content_type.startswith(SNAPSHOT_FRAME_TYPE):
+            try:
+                return decode_snapshot_frame(raw)
+            except CodecError as exc:
+                raise ClusterApiError(status, str(exc)) from None
         if content_type.startswith("application/json"):
             return json.loads(raw)
         return raw.decode("utf-8")
@@ -169,9 +200,7 @@ class ClusterClient:
             return raw.decode("utf-8", "replace")
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        self._reset_conn()
 
     def __enter__(self) -> "ClusterClient":
         return self
@@ -204,17 +233,15 @@ class ClusterClient:
         payload: dict = {"k": k}
         if deadline is not None:
             payload["deadline"] = deadline
-        return self._request("POST", f"/sessions/{session_id}/advance", payload)
+        snapshot = self._request("POST", f"/sessions/{session_id}/advance", payload)
+        return {"gained": snapshot.pop("gained"), "snapshot": snapshot}
 
     def poll(self, session_id: str) -> dict:
         """The session snapshot, with ``estimates`` as a float64 array."""
-        snapshot = self._request("GET", f"/sessions/{session_id}")
-        snapshot["estimates"] = np.asarray(
-            snapshot["estimates"], dtype=np.float64
-        )
-        return snapshot
+        return self._request("GET", f"/sessions/{session_id}")
 
     def set_penalty(self, session_id: str, penalty: dict) -> dict:
+        """Re-target the session; returns its snapshot, like :meth:`poll`."""
         return self._request(
             "POST", f"/sessions/{session_id}/penalty", {"penalty": penalty}
         )

@@ -1,12 +1,14 @@
-"""JSON wire codec for the cluster's HTTP edge.
+"""Wire codec for the cluster's HTTP edge.
 
-The edge speaks plain JSON: query batches, penalties, and session
-snapshots all round-trip through the dict shapes defined here, so a curl
-user, the :class:`~repro.cluster.client.ClusterClient`, and the CI smoke
-test share one format.  Estimates and bounds survive the trip *exactly* —
-Python serializes floats via ``repr`` (shortest round-trip form) and
-parses them with ``float()``, so the bit-equality gates hold across the
-HTTP boundary too.
+Requests are plain JSON: query batches and penalties round-trip through
+the dict shapes defined here.  A session snapshot travels as JSON (the
+default: curl, ``jq``; floats go through ``repr``/``float()``, so they
+survive *exactly*) or, to a request whose ``Accept`` names
+:data:`SNAPSHOT_FRAME_TYPE`, as a *frame*: one UTF-8 JSON line with every
+scalar field and the estimates' count, then the estimates as raw
+little-endian float64 — 8 bytes each where JSON spends ~19, nothing to
+format or parse per float.  Either way the bit-equality gates hold across
+the HTTP boundary; ``docs/CLUSTER.md`` ("Wire format") has the details.
 
 Query wire form (one dict per query)::
 
@@ -29,6 +31,9 @@ Malformed payloads raise :class:`CodecError`, which the edge maps to
 from __future__ import annotations
 
 import dataclasses
+import json
+
+import numpy as np
 
 from repro.core.penalties import (
     CursoredSsePenalty,
@@ -42,8 +47,25 @@ from repro.queries.vector_query import QueryBatch, VectorQuery
 from repro.service.server import SessionSnapshot
 
 
+#: Content type of a snapshot frame; a request whose ``Accept`` header
+#: names it gets its snapshot framed instead of as JSON.
+SNAPSHOT_FRAME_TYPE = "application/x-repro-snapshot"
+
+
 class CodecError(ValueError):
     """A request payload that does not decode (maps to HTTP 400)."""
+
+
+def split_head(head) -> tuple[str, dict[str, str]]:
+    """An HTTP/1.1 message head as ``(start line, headers)``, header
+    names lower-cased — all the parsing either end of the edge does."""
+    start_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, colon, value = line.partition(":")
+        if colon:
+            headers[name.strip().lower()] = value.strip()
+    return start_line, headers
 
 
 def _require(payload: dict, key: str):
@@ -147,29 +169,15 @@ def encode_query(query: VectorQuery) -> dict:
     if query.label:
         out["label"] = query.label
     monomials = [(exps, c) for exps, c in query.polynomial.monomials() if c]
-    if monomials == [(tuple([0] * query.ndim), 1.0)]:
-        out["kind"] = "count"
-        return out
     if len(monomials) == 1 and monomials[0][1] == 1.0:
-        exps = monomials[0][0]
-        nonzero = [(d, e) for d, e in enumerate(exps) if e]
-        if len(nonzero) == 1 and nonzero[0][1] == 1:
-            out.update(kind="sum", attribute=nonzero[0][0])
-            return out
-        if len(nonzero) == 1 and nonzero[0][1] == 2:
-            out.update(
-                kind="sum_product",
-                attribute_i=nonzero[0][0],
-                attribute_j=nonzero[0][0],
-            )
-            return out
-        if len(nonzero) == 2 and all(e == 1 for _, e in nonzero):
-            out.update(
-                kind="sum_product",
-                attribute_i=nonzero[0][0],
-                attribute_j=nonzero[1][0],
-            )
-            return out
+        # The attributes multiplied, with multiplicity: x0^2 is [0, 0].
+        attrs = [d for d, e in enumerate(monomials[0][0]) for _ in range(e)]
+        if not attrs:
+            return {**out, "kind": "count"}
+        if len(attrs) == 1:
+            return {**out, "kind": "sum", "attribute": attrs[0]}
+        if len(attrs) == 2:
+            return {**out, "kind": "sum_product", "attribute_i": attrs[0], "attribute_j": attrs[1]}
     raise CodecError(
         f"query {query.label or '?'} has no wire encoding "
         "(only count/sum/sum_product travel over HTTP)"
@@ -183,11 +191,9 @@ def encode_batch(batch: QueryBatch) -> dict:
     return out
 
 
-def snapshot_to_json(snapshot: SessionSnapshot) -> dict:
-    """A snapshot's JSON body (estimates round-trip bit-exactly)."""
+def _snapshot_scalars(snapshot: SessionSnapshot) -> dict:
     return {
         "session_id": snapshot.session_id,
-        "estimates": [float(v) for v in snapshot.estimates],
         "steps_taken": snapshot.steps_taken,
         "remaining": snapshot.remaining,
         "worst_case_bound": float(snapshot.worst_case_bound),
@@ -195,6 +201,45 @@ def snapshot_to_json(snapshot: SessionSnapshot) -> dict:
         "degraded": snapshot.degraded,
         "skipped_count": snapshot.skipped_count,
     }
+
+
+def snapshot_to_json(snapshot: SessionSnapshot) -> dict:
+    """A snapshot's JSON body (estimates round-trip bit-exactly)."""
+    return {
+        "estimates": snapshot.estimates.tolist(),
+        **_snapshot_scalars(snapshot),
+    }
+
+
+def encode_snapshot_frame(snapshot: SessionSnapshot, **outer) -> bytes:
+    """A snapshot's frame: the scalar fields of :func:`snapshot_to_json`
+    (plus ``outer`` — what a JSON reply nests the snapshot beside) and the
+    estimates' count on one JSON line, then the estimates."""
+    estimates = np.ascontiguousarray(snapshot.estimates, dtype="<f8")
+    fields = {**_snapshot_scalars(snapshot), **outer, "estimates": estimates.size}
+    line = json.dumps(fields, separators=(",", ":")).encode("utf-8")
+    return line + b"\n" + estimates.tobytes()
+
+
+def decode_snapshot_frame(raw) -> dict:
+    """A frame's flat field dict, ``estimates`` a float64 array over the
+    tail of ``raw`` — no copy, and writable when ``raw`` is a bytearray."""
+    end = raw.find(b"\n")
+    try:
+        if end < 0:
+            raise ValueError("no header line")
+        fields = json.loads(raw[:end].decode("utf-8"))
+        count, payload = fields["estimates"], len(raw) - end - 1
+        if type(count) is not int or payload != 8 * count:
+            raise ValueError(
+                f"header promises {count!r} estimates, {payload} bytes follow"
+            )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CodecError(f"bad snapshot frame: {exc}") from None
+    fields["estimates"] = np.frombuffer(raw, dtype="<f8", offset=end + 1).astype(
+        np.float64, copy=False
+    )
+    return fields
 
 
 def encode_session_status(

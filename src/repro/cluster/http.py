@@ -1,8 +1,9 @@
 """The cluster's asyncio HTTP edge (stdlib only).
 
 A single-threaded :mod:`asyncio` server accepts JSON requests, hands the
-router work to a small thread pool (`the router's lock serializes it; the
-pool bounds how many requests may wait on that lock), and applies
+router work — and the encoding of its reply — to a small thread pool (the
+router's lock serializes it; the pool bounds how many requests may wait
+on that lock), and applies
 admission control: once ``max_inflight`` session-facing requests are in
 flight, further ones are rejected immediately with ``429 Too Many
 Requests`` and a ``Retry-After`` header instead of queueing without
@@ -35,9 +36,15 @@ rotate the replica out; ``/status`` reports per-session convergence and
 per-shard health; a periodic background pull keeps the federated
 telemetry fresh between scrapes.
 
-Error mapping: unknown session -> 404, malformed payload or query -> 400,
-overload -> 429, everything else -> 500 with the error message in the
-JSON body.  See ``docs/CLUSTER.md`` for curl examples.
+A snapshot-bearing reply (``POST /sessions``, ``GET /sessions/{id}``,
+``/advance``, ``/penalty``) is JSON unless the request's ``Accept`` header
+names :data:`~repro.cluster.codec.SNAPSHOT_FRAME_TYPE`; then the same
+fields travel as a frame (one JSON line + raw float64 estimates).
+
+Error mapping: unknown session -> 404, malformed request, payload or
+query -> 400, overload -> 429, everything else -> 500 with the error
+message in the JSON body — errors are always JSON.  See
+``docs/CLUSTER.md`` for the wire format and curl examples.
 """
 
 from __future__ import annotations
@@ -49,12 +56,16 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
+from http import HTTPStatus
 
 from repro.cluster.codec import (
+    SNAPSHOT_FRAME_TYPE,
     CodecError,
     decode_batch,
     decode_penalty,
+    encode_snapshot_frame,
     snapshot_to_json,
+    split_head,
 )
 from repro.cluster.router import ClusterRouter
 from repro.obs.http import PROMETHEUS_CONTENT_TYPE
@@ -68,18 +79,7 @@ _BYTE_BUCKETS = (
 )
 #: On-demand scrapes reuse a federated payload younger than this.
 _SCRAPE_MAX_AGE = 1.0
-_STATUS_TEXT = {
-    200: "OK",
-    201: "Created",
-    204: "No Content",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+_JSON = "application/json"
 
 
 def _stderr_access_log(line: str) -> None:
@@ -133,11 +133,6 @@ class ClusterHttpServer:
         self._rejected = router.registry.counter(
             "repro_cluster_http_rejected_total",
             "Requests shed by admission control (HTTP 429)",
-        )
-        self._requests = router.registry.counter(
-            "repro_cluster_http_requests_total",
-            "HTTP requests served, by status class",
-            ("status",),
         )
         self._request_seconds = router.registry.histogram(
             "repro_edge_request_seconds",
@@ -264,7 +259,7 @@ class ClusterHttpServer:
 
     async def _bind(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=_MAX_HEADER_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.telemetry_interval > 0 or self.router.supervisor is not None:
@@ -326,11 +321,7 @@ class ClusterHttpServer:
                 keep_alive = await self._handle_one(reader, writer)
                 if not keep_alive:
                     break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-        ):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             writer.close()
@@ -346,71 +337,66 @@ class ClusterHttpServer:
             if not exc.partial:
                 return False  # clean EOF between keep-alive requests
             raise
-        if len(head) > _MAX_HEADER_BYTES:
-            await self._respond(writer, 413, {"error": "headers too large"})
-            return False
+        except asyncio.LimitOverrunError:  # no blank line within the stream's limit
+            return await self._reject(writer, 413, "headers too large")
         try:
-            request_line, *header_lines = head.decode("latin-1").split("\r\n")
+            request_line, headers = split_head(head)
             method, target, _version = request_line.split(" ", 2)
         except ValueError:
-            await self._respond(writer, 400, {"error": "malformed request line"})
-            return False
-        headers = {}
-        for line in header_lines:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+            return await self._reject(writer, 400, "malformed request line")
+        method, path = method.upper(), target.split("?", 1)[0]
+        try:
+            length = int(headers.get("content-length") or 0)
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            return await self._reject(writer, 400, "bad Content-Length", method, path)
         if length > _MAX_BODY_BYTES:
-            await self._respond(writer, 413, {"error": "body too large"})
-            return False
+            return await self._reject(writer, 413, "body too large", method, path)
         body = await reader.readexactly(length) if length else b""
         keep_alive = headers.get("connection", "").lower() != "close"
-        path = target.split("?", 1)[0]
-        method = method.upper()
         request_id = headers.get("x-request-id") or uuid.uuid4().hex[:12]
-        rid_header = (("X-Request-Id", request_id),)
-        route = self._route_of(method, path)
+        frame = SNAPSHOT_FRAME_TYPE in headers.get("accept", "")
         t0 = time.perf_counter()
+        route, extra, content_type = "other", (), _JSON
         status, sent = 500, 0
         try:
             try:
-                result = await self._dispatch(
-                    method, path, body, request_id, route
-                )
+                route, admit, work = self._route(method, path, body, frame)
+                code, payload, content_type = await self._call(work, admit, request_id, route)
             except _HttpError as exc:
-                status, sent = await self._respond(
-                    writer, exc.status, {"error": str(exc)},
-                    extra=tuple(exc.headers) + rid_header,
-                    keep_alive=keep_alive,
-                )
+                code, payload, extra = exc.status, {"error": str(exc)}, exc.headers
+            except KeyError as exc:  # unknown session
+                code, payload = 404, {"error": str(exc.args[0] if exc.args else exc)}
+            except ValueError as exc:  # CodecError included
+                code, payload = 400, {"error": str(exc)}
             except Exception as exc:  # noqa: BLE001 - edge must not die
-                status, sent = await self._respond(
-                    writer, 500, {"error": f"{type(exc).__name__}: {exc}"},
-                    extra=rid_header, keep_alive=keep_alive,
-                )
-            else:
-                code, payload, content_type, extra = result
-                status, sent = await self._respond(
-                    writer, code, payload, content_type,
-                    tuple(extra) + rid_header, keep_alive,
-                )
+                code, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+            status, sent = await self._respond(
+                writer, code, payload, content_type,
+                extra + (("X-Request-Id", request_id),), keep_alive,
+            )
         finally:
             self._observe_request(
-                method, path, route, request_id, status, sent,
-                time.perf_counter() - t0,
+                method, path, route, request_id, status, sent, time.perf_counter() - t0
             )
         return keep_alive
 
+    async def _reject(
+        self, writer, status: int, message: str, method: str = "-", path: str = "-"
+    ) -> bool:
+        """Answer a request the edge will not read any further — it cannot
+        tell where the next one starts — log it, and close."""
+        t0 = time.perf_counter()
+        status, sent = await self._respond(writer, status, {"error": message}, keep_alive=False)
+        self._observe_request(method, path, "other", "-", status, sent, time.perf_counter() - t0)
+        return False
+
     async def _respond(
-        self,
-        writer,
-        status: int,
-        payload,
-        content_type: str = "application/json",
-        extra=(),
+        self, writer, status: int, payload, content_type: str = _JSON, extra=(),
         keep_alive: bool = True,
-    ) -> None:
+    ) -> tuple[int, int]:
+        """Write one response; returns ``(status, body bytes)``."""
         if payload is None:
             body = b""
         elif isinstance(payload, (bytes, str)):
@@ -418,14 +404,13 @@ class ClusterHttpServer:
         else:
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
         lines = [
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
             f"Content-Type: {content_type}",
             f"Content-Length: {len(body)}",
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
         lines += [f"{name}: {value}" for name, value in extra]
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
-        self._requests.inc(status=f"{status // 100}xx")
         await writer.drain()
         return status, len(body)
 
@@ -433,38 +418,9 @@ class ClusterHttpServer:
     # Request-scoped instrumentation
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _route_of(method: str, path: str) -> str:
-        """The route template a request falls under (bounded label set).
-
-        Session ids are collapsed to ``{id}`` so per-route series don't
-        grow with traffic; unmatched paths share one ``other`` bucket.
-        """
-        if path in (
-            "/metrics", "/metrics.json", "/costs.json", "/healthz",
-            "/status", "/sessions",
-        ):
-            return f"{method} {path}"
-        parts = path.strip("/").split("/")
-        if parts[0] == "sessions" and len(parts) == 2:
-            return f"{method} /sessions/{{id}}"
-        if (
-            parts[0] == "sessions"
-            and len(parts) == 3
-            and parts[2] in ("advance", "penalty", "retry", "costs")
-        ):
-            return f"{method} /sessions/{{id}}/{parts[2]}"
-        return "other"
-
     def _observe_request(
-        self,
-        method: str,
-        path: str,
-        route: str,
-        request_id: str,
-        status: int,
-        size: int,
-        duration: float,
+        self, method: str, path: str, route: str, request_id: str, status: int,
+        size: int, duration: float,
     ) -> None:
         """Per-route metrics plus one structured access-log line."""
         self._request_seconds.observe(duration, route=route)
@@ -498,173 +454,133 @@ class ClusterHttpServer:
     # Routing
     # ------------------------------------------------------------------
 
-    async def _dispatch(
-        self, method: str, path: str, body: bytes,
-        rid: str | None = None, route: str = "other",
-    ):
-        """Returns ``(status, payload, content_type, extra_headers)``."""
-        if path == "/metrics" and method == "GET":
-            text = await self._call(
-                self._scrape_text, admit=False, rid=rid, route=route
-            )
-            return 200, text, PROMETHEUS_CONTENT_TYPE, ()
-        if path == "/metrics.json" and method == "GET":
-            snapshot = await self._call(
-                self._scrape_json, admit=False, rid=rid, route=route
-            )
-            return 200, snapshot, "application/json", ()
-        if path == "/costs.json" and method == "GET":
-            report = await self._call(
-                self.router.costs_json, admit=False, rid=rid, route=route
-            )
-            return 200, report, "application/json", ()
-        if path == "/status" and method == "GET":
-            status = await self._call(
-                self._scrape_status, admit=False, rid=rid, route=route
-            )
-            return 200, status, "application/json", ()
-        if path == "/healthz" and method == "GET":
-            health = await self._call(
-                self.router.healthz, admit=False, rid=rid, route=route
-            )
-            health["inflight"] = self._inflight
-            health["max_inflight"] = self.max_inflight
-            health["draining"] = self._draining
-            return (200 if health["ok"] else 503), health, \
-                "application/json", ()
+    def _route(self, method: str, path: str, body: bytes, frame: bool):
+        """``(route template, admit, work)`` for one request.
 
-        if path == "/sessions":
-            if method == "POST":
-                if self._draining:
-                    raise _HttpError(
-                        503,
-                        "edge is draining; not accepting new sessions",
-                        headers=(("Retry-After", f"{self.retry_after:g}"),),
-                    )
-                payload = self._json(body)
-                try:
-                    created = await self._call(
-                        self._submit, payload, rid=rid, route=route
-                    )
-                except (CodecError, ValueError) as exc:
-                    raise _HttpError(400, str(exc)) from None
-                return 201, created, "application/json", ()
-            if method == "GET":
-                ids = await self._call(
-                    self.router.session_ids, admit=False, rid=rid, route=route
+        ``work()`` runs on the pool — router call and reply encoding in
+        one executor hop — and returns ``(status, payload, content
+        type)``.  The template is the request's metric label: session
+        ids collapse to ``{id}`` and everything unrouted, whatever its
+        method, shares ``other``, so per-route series stay bounded.
+        """
+        router = self.router
+        match method, path.strip("/").split("/"):
+            case "GET", ["metrics"]:
+                return "GET /metrics", False, lambda: (
+                    200, self._fresh(router.federated_metrics_text), PROMETHEUS_CONTENT_TYPE
                 )
-                return 200, {"sessions": ids}, "application/json", ()
-            raise _HttpError(405, f"{method} not supported on {path}")
-
-        parts = path.strip("/").split("/")
-        if parts[0] != "sessions" or len(parts) not in (2, 3):
-            raise _HttpError(404, f"no route for {path}")
-        session_id = parts[1]
-        action = parts[2] if len(parts) == 3 else None
-
-        try:
-            if action is None and method == "GET":
-                snapshot = await self._call(
-                    self.router.poll, session_id, rid=rid, route=route
+            case "GET", ["metrics.json"]:
+                return "GET /metrics.json", False, lambda: (
+                    200, json.dumps(
+                        self._fresh(router.federated_metrics_json), indent=2, sort_keys=True
+                    ), _JSON,
                 )
-                return 200, snapshot_to_json(snapshot), "application/json", ()
-            if action is None and method == "DELETE":
-                await self._call(
-                    self.router.cancel, session_id, rid=rid, route=route
+            case "GET", ["costs.json"]:
+                return "GET /costs.json", False, lambda: (200, router.costs_json(), _JSON)
+            case "GET", ["status"]:
+                return "GET /status", False, lambda: (200, self._fresh(router.status), _JSON)
+            case "GET", ["healthz"]:
+                return "GET /healthz", False, self._healthz
+            case "POST", ["sessions"]:
+                # Draining refuses (503) past admission: it is not busy.
+                return "POST /sessions", not self._draining, lambda: self._submit(body, frame)
+            case "GET", ["sessions"]:
+                return "GET /sessions", False, lambda: (
+                    200, {"sessions": router.session_ids()}, _JSON
                 )
-                return 204, None, "application/json", ()
-            if action == "advance" and method == "POST":
-                payload = self._json(body)
-                k = int(payload.get("k", 1))
-                deadline = payload.get("deadline")
-                gained, snapshot = await self._call(
-                    self._advance, session_id, k,
-                    float(deadline) if deadline is not None else None,
-                    rid=rid, route=route,
+            case _, ["sessions"]:
+                raise _HttpError(405, f"{method} not supported on {path}")
+            case "GET", ["sessions", sid]:
+                return "GET /sessions/{id}", True, lambda: (
+                    200, *self._snapshot(frame, router.poll(sid))
                 )
-                return 200, {
-                    "gained": gained, "snapshot": snapshot_to_json(snapshot),
-                }, "application/json", ()
-            if action == "penalty" and method == "POST":
-                payload = self._json(body)
-                snapshot = await self._call(
-                    self._set_penalty, session_id, payload, rid=rid, route=route
+            case "DELETE", ["sessions", sid]:
+                return "DELETE /sessions/{id}", True, lambda: (204, router.cancel(sid), _JSON)
+            case "POST", ["sessions", sid, "advance"]:
+                return "POST /sessions/{id}/advance", True, lambda: (
+                    self._advance(sid, body, frame)
                 )
-                return 200, snapshot_to_json(snapshot), "application/json", ()
-            if action == "retry" and method == "POST":
-                requeued = await self._call(
-                    self.router.retry_skipped, session_id, rid=rid, route=route
+            case "POST", ["sessions", sid, "penalty"]:
+                return "POST /sessions/{id}/penalty", True, lambda: (
+                    self._set_penalty(sid, body, frame)
                 )
-                return 200, {"requeued": requeued}, "application/json", ()
-            if action == "costs" and method == "GET":
-                report = await self._call(
-                    self.router.cost_report, session_id, admit=False,
-                    rid=rid, route=route,
+            case "POST", ["sessions", sid, "retry"]:
+                return "POST /sessions/{id}/retry", True, lambda: (
+                    200, {"requeued": router.retry_skipped(sid)}, _JSON
                 )
-                return 200, report, "application/json", ()
-        except KeyError as exc:
-            raise _HttpError(
-                404, str(exc.args[0]) if exc.args else str(exc)
-            ) from None
-        except CodecError as exc:
-            raise _HttpError(400, str(exc)) from None
-        except ValueError as exc:
-            raise _HttpError(400, str(exc)) from None
+            case "GET", ["sessions", sid, "costs"]:
+                return "GET /sessions/{id}/costs", False, lambda: (
+                    200, router.cost_report(sid), _JSON
+                )
         raise _HttpError(404, f"no route for {method} {path}")
 
     # ------------------------------------------------------------------
-    # Router bridging
+    # Router bridging (everything here runs on the pool)
     # ------------------------------------------------------------------
 
-    def _submit(self, payload: dict) -> dict:
+    @staticmethod
+    def _snapshot(frame: bool, snapshot, **outer) -> tuple:
+        """``(body, content type)`` of a snapshot-bearing reply: the frame
+        when the request asked for it, else JSON — the snapshot alone, or
+        nested beside ``outer``."""
+        if frame:
+            return encode_snapshot_frame(snapshot, **outer), SNAPSHOT_FRAME_TYPE
+        payload = snapshot_to_json(snapshot)
+        if outer:
+            payload = {**outer, "snapshot": payload}
+        return json.dumps(payload, sort_keys=True).encode("utf-8"), _JSON
+
+    def _submit(self, body: bytes, frame: bool) -> tuple:
+        if self._draining:
+            raise _HttpError(
+                503, "edge is draining; not accepting new sessions", self._retry_after()
+            )
+        payload = self._json(body)
         batch = decode_batch(payload)
         penalty = decode_penalty(payload.get("penalty"), batch.size)
         workers = payload.get("workers")
         session_id = self.router.submit(
-            batch, penalty=penalty,
-            workers=int(workers) if workers is not None else None,
+            batch, penalty=penalty, workers=int(workers) if workers is not None else None
         )
-        return {
-            "session_id": session_id,
-            "snapshot": snapshot_to_json(self.router.poll(session_id)),
-        }
+        snapshot = self.router.poll(session_id)
+        return 201, *self._snapshot(frame, snapshot, session_id=session_id)
 
-    def _advance(self, session_id: str, k: int, deadline: float | None):
-        """Advance and snapshot in one executor hop."""
-        gained = self.router.advance(session_id, k, deadline)
-        return gained, self.router.poll(session_id)
+    def _advance(self, session_id: str, body: bytes, frame: bool) -> tuple:
+        payload = self._json(body)
+        deadline = payload.get("deadline")
+        gained = self.router.advance(
+            session_id, int(payload.get("k", 1)),
+            float(deadline) if deadline is not None else None,
+        )
+        snapshot = self.router.poll(session_id)
+        return 200, *self._snapshot(frame, snapshot, gained=gained)
 
-    def _set_penalty(self, session_id: str, payload: dict):
-        """Re-target and snapshot in one executor hop."""
+    def _set_penalty(self, session_id: str, body: bytes, frame: bool) -> tuple:
+        payload = self._json(body)
         spec = payload.get("penalty", payload if payload else None)
         if spec is None or "kind" not in spec:
             raise CodecError("request needs a penalty spec")
         size = self.router._session(session_id).session.batch.size
         self.router.set_penalty(session_id, decode_penalty(spec, size))
-        return self.router.poll(session_id)
+        return 200, *self._snapshot(frame, self.router.poll(session_id))
 
-    def _scrape_text(self) -> str:
-        """Fresh-enough federated /metrics body (pull + render)."""
+    def _healthz(self) -> tuple:
+        health = self.router.healthz()
+        health["inflight"] = self._inflight
+        health["max_inflight"] = self.max_inflight
+        health["draining"] = self._draining
+        return (200 if health["ok"] else 503), health, _JSON
+
+    def _retry_after(self) -> tuple:
+        return (("Retry-After", f"{self.retry_after:g}"),)
+
+    def _fresh(self, read):
+        """``read()`` over fresh-enough federated telemetry (pull first)."""
         self.router.pull_telemetry(max_age=_SCRAPE_MAX_AGE)
-        return self.router.federated_metrics_text()
+        return read()
 
-    def _scrape_json(self) -> str:
-        """Fresh-enough federated /metrics.json body."""
-        self.router.pull_telemetry(max_age=_SCRAPE_MAX_AGE)
-        return json.dumps(
-            self.router.federated_metrics_json(), indent=2, sort_keys=True
-        )
-
-    def _scrape_status(self) -> dict:
-        """Fresh-enough /status body."""
-        self.router.pull_telemetry(max_age=_SCRAPE_MAX_AGE)
-        return self.router.status()
-
-    async def _call(
-        self, fn, *args, admit: bool = True,
-        rid: str | None = None, route: str = "other",
-    ):
-        """Run router work on the pool, under admission control.
+    async def _call(self, work, admit: bool, rid: str, route: str):
+        """Run ``work()`` on the pool, under admission control if ``admit``.
 
         ``rid`` is bound as the trace context *inside the executor
         thread* (never across an await — the context is a thread-local
@@ -678,16 +594,14 @@ class ClusterHttpServer:
                     self._rejected.inc()
                     self._shed_requests.inc(route=route)
                     raise _HttpError(
-                        429,
-                        "cluster at capacity; retry later",
-                        headers=(("Retry-After", f"{self.retry_after:g}"),),
+                        429, "cluster at capacity; retry later", self._retry_after()
                     )
                 self._inflight += 1
         loop = asyncio.get_running_loop()
 
         def _bound() -> object:
             with trace_context(rid):
-                return fn(*args)
+                return work()
 
         try:
             return await loop.run_in_executor(self._pool, _bound)

@@ -47,6 +47,10 @@ COLUMN_BLOCK = 1 << 23
 #: float64 scratch.
 _SCRATCH_ENTRIES = 1 << 19
 
+#: Keys summed at a time by :meth:`QueryPlan.exact_estimates`: at most
+#: ``batch_size`` entries a key, so a few MB of gathered columns.
+_EXACT_BLOCK_KEYS = 1 << 10
+
 
 def _outer(op: np.ufunc, per_axis: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(op.outer, per_axis).ravel()
@@ -412,10 +416,11 @@ class QueryPlan:
         return col
 
     def _key_major(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every column, in key order.  On a factored plan this is the
-        total fallback: build all that is missing and re-pack the store
-        by key, once — from then on the plan is the dense plan, at the
-        dense plan's cost."""
+        """Every column, in key order: what a non-SSE :meth:`importance`
+        (and the flat ``entry_*`` view) reads.  On a factored plan this is
+        the total fallback: build all that is missing and re-pack the
+        store by key, once — from then on the plan is the dense plan, at
+        the dense plan's cost."""
         if not self._by_key:
             self._build(np.flatnonzero(self._starts < 0))
             self._qid, self._val, _ = self.chunk_segments(np.arange(self.num_keys))
@@ -443,14 +448,18 @@ class QueryPlan:
         """Final answers given the data coefficient of every master key.
 
         Sums every query's terms in ascending key order, whatever order
-        the columns were built in.
+        the columns were built in: one gather and one ``np.add.at`` per
+        :data:`_EXACT_BLOCK_KEYS` keys, which accumulates element by
+        element in array order exactly as a single pass over the
+        key-major store would, without re-packing the store by key.
         """
         coefficients_by_key = np.asarray(coefficients_by_key, dtype=np.float64)
         if coefficients_by_key.shape != (self.num_keys,):
             raise ValueError(f"expected {self.num_keys} coefficients")
-        qid, val = self._key_major()
-        return np.bincount(
-            qid,
-            weights=val * np.repeat(coefficients_by_key, self.counts),
-            minlength=self.batch_size,
-        )
+        self._build(np.flatnonzero(self._starts < 0))
+        answers = np.zeros(self.batch_size)
+        for lo in range(0, self.num_keys, _EXACT_BLOCK_KEYS):
+            block = np.arange(lo, min(lo + _EXACT_BLOCK_KEYS, self.num_keys))
+            qid, val, counts = self.chunk_segments(block)
+            np.add.at(answers, qid, val * np.repeat(coefficients_by_key[block], counts))
+        return answers

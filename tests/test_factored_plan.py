@@ -9,6 +9,7 @@ same object either way, whatever was built when.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -251,3 +252,78 @@ def test_small_blocks_build_only_what_a_session_reads(monkeypatch):
     assert 200 <= plan._used < 200 + batch.size
     service.advance(sid, 40)
     assert plan._used < plan.num_entries // 2
+
+
+# ----------------------------------------------------------------------
+# Exact answers: summed in key order, block by block, nothing re-packed
+# ----------------------------------------------------------------------
+
+
+def key_major_answers(dense: QueryPlan, coefficients: np.ndarray) -> np.ndarray:
+    """One ``bincount`` over the key-major store: the reference reduction."""
+    assert dense._by_key
+    return np.bincount(
+        dense.entry_qid,
+        weights=dense.entry_val * np.repeat(coefficients, dense.counts),
+        minlength=dense.batch_size,
+    )
+
+
+def exact_cases():
+    for wavelet in ("haar", "db2"):
+        storage = wavelet_storage((16, 16), wavelet, seed=3)
+        grid = partition_count_batch((16, 16), (3, 5), rng=np.random.default_rng(31))
+        rects = random_rectangles((16, 16), 7, rng=np.random.default_rng(32))
+        yield f"{wavelet}-grid", storage, grid
+        yield f"{wavelet}-rectangles", storage, QueryBatch(
+            [VectorQuery.count(r) for r in rects]
+        )
+
+
+@pytest.mark.parametrize("block", [1, 9, 64, 1 << 10])
+@pytest.mark.parametrize(
+    "storage, batch",
+    [pytest.param(s, b, id=name) for name, s, b in exact_cases()],
+)
+def test_blocked_exact_estimates_equal_the_key_major_bincount(
+    storage, batch, block, monkeypatch
+):
+    monkeypatch.setattr(plan_module, "_EXACT_BLOCK_KEYS", block)
+    dense = QueryPlan.from_rewrites(storage.rewrite_batch(batch))
+    assert block == 1 or dense.num_keys % block, "the last block is a short one"
+    coefficients = np.random.default_rng(33).normal(size=dense.num_keys)
+    want = key_major_answers(dense, coefficients)
+    np.testing.assert_array_equal(dense.exact_estimates(coefficients), want)
+
+    plan = QueryPlan.from_batch(storage, batch)  # factored when a grid
+    np.testing.assert_array_equal(plan.exact_estimates(coefficients), want)
+    assert not plan._by_key or plan._grid is None
+    # A non-SSE penalty re-packs a factored plan by key: same sum after.
+    plan.importance(CursoredSsePenalty(batch.size, high_priority=[1]))
+    assert plan._by_key
+    np.testing.assert_array_equal(plan.exact_estimates(coefficients), want)
+
+
+def test_exact_answers_leave_a_factored_plan_as_it_was():
+    storage = wavelet_storage((32, 32), "db2", seed=7)
+    batch = partition_count_batch((32, 32), (5, 4), rng=np.random.default_rng(71))
+    service = ProgressiveQueryService(storage)
+    sid = service.submit(batch)
+    session = service._session(sid).session
+    plan = session.plan
+    assert plan._grid is not None
+    service.advance(sid, plan.num_keys)
+    store = (plan._used, plan._qid.size, plan._val.size, plan._starts.copy())
+    snapshot = service.poll(sid)
+    assert snapshot.is_exact
+    np.testing.assert_array_equal(snapshot.estimates, session.exact_answers())
+    np.testing.assert_array_equal(
+        snapshot.estimates,
+        key_major_answers(
+            QueryPlan.from_rewrites(storage.rewrite_batch(batch)),
+            session._coefficients,
+        ),
+    )
+    assert not plan._by_key
+    assert (plan._used, plan._qid.size, plan._val.size) == store[:3]
+    np.testing.assert_array_equal(plan._starts, store[3])
