@@ -1,4 +1,4 @@
-"""Command-line interface: generate data, explain plans, run batches.
+"""Command-line interface: generate data, explain plans, run batches, serve.
 
 Usage (after ``pip install -e .``):
 
@@ -6,19 +6,19 @@ Usage (after ``pip install -e .``):
     python -m repro explain  --dataset temperature --cells 4,4,2,2
     python -m repro run      --dataset temperature --cells 4,4,2,2 \
         --penalty cursored --budget 512 --trace-out trace.json
-    python -m repro serve-demo --dataset uniform --shape 64,64 \
-        --clients 4 --paged --metrics-port 9100
     python -m repro serve --dataset uniform --shape 64,64 \
         --shards 2 --port 8080
     python -m repro metrics --format prometheus
 
 The CLI mirrors the benchmark harness at whatever scale you ask for; it is
-the quickest way to eyeball the paper's Observations 1-3 — and the service
-layer's cross-batch sharing — on your own parameters.  Every subcommand is
-wired into the ``repro.obs`` telemetry layer: ``--trace-out`` captures a
-Chrome-``chrome://tracing`` span trace of the whole pipeline,
-``--metrics-port`` exposes the metric registry at ``/metrics``, and the
-``metrics`` subcommand runs a small workload and prints the registry.
+the quickest way to eyeball the paper's Observations 1-3 on your own
+parameters.  ``serve`` is the one serving command: the sharded service
+behind the asyncio HTTP edge (``--inline-shards`` where subprocesses are
+not allowed), whose ``/metrics`` exposes the metric registry.  Every
+subcommand is wired into the ``repro.obs`` telemetry layer:
+``--trace-out`` captures a ``chrome://tracing`` span trace of the whole
+pipeline, and the ``metrics`` subcommand runs a small workload and prints
+the registry.
 """
 
 from __future__ import annotations
@@ -94,10 +94,8 @@ def _build_relation(args: argparse.Namespace) -> Relation:
     raise ValueError(f"unknown dataset {args.dataset!r}")
 
 
-def _build_batch(
-    relation: Relation, args: argparse.Namespace, seed: int | None = None
-):
-    rng = np.random.default_rng(args.seed + 1 if seed is None else seed)
+def _build_batch(relation: Relation, args: argparse.Namespace):
+    rng = np.random.default_rng(args.seed + 1)
     if args.dataset == "temperature":
         return partition_sum_batch(
             relation.shape,
@@ -314,154 +312,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_serve_demo(args: argparse.Namespace) -> int:
-    """N concurrent dashboards against one service: the sharing payoff."""
-    tracing = _start_trace(args)
-    profiler = _start_profile(args)
-    metrics_server = None
-    if args.metrics_port is not None:
-        metrics_server = obs.start_metrics_server(obs.REGISTRY, port=args.metrics_port)
-        print(
-            "serving telemetry on "
-            f"http://127.0.0.1:{metrics_server.server_port}/metrics"
-        )
-    relation = _build_relation(args)
-    delta = relation.frequency_distribution()
-    storage = WaveletStorage.build(delta, wavelet=args.wavelet)
-    tmpdir: tempfile.TemporaryDirectory | None = None
-    if args.paged:
-        tmpdir = tempfile.TemporaryDirectory(prefix="repro-paged-")
-        storage = storage.paged(
-            Path(tmpdir.name) / "coefficients.pages",
-            page_size=args.page_size,
-            buffer_pages=args.buffer_pages,
-        )
-    chaos = _chaos_spec(args, storage.store.key_space_size)
-    resilient = None
-    if chaos:
-        from repro.storage.faults import chaos_stack
-
-        resilient = chaos_stack(storage.store, chaos)
-        storage = storage.with_store(resilient)
-        print(
-            f"chaos: transient fault rate {args.fault_rate:.0%}, "
-            f"{len(chaos['blackout_keys'])} blacked-out keys, seed {args.fault_seed}, "
-            f"retries up to {args.max_attempts} attempts"
-        )
-    try:
-        batches = [
-            _build_batch(relation, args, seed)
-            for seed in range(args.seed + 1, args.seed + 1 + args.clients)
-        ]
-
-        service = ProgressiveQueryService(storage)
-        answers: dict[int, np.ndarray] = {}
-        session_ids: dict[int, str] = {}
-
-        def client(idx: int) -> None:
-            session_id = service.submit(batches[idx], workers=args.workers)
-            session_ids[idx] = session_id
-            # Degradation-aware loop: advance() gaining nothing means the
-            # remaining keys are unavailable — take the bounded answer.
-            while not service.poll(session_id).is_exact:
-                if service.advance(session_id, args.chunk) == 0:
-                    break
-            answers[idx] = service.poll(session_id).estimates
-
-        threads = [
-            threading.Thread(target=client, args=(i,), name=f"client-{i}")
-            for i in range(args.clients)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        independent = sum(
-            BatchBiggestB(storage, batch).master_list_size for batch in batches
-        )
-        metrics = service.metrics()
-        snapshots = {i: service.poll(session_ids[i]) for i in range(args.clients)}
-        # Success: exact sessions answer exactly; degraded sessions carry a
-        # finite Theorem-1 bound that really covers their current error.
-        ok = True
-        for i, snap in snapshots.items():
-            exact_answers = batches[i].exact_dense(delta)
-            if snap.is_exact:
-                ok = ok and np.allclose(
-                    answers[i], exact_answers, rtol=1e-7, atol=1e-6
-                )
-            else:
-                sse = float(np.sum((answers[i] - exact_answers) ** 2))
-                ok = ok and snap.degraded and sse <= snap.worst_case_bound * (
-                    1 + 1e-9
-                ) + 1e-9
-        print(
-            f"{args.clients} concurrent clients x {batches[0].size} queries "
-            f"over a {'x'.join(map(str, relation.shape))} domain"
-        )
-        print(
-            f"independent evaluation: {independent:,} retrievals | "
-            f"shared service: {metrics.retrievals:,} "
-            f"({independent / metrics.retrievals:.2f}x saving)"
-        )
-        print(
-            f"deliveries: {metrics.deliveries:,} | shared hits: "
-            f"{metrics.shared_deliveries:,} "
-            f"({metrics.shared_hit_ratio:.1%} of deliveries were free)"
-        )
-        if metrics.page_cache is not None:
-            pc = metrics.page_cache
-            print(
-                f"page buffer pool: {pc['hits']:,} hits / {pc['misses']:,} misses "
-                f"/ {pc['evictions']:,} evictions ({pc['hit_ratio']:.1%} hit ratio)"
-            )
-        bound_trajectory = service.convergence(session_ids[0])
-        if bound_trajectory:
-            first, last = bound_trajectory[0], bound_trajectory[-1]
-            print(
-                f"convergence (client 0): Thm-1 bound {first.worst_case_bound:.3e} "
-                f"@ B={first.steps_taken} -> {last.worst_case_bound:.3e} "
-                f"@ B={last.steps_taken} in {last.wall_time * 1e3:.1f}ms"
-            )
-        if chaos:
-            degraded = sorted(
-                i for i, snap in snapshots.items() if snap.degraded
-            )
-            print(
-                f"chaos report: {resilient.retry_count():,} retries | "
-                f"{resilient.inner.faults_injected:,} injected faults | "
-                f"breaker {resilient.breaker_state} | "
-                f"{metrics.skipped_keys} keys skipped"
-            )
-            for i in degraded:
-                snap = snapshots[i]
-                print(
-                    f"  client {i}: degraded, {snap.skipped_count} keys "
-                    f"unavailable, Thm-1 bound {snap.worst_case_bound:.3e}"
-                )
-        report = service.cost_report(session_ids[0])
-        if report["stages"]:
-            cost_line = " | ".join(
-                f"{name} {cell['wall_s'] * 1e3:.1f}ms"
-                for name, cell in report["stages"].items()
-            )
-            print(f"cost (client 0): {cost_line}")
-        if profiler is not None:
-            _finish_profile(args, profiler)
-        if tracing:
-            _finish_trace(args)
-        verdict = "exact or degraded-but-bounded" if chaos else "exact"
-        print(f"all clients {verdict}: {ok}")
-        return 0 if ok else 1
-    finally:
-        if metrics_server is not None:
-            metrics_server.shutdown()
-        if tmpdir is not None:
-            storage.store.close()
-            tmpdir.cleanup()
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Stand up the sharded cluster behind the asyncio HTTP edge.
 
@@ -540,6 +390,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 access_log_file.write(line + "\n")
                 access_log_file.flush()
 
+        # Assigned before it starts: if the bind fails, the ``finally``
+        # still closes the edge, and with it the router and its shards.
         server = ClusterHttpServer(
             router,
             host=args.host,
@@ -547,7 +399,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_inflight=args.max_inflight,
             telemetry_interval=args.telemetry_interval,
             access_log=access_log,
-        ).start_in_thread()
+        )
+        server.start_in_thread()
 
         def _on_sigterm(signum, frame):  # noqa: ARG001 - signal signature
             stop.set()
@@ -712,47 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "pool of this size (>1 to parallelize)")
     _add_profile_args(p_run)
     p_run.set_defaults(func=cmd_run)
-
-    p_serve = sub.add_parser(
-        "serve-demo",
-        help="drive N concurrent clients against one shared query service",
-    )
-    _add_common(p_serve)
-    _add_batch_args(p_serve)
-    p_serve.add_argument("--clients", type=_positive_int, default=4,
-                         help="concurrent client threads, one batch each")
-    p_serve.add_argument("--chunk", type=_positive_int, default=64,
-                         help="coefficients gained per advance() call")
-    p_serve.add_argument("--paged", action="store_true",
-                         help="serve coefficients from a paged disk file")
-    p_serve.add_argument("--page-size", type=_positive_int, default=1024,
-                         dest="page_size", help="coefficients per disk page")
-    p_serve.add_argument("--buffer-pages", type=int, default=64,
-                         dest="buffer_pages", help="LRU buffer pool capacity")
-    p_serve.add_argument("--metrics-port", type=int, default=None,
-                         dest="metrics_port",
-                         help="serve /metrics (Prometheus text) on this port "
-                         "from a daemon thread; 0 picks an ephemeral port")
-    p_serve.add_argument("--trace-out", default=None, dest="trace_out",
-                         help="write a chrome://tracing span trace to this path")
-    p_serve.add_argument("--fault-rate", type=float, default=0.0,
-                         dest="fault_rate",
-                         help="inject transient fetch faults at this rate "
-                         "(0..1); retries keep answers bit-exact")
-    p_serve.add_argument("--blackout", type=int, default=0,
-                         help="permanently black out this many random keys; "
-                         "affected sessions degrade with a valid Thm-1 bound")
-    p_serve.add_argument("--fault-seed", type=int, default=0,
-                         dest="fault_seed",
-                         help="seed for the fault injector and blackout draw")
-    p_serve.add_argument("--max-attempts", type=_positive_int, default=8,
-                         dest="max_attempts",
-                         help="retry budget per fetch under --fault-rate")
-    p_serve.add_argument("--workers", type=_positive_int, default=None,
-                         help="compute distinct rewrite factors on a process "
-                         "pool of this size at submit (>1 to parallelize)")
-    _add_profile_args(p_serve)
-    p_serve.set_defaults(func=cmd_serve_demo)
 
     p_cluster = sub.add_parser(
         "serve",

@@ -102,8 +102,6 @@ def build_cluster(
     process_shards: bool = True,
     chaos: dict | None = None,
     chaos_shard: int | None = None,
-    timeout: float = 30.0,
-    start_method: str = "spawn",
     registry=None,
     chunk_size: int | None = None,
     trace: bool = False,
@@ -149,13 +147,7 @@ def build_cluster(
                 path, index, buffer_pages=buffer_pages, chaos=shard_chaos
             )
         return spawn_shard(
-            path,
-            index,
-            buffer_pages=buffer_pages,
-            chaos=shard_chaos,
-            timeout=timeout,
-            start_method=start_method,
-            trace=trace,
+            path, index, buffer_pages=buffer_pages, chaos=shard_chaos, trace=trace
         )
 
     shards = []

@@ -68,7 +68,7 @@ from repro.cluster.codec import (
     split_head,
 )
 from repro.cluster.router import ClusterRouter
-from repro.obs.http import PROMETHEUS_CONTENT_TYPE
+from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.trace import trace_context
 
 _MAX_HEADER_BYTES = 64 * 1024
@@ -79,6 +79,12 @@ _BYTE_BUCKETS = (
 )
 #: On-demand scrapes reuse a federated payload younger than this.
 _SCRAPE_MAX_AGE = 1.0
+#: The ``Retry-After`` hint (seconds) on a 429 (overload) or 503 (draining).
+RETRY_AFTER_S = 1.0
+_RETRY_AFTER = (("Retry-After", f"{RETRY_AFTER_S:g}"),)
+#: Requests at least this slow (seconds) are counted and flagged in the
+#: access log.
+SLOW_REQUEST_S = 1.0
 _JSON = "application/json"
 
 
@@ -103,24 +109,19 @@ class ClusterHttpServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_inflight: int = 32,
-        retry_after: float = 1.0,
         telemetry_interval: float = 5.0,
-        slow_request_s: float = 1.0,
         access_log=None,
     ) -> None:
         """``telemetry_interval`` is the background federation-pull period
         in seconds (0 disables the periodic task; on-demand scrapes still
-        pull).  Requests slower than ``slow_request_s`` are counted and
-        flagged in the access log.  ``access_log`` is a callable given one
-        JSON line per request — ``None`` means stderr, ``False`` disables
-        the log entirely."""
+        pull).  ``access_log`` is a callable given one JSON line per
+        request — ``None`` means stderr, ``False`` disables the log
+        entirely."""
         self.router = router
         self.host = host
         self.port = int(port)  # 0 = ephemeral; read back after start
         self.max_inflight = int(max_inflight)
-        self.retry_after = float(retry_after)
         self.telemetry_interval = float(telemetry_interval)
-        self.slow_request_s = float(slow_request_s)
         if access_log is None:
             self._access_log = _stderr_access_log
         else:
@@ -175,15 +176,9 @@ class ClusterHttpServer:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def serve(self) -> None:
-        """Bind and serve forever on the current event loop (foreground)."""
-        await self._bind()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
     def start_in_thread(self) -> "ClusterHttpServer":
-        """Run the edge on a daemon thread (tests, embedding); returns self."""
+        """Run the edge on a daemon thread — the one way to run it
+        (``repro serve``, tests, embedding); returns self."""
         if self._thread is not None:
             raise RuntimeError("edge already started")
 
@@ -426,7 +421,7 @@ class ClusterHttpServer:
         self._request_seconds.observe(duration, route=route)
         self._response_bytes.observe(size, route=route)
         self._route_requests.inc(route=route, status=str(status))
-        slow = duration >= self.slow_request_s
+        slow = duration >= SLOW_REQUEST_S
         if slow:
             self._slow_requests.inc(route=route)
         if self._access_log is None:
@@ -533,7 +528,7 @@ class ClusterHttpServer:
     def _submit(self, body: bytes, frame: bool) -> tuple:
         if self._draining:
             raise _HttpError(
-                503, "edge is draining; not accepting new sessions", self._retry_after()
+                503, "edge is draining; not accepting new sessions", _RETRY_AFTER
             )
         payload = self._json(body)
         batch = decode_batch(payload)
@@ -571,9 +566,6 @@ class ClusterHttpServer:
         health["draining"] = self._draining
         return (200 if health["ok"] else 503), health, _JSON
 
-    def _retry_after(self) -> tuple:
-        return (("Retry-After", f"{self.retry_after:g}"),)
-
     def _fresh(self, read):
         """``read()`` over fresh-enough federated telemetry (pull first)."""
         self.router.pull_telemetry(max_age=_SCRAPE_MAX_AGE)
@@ -594,7 +586,7 @@ class ClusterHttpServer:
                     self._rejected.inc()
                     self._shed_requests.inc(route=route)
                     raise _HttpError(
-                        429, "cluster at capacity; retry later", self._retry_after()
+                        429, "cluster at capacity; retry later", _RETRY_AFTER
                     )
                 self._inflight += 1
         loop = asyncio.get_running_loop()

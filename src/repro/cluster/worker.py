@@ -113,7 +113,7 @@ class ShardWorker:
 def build_shard_store(spec: dict):
     """Open a shard's store slice from its picklable spec::
 
-        {"path": ..., "buffer_pages": 64, "shared": True,
+        {"path": ..., "buffer_pages": 64,
          "chaos": None | {"seed", "transient_rate", "blackout_keys",
                           "latency", "max_attempts"}}
 
@@ -125,7 +125,7 @@ def build_shard_store(spec: dict):
     store = PagedCoefficientStore(
         spec["path"],
         buffer_pages=int(spec.get("buffer_pages", 64)),
-        shared=bool(spec.get("shared", True)),
+        shared=True,
     )
     chaos = spec.get("chaos")
     return chaos_stack(store, chaos) if chaos else store
@@ -208,16 +208,20 @@ class InlineShard:
     abandon = close
 
 
+#: Seconds a process shard may take to answer one command before it is
+#: declared lost.
+REPLY_TIMEOUT_S = 30.0
+
+
 class ProcessShard:
     """A shard worker in its own OS process, driven over a pipe."""
 
     is_process = True
 
-    def __init__(self, process, conn, shard: int, timeout: float = 30.0) -> None:
+    def __init__(self, process, conn, shard: int) -> None:
         self._process = process
         self._conn = conn
         self.shard = int(shard)
-        self.timeout = float(timeout)
         self.alive = True
 
     @property
@@ -240,8 +244,8 @@ class ProcessShard:
     def recv(self):
         """The reply to the command last sent."""
         try:
-            if not self._conn.poll(self.timeout):
-                raise ShardLostError(self.shard, f"no reply in {self.timeout}s")
+            if not self._conn.poll(REPLY_TIMEOUT_S):
+                raise ShardLostError(self.shard, f"no reply in {REPLY_TIMEOUT_S}s")
             ok, payload = self._conn.recv()
         except ShardLostError:
             self.abandon()
@@ -302,10 +306,7 @@ def spawn_shard(
     paged_path,
     index: int,
     buffer_pages: int = 64,
-    shared: bool = True,
     chaos: dict | None = None,
-    timeout: float = 30.0,
-    start_method: str = "spawn",
     trace: bool = False,
 ) -> ProcessShard:
     """Spawn one shard worker process (also the supervisor's respawn unit).
@@ -316,11 +317,10 @@ def spawn_shard(
     ``trace`` turns span recording on inside the worker process so
     telemetry pulls can ship the spans back for a merged Chrome trace.
     """
-    ctx = mp.get_context(start_method)
+    ctx = mp.get_context("spawn")
     spec = {
         "path": str(paged_path),
         "buffer_pages": buffer_pages,
-        "shared": shared,
         "shard": int(index),
         "trace": bool(trace),
         "chaos": chaos,
@@ -334,7 +334,7 @@ def spawn_shard(
     )
     process.start()
     child.close()
-    return ProcessShard(process, parent, index, timeout=timeout)
+    return ProcessShard(process, parent, index)
 
 
 def inline_shard(

@@ -5,7 +5,9 @@ progressive pipeline:
 
 * :mod:`repro.obs.metrics` — a thread-safe metric registry (counters,
   gauges, log-bucket histograms, labels) with Prometheus text and JSON
-  exposition; the process-global default is :data:`REGISTRY`;
+  exposition; the process-global default is :data:`REGISTRY`, and the
+  one HTTP front serving it (``/metrics``, ``/costs.json``) is the
+  cluster edge, :mod:`repro.cluster.http`;
 * :mod:`repro.obs.trace` — nested wall-clock :func:`span`\\ s recorded
   into a bounded ring, exported as Chrome ``chrome://tracing`` JSON, with
   cross-process collection from pool workers (portable span shipping);
@@ -16,8 +18,6 @@ progressive pipeline:
   wall_time)`` event logs, the paper's Figures 5-7 from live telemetry;
 * :mod:`repro.obs.profile` — sampling-profiler hooks (thread- or
   signal-based, off by default) emitting collapsed flamegraph stacks;
-* :mod:`repro.obs.http` — a stdlib ``/metrics`` + ``/costs.json``
-  endpoint;
 * :mod:`repro.obs.bench` — the continuous benchmark harness behind
   ``repro bench`` (imported lazily: it pulls in the whole pipeline).
 
@@ -35,7 +35,6 @@ from repro.obs.convergence import (
     ConvergenceRecord,
     ConvergenceTrajectory,
 )
-from repro.obs.http import start_metrics_server
 from repro.obs.ledger import LEDGER, CostAccount, CostLedger
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
@@ -92,7 +91,6 @@ __all__ = [
     "set_tracing",
     "snapshot_to_prometheus",
     "span",
-    "start_metrics_server",
     "tracing_enabled",
     "trace_context",
 ]

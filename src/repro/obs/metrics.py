@@ -68,6 +68,10 @@ DEFAULT_TIME_BUCKETS: tuple[float, ...] = tuple(
     10.0 ** (i / 2.0) for i in range(-14, 4)
 )
 
+#: The HTTP ``Content-Type`` of :meth:`MetricRegistry.render_prometheus`
+#: (and :func:`snapshot_to_prometheus`) output.
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
 
 def _format_value(value: float) -> str:
     """Prometheus sample formatting: integral values render without '.0'."""

@@ -20,7 +20,7 @@ modes, selected at construction:
 Samples aggregate into collapsed stacks — ``outer;inner;leaf count``
 lines, the flamegraph.pl / speedscope input format — exported with
 :meth:`SamplingProfiler.export`.  ``repro run --profile-out prof.txt``
-and ``repro serve-demo --profile-out prof.txt`` wire this up end to end.
+wires this up end to end.
 """
 
 from __future__ import annotations

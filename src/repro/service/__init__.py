@@ -11,8 +11,8 @@ retrieval schedules of every live session into one global importance order
 overlapping batches fetch each shared coefficient exactly once.
 
 See ``docs/SERVICE.md`` for the architecture and
-``examples/concurrent_dashboards.py`` / ``repro serve-demo`` for a
-multi-threaded demonstration of the sharing savings.
+``examples/concurrent_dashboards.py`` for a multi-threaded demonstration
+of the sharing savings.
 """
 
 from repro.service.scheduler import SharedRetrievalScheduler

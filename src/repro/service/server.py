@@ -14,7 +14,8 @@ lifecycle and telemetry federation and defines no session method itself.
 
 All public methods are thread-safe; a dashboard per client thread driving
 one service object is the intended deployment shape (see
-``examples/concurrent_dashboards.py`` and ``repro serve-demo``).
+``examples/concurrent_dashboards.py``; ``repro serve`` puts the same
+class behind the HTTP edge).
 """
 
 from __future__ import annotations

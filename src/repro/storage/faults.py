@@ -184,8 +184,9 @@ def chaos_stack(store, chaos: dict) -> ResilientStore:
     zero-delay :class:`~repro.storage.resilient.ResilientStore` — it is
     the result's ``inner`` — so transients are retried at full speed and
     a blacked-out key degrades the interested sessions instead of
-    crashing the serving loop.  The one wiring behind ``repro serve-demo``,
-    every cluster shard and the bench's degraded scenario.
+    crashing the serving loop.  The one wiring behind ``repro serve
+    --fault-rate/--blackout`` (every cluster shard) and the bench's
+    degraded scenario.
     """
     injector = FaultInjectingStore(
         store,

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cluster import (
     ClusterApiError,
     ClusterBusyError,
@@ -14,8 +15,10 @@ from repro.cluster import (
     ClusterHttpServer,
     build_cluster,
 )
+from repro.cluster.http import RETRY_AFTER_S
 from repro.queries.workload import partition_count_batch
 from repro.storage.wavelet_store import WaveletStorage
+from tests.promparse import validate_exposition
 
 
 @pytest.fixture(scope="module")
@@ -125,12 +128,28 @@ class TestSessionApi:
 
 class TestObservability:
     def test_metrics_costs_and_healthz(self, edge):
-        _, client = edge
+        server, client = edge
         sid = client.submit(make_batch(17))
         client.advance(sid, 12)
         text = client.metrics_text()
         assert "repro_cluster_sessions_submitted_total" in text
         assert "repro_cluster_shard_up" in text
+        # A Prometheus scrape target: the 0.0.4 content type and a body
+        # the strict linter accepts.
+        import http.client
+
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        conn.request("GET", "/metrics")
+        response = conn.getresponse()
+        assert response.getheader("Content-Type").startswith(
+            "text/plain; version=0.0.4"
+        )
+        assert validate_exposition(response.read().decode("utf-8")) == []
+        conn.request("GET", "/nope")
+        response = conn.getresponse()
+        assert response.status == 404
+        response.read()
+        conn.close()
         costs = client.costs()
         assert sid in costs
         report = client.session_costs(sid)
@@ -157,6 +176,20 @@ class TestObservability:
         for shard in status["shards"].values():
             assert shard["alive"] and shard["rtt_p50_s"] > 0.0
             assert shard["last_reply_age_s"] >= 0.0
+        client.cancel(sid)
+
+    def test_trace_covers_submit_and_scheduler(self, edge):
+        _, client = edge
+        obs.get_recorder().clear()
+        obs.set_tracing(True)
+        try:
+            sid = client.submit(make_batch(41))
+            client.advance(sid, 8)
+        finally:
+            obs.set_tracing(False)
+        names = {record.name for record in obs.get_recorder().records()}
+        obs.get_recorder().clear()
+        assert {"cluster.submit", "scheduler.advance", "scheduler.fetch"} <= names
         client.cancel(sid)
 
     def test_edge_request_metrics_label_routes(self, edge):
@@ -282,14 +315,14 @@ class TestBackpressure:
         # max_inflight=0: every session-facing request is shed at the
         # door — the deterministic way to exercise the 429 path.
         server = ClusterHttpServer(
-            router, port=0, max_inflight=0, retry_after=2.5
+            router, port=0, max_inflight=0
         ).start_in_thread()
         client = ClusterClient("127.0.0.1", server.port)
         try:
             with pytest.raises(ClusterBusyError) as err:
                 client.submit(make_batch(19))
             assert err.value.status == 429
-            assert err.value.retry_after == 2.5
+            assert err.value.retry_after == RETRY_AFTER_S
             # Observability bypasses admission: still visible when full.
             assert client.healthz()["shards"]
             assert "repro_cluster_http_rejected_total" in client.metrics_text()

@@ -359,7 +359,7 @@ class TestFlapCap:
             attempts.append(index)
             if len(attempts) <= 2:
                 raise OSError("spawn refused")
-            spec = {"path": str(path), "buffer_pages": 16, "shared": True}
+            spec = {"path": str(path), "buffer_pages": 16}
             return InlineShard(ShardWorker(build_shard_store(spec), shard=index))
 
         policy = fast_restarts(max_restarts=5)
@@ -509,6 +509,35 @@ class TestGracefulDrain:
         server, client = edge
         assert server.draining is False
         assert client.healthz()["draining"] is False
+
+
+class TestServeTeardown:
+    # The edge thread dies with the OSError before the caller raises.
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_failed_edge_bind_leaves_no_shard_processes(self):
+        """Regression: ``repro serve`` on a busy port raised with both
+        spawned shard workers still running."""
+        import multiprocessing
+        import socket
+
+        from repro.cli import main
+
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            port = busy.getsockname()[1]
+            with pytest.raises(RuntimeError, match="failed to bind"):
+                main([
+                    "serve", "--dataset", "uniform", "--shape", "16,16",
+                    "--records", "500", "--shards", "2", "--port", str(port),
+                ])
+        shards = [
+            child.name for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard-")
+        ]
+        assert shards == []
 
 
 class TestClientRetries:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import threading
-import urllib.request
 
 import numpy as np
 import pytest
@@ -266,23 +265,6 @@ class TestServiceCostReport:
         finally:
             if front == "router":
                 service.close()
-
-    def test_costs_json_endpoint_serves_ledger(self, workload):
-        storage, batch = workload
-        obs.LEDGER.reset()
-        service = ProgressiveQueryService(storage)
-        session_id = service.submit(batch)
-        service.run_to_completion(session_id)
-        server = obs.start_metrics_server(obs.REGISTRY, port=0)
-        try:
-            url = f"http://127.0.0.1:{server.server_port}/costs.json"
-            with urllib.request.urlopen(url) as resp:
-                assert resp.headers["Content-Type"] == "application/json"
-                doc = json.loads(resp.read().decode("utf-8"))
-        finally:
-            server.shutdown()
-        assert session_id in doc
-        assert doc[session_id]["counters"]["retrievals"] > 0
 
 
 class TestRetryAttribution:

@@ -1,10 +1,9 @@
-"""Unit tests for the repro.obs metric registry and HTTP exposition."""
+"""Unit tests for the repro.obs metric registry and its exposition."""
 
 from __future__ import annotations
 
 import json
 import threading
-import urllib.request
 
 import pytest
 
@@ -208,20 +207,42 @@ class TestExposition:
 
 
 class TestHTTPExposition:
-    def test_metrics_endpoint_serves_registry(self, registry, telemetry_on):
-        registry.counter("repro_http_test_total").inc(42)
-        server = obs.start_metrics_server(registry, port=0)
+    def test_metrics_endpoint_serves_registry(
+        self, registry, telemetry_on, tmp_path
+    ):
+        """The asyncio edge exposes the registry its router was built on."""
+        import urllib.error
+        import urllib.request
+
+        import numpy as np
+
+        from repro.cluster import ClusterHttpServer, build_cluster
+        from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
+        from repro.storage.wavelet_store import WaveletStorage
+
+        data = np.random.default_rng(5).poisson(2.0, size=(16, 16))
+        storage = WaveletStorage.build(data.astype(np.float64), wavelet="haar")
+        router = build_cluster(
+            storage, tmp_path / "http.pages", 2,
+            process_shards=False, buffer_pages=8, registry=registry,
+        )
+        server = ClusterHttpServer(router, port=0).start_in_thread()
         try:
-            base = f"http://127.0.0.1:{server.server_port}"
-            with urllib.request.urlopen(f"{base}/metrics") as resp:
+            registry.counter("repro_http_test_total").inc(42)
+            base = f"http://127.0.0.1:{server.port}"
+            with urllib.request.urlopen(f"{base}/metrics", timeout=10) as resp:
                 assert resp.status == 200
-                assert resp.headers["Content-Type"].startswith("text/plain")
+                assert resp.headers["Content-Type"] == PROMETHEUS_CONTENT_TYPE
                 types, samples = parse_prometheus(resp.read().decode())
             assert samples[("repro_http_test_total", ())] == 42
-            with urllib.request.urlopen(f"{base}/metrics.json") as resp:
+            with urllib.request.urlopen(
+                f"{base}/metrics.json", timeout=10
+            ) as resp:
                 snapshot = json.loads(resp.read())
             assert snapshot["repro_http_test_total"]["samples"][0]["value"] == 42
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(f"{base}/nope")
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(f"{base}/nope", timeout=10)
+            assert excinfo.value.code == 404
+            excinfo.value.close()
         finally:
-            server.shutdown()
+            server.close()
