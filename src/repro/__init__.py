@@ -45,7 +45,7 @@ Subpackages
     The one definition of the session API.
 ``repro.cluster``
     That same service over shard workers (``ClusterRouter``), behind an
-    asyncio HTTP edge.
+    HTTP edge with one thread per connection.
 """
 
 from repro.core.batch import BatchBiggestB, ProgressiveStep

@@ -13,7 +13,7 @@ Usage (after ``pip install -e .``):
 The CLI mirrors the benchmark harness at whatever scale you ask for; it is
 the quickest way to eyeball the paper's Observations 1-3 on your own
 parameters.  ``serve`` is the one serving command: the sharded service
-behind the asyncio HTTP edge (``--inline-shards`` where subprocesses are
+behind the HTTP edge (``--inline-shards`` where subprocesses are
 not allowed), whose ``/metrics`` exposes the metric registry.  Every
 subcommand is wired into the ``repro.obs`` telemetry layer:
 ``--trace-out`` captures a ``chrome://tracing`` span trace of the whole
@@ -313,7 +313,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Stand up the sharded cluster behind the asyncio HTTP edge.
+    """Stand up the sharded cluster behind the HTTP edge.
 
     Builds the dataset, serializes its wavelet coefficients to one paged
     file, spawns ``--shards`` worker processes that map it with
@@ -568,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cluster = sub.add_parser(
         "serve",
-        help="serve the sharded cluster over the asyncio HTTP edge",
+        help="serve the sharded cluster over the HTTP edge",
     )
     _add_common(p_cluster)
     p_cluster.add_argument("--wavelet", default="db2")

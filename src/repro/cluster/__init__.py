@@ -2,7 +2,7 @@
 
 The single-process :class:`~repro.service.server.ProgressiveQueryService`
 scales until one process's schedule loop saturates; this package shards
-the coefficient key space across worker processes behind an asyncio HTTP
+the coefficient key space across worker processes behind a threaded HTTP
 edge while keeping the paper's contract intact — an N-shard cluster
 serves answers and Theorem-1 bounds *bit-identical* to the 1-process
 service at every poll point (gated by ``tests/test_cluster.py``).

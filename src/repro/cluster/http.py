@@ -1,40 +1,24 @@
-"""The cluster's asyncio HTTP edge (stdlib only).
+"""The cluster's HTTP edge (stdlib only): one thread per connection.
 
-A single-threaded :mod:`asyncio` server accepts JSON requests, hands the
-router work — and the encoding of its reply — to a small thread pool (the
-router's lock serializes it; the pool bounds how many requests may wait
-on that lock), and applies
-admission control: once ``max_inflight`` session-facing requests are in
-flight, further ones are rejected immediately with ``429 Too Many
-Requests`` and a ``Retry-After`` header instead of queueing without
-bound.  Observability endpoints (``/metrics``, ``/costs.json``,
-``/status``, ``/healthz``) bypass admission — you can always see what an
-overloaded cluster is doing.
+An accept thread hands each connection to its own daemon thread, which
+reads a request, runs the router work and the encoding of its reply
+under the request's trace context, writes the reply, logs it, and reads
+the next request.  No request is handed between threads; the router's
+lock serializes the work.  Past :data:`MAX_CONNECTIONS` open connections
+a new one gets ``503`` and ``Retry-After`` and is closed; past
+``max_inflight`` session-facing requests in flight a request gets ``429``
+and ``Retry-After`` instead of queueing.  Observability endpoints bypass
+admission — you can always see what an overloaded cluster is doing.
 
-Routes::
+The routes are the ``match`` in :meth:`ClusterHttpServer._route`;
+``docs/CLUSTER.md`` shows each with its body and a curl example.
 
-    POST   /sessions                 {queries, name?, penalty?, workers?}
-    GET    /sessions                 list live session ids
-    GET    /sessions/{id}            snapshot (estimates, Theorem-1 bound,
-                                     degraded/skipped state)
-    POST   /sessions/{id}/advance    {k, deadline?} -> {gained, snapshot}
-    POST   /sessions/{id}/penalty    {penalty} -> snapshot
-    POST   /sessions/{id}/retry      re-queue skipped keys -> {requeued}
-    GET    /sessions/{id}/costs      merged router+shard cost report
-    DELETE /sessions/{id}            cancel
-    GET    /metrics | /metrics.json  cluster-federated registry (router +
-                                     every shard process, shard-labeled)
-    GET    /costs.json | /status | /healthz
-
-Every request gets a request id — taken from an inbound ``X-Request-Id``
-header or generated — echoed back in the response's ``X-Request-Id``
-header, bound as the trace context while the router works (so shard-side
-spans of the same request share the id), stamped into the structured
-JSON access log, and counted into per-route latency/size/status metrics.
-``/healthz`` answers 503 once any shard has been shed so load balancers
-rotate the replica out; ``/status`` reports per-session convergence and
-per-shard health; a periodic background pull keeps the federated
-telemetry fresh between scrapes.
+Every request gets a request id — an inbound ``X-Request-Id`` or a
+generated one — echoed in the reply, bound as the trace context while the
+router works (shard-side spans share it), stamped into the JSON access
+log, and counted into per-route latency/size/status metrics.
+``/healthz`` answers 503 once any shard has been shed; a periodic thread
+keeps the federated telemetry fresh between scrapes.
 
 A snapshot-bearing reply (``POST /sessions``, ``GET /sessions/{id}``,
 ``/advance``, ``/penalty``) is JSON unless the request's ``Accept`` header
@@ -49,13 +33,12 @@ message in the JSON body — errors are always JSON.  See
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 import sys
 import threading
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 
 from repro.cluster.codec import (
@@ -79,12 +62,20 @@ _BYTE_BUCKETS = (
 )
 #: On-demand scrapes reuse a federated payload younger than this.
 _SCRAPE_MAX_AGE = 1.0
-#: The ``Retry-After`` hint (seconds) on a 429 (overload) or 503 (draining).
+#: The ``Retry-After`` hint (seconds) on a 429 (overload) or 503 (draining,
+#: or past the connection cap).
 RETRY_AFTER_S = 1.0
 _RETRY_AFTER = (("Retry-After", f"{RETRY_AFTER_S:g}"),)
 #: Requests at least this slow (seconds) are counted and flagged in the
 #: access log.
 SLOW_REQUEST_S = 1.0
+#: Open connections, one thread each (refused ones while they close).
+MAX_CONNECTIONS = 128
+#: Seconds a refused request's sender may go on sending before the close:
+#: closing with unread input resets the connection and can drop the reply.
+_LINGER_S = 1.0
+#: Seconds :meth:`ClusterHttpServer.close` waits per request in flight.
+_CLOSE_WAIT_S = 30.0
 _JSON = "application/json"
 
 
@@ -113,8 +104,8 @@ class ClusterHttpServer:
         access_log=None,
     ) -> None:
         """``telemetry_interval`` is the background federation-pull period
-        in seconds (0 disables the periodic task; on-demand scrapes still
-        pull).  ``access_log`` is a callable given one JSON line per
+        in seconds (0 disables the periodic thread; on-demand scrapes
+        still pull).  ``access_log`` is a callable given one JSON line per
         request — ``None`` means stderr, ``False`` disables the log
         entirely."""
         self.router = router
@@ -161,54 +152,41 @@ class ClusterHttpServer:
             "Edge requests shed by admission control, by route template",
             ("route",),
         )
-        # The router lock serializes actual work; two workers let an
-        # advance overlap a submit's rewrite front end.
-        self._pool = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="repro-edge"
-        )
-        self._server: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._telemetry_task: asyncio.Task | None = None
+        self._listener: socket.socket | None = None
+        self._accepting: threading.Thread | None = None
+        self._periodic: threading.Thread | None = None
+        #: Set by :meth:`close`; stops the accept and periodic threads.
+        self._closing = threading.Event()
+        #: Open connections and the thread serving each.
+        self._conns: dict[socket.socket, threading.Thread] = {}
+        self._conns_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def start_in_thread(self) -> "ClusterHttpServer":
-        """Run the edge on a daemon thread — the one way to run it
-        (``repro serve``, tests, embedding); returns self."""
-        if self._thread is not None:
+        """Bind, then accept on a daemon thread — the one way to run the
+        edge (``repro serve``, tests, embedding); returns self."""
+        if self._accepting is not None:
             raise RuntimeError("edge already started")
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                loop.run_until_complete(self._bind())
-                self._started.set()
-                loop.run_forever()
-            finally:
-                self._started.set()  # unblock a waiter even on bind failure
-                tasks = asyncio.all_tasks(loop)
-                for task in tasks:
-                    task.cancel()
-                if tasks:
-                    loop.run_until_complete(
-                        asyncio.gather(*tasks, return_exceptions=True)
-                    )
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=_run, name="repro-cluster-edge", daemon=True
+        try:
+            family = socket.getaddrinfo(self.host, self.port, type=socket.SOCK_STREAM)[0][0]
+            self._listener = socket.create_server((self.host, self.port), family=family)
+        except OSError as exc:
+            raise RuntimeError(
+                f"edge failed to bind on {self.host}:{self.port}: {exc}"
+            ) from None
+        self.port = self._listener.getsockname()[1]
+        self._accepting = threading.Thread(
+            target=self._accept_forever, name="repro-edge-accept", daemon=True
         )
-        self._thread.start()
-        self._started.wait(10.0)
-        if self._server is None:
-            raise RuntimeError(f"edge failed to bind on {self.host}:{self.port}")
+        self._accepting.start()
+        if self.telemetry_interval > 0 or self.router.supervisor is not None:
+            self._periodic = threading.Thread(
+                target=self._periodic_forever, name="repro-edge-periodic", daemon=True
+            )
+            self._periodic.start()
         return self
 
     def drain(self, timeout: float = 30.0) -> bool:
@@ -225,82 +203,78 @@ class ClusterHttpServer:
         """
         self._draining = True
         deadline = time.monotonic() + float(timeout)
-        while time.monotonic() < deadline:
-            with self._inflight_lock:
-                if self._inflight == 0:
-                    return True
+        while self._inflight and time.monotonic() < deadline:
             time.sleep(0.01)
-        with self._inflight_lock:
-            return self._inflight == 0
+        return self._inflight == 0
 
     @property
     def draining(self) -> bool:
         return self._draining
 
     def close(self) -> None:
-        """Stop accepting, drain the pool, and shut the router down."""
-        loop, server = self._loop, self._server
-        if loop is not None and loop.is_running():
-            if self._telemetry_task is not None:
-                loop.call_soon_threadsafe(self._telemetry_task.cancel)
-            if server is not None:
-                loop.call_soon_threadsafe(server.close)
-            loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(10.0)
-            self._thread = None
-        self._pool.shutdown(wait=True)
+        """Stop accepting, end idle connections, wait for the requests in
+        flight (up to :data:`_CLOSE_WAIT_S` each), then shut the router
+        down."""
+        self._closing.set()
+        if self._listener is not None:
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+            except OSError:
+                pass
+            self._listener.close()
+        for thread in (self._accepting, self._periodic):
+            if thread is not None:
+                thread.join()
+        with self._conns_lock:
+            conns = dict(self._conns)
+        for conn in conns:
+            try:
+                # Ends the wait for a next request; a reply still goes out.
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        for thread in conns.values():
+            thread.join(_CLOSE_WAIT_S)
         self.router.close()
 
-    async def _bind(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=_MAX_HEADER_BYTES
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        if self.telemetry_interval > 0 or self.router.supervisor is not None:
-            self._telemetry_task = asyncio.get_running_loop().create_task(
-                self._periodic_forever()
-            )
+    def _accept_forever(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                if self._closing.is_set():
+                    return
+                time.sleep(0.01)  # e.g. out of descriptors: back off
+                continue
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._conns_lock:
+                thread = threading.Thread(
+                    target=self._serve, args=(conn, len(self._conns) >= MAX_CONNECTIONS),
+                    name="repro-edge-conn", daemon=True,
+                )
+                self._conns[conn] = thread
+            thread.start()
 
-    async def _periodic_forever(self) -> None:
-        """The edge's periodic task: supervision ticks + telemetry pulls.
+    def _periodic_forever(self) -> None:
+        """Supervision ticks and telemetry pulls until :meth:`close`.
 
-        Runs on the edge's event loop but does the work on the thread
-        pool — a slow or dying shard never stalls request handling.  The
-        loop wakes at the supervisor's (faster) cadence when one is
-        attached, ticking it every wake — dead-shard detection, backoff
-        bookkeeping, and due respawns all live inside ``tick`` — while
-        telemetry pulls keep firing at ``telemetry_interval``
-        (``max_age`` of half the period keeps an interleaved on-demand
-        scrape from causing a double pull).
+        It wakes at the supervisor's (faster) cadence when one is
+        attached, ticking it every wake, while telemetry pulls fire every
+        ``telemetry_interval`` (``max_age`` of half the period keeps an
+        interleaved on-demand scrape from causing a double pull).
         """
         supervisor = self.router.supervisor
         pull_every = self.telemetry_interval
-        max_age = pull_every / 2.0
-        period = pull_every
-        if supervisor is not None:
-            period = (
-                min(period, supervisor.poll_interval)
-                if period > 0
-                else supervisor.poll_interval
-            )
-        loop = asyncio.get_running_loop()
-        next_pull = (
-            time.monotonic() + pull_every if pull_every > 0 else None
-        )
-        while True:
-            await asyncio.sleep(period)
+        tick_every = supervisor.poll_interval if supervisor is not None else 0.0
+        period = min(p for p in (pull_every, tick_every) if p > 0)
+        next_pull = time.monotonic() + pull_every
+        while not self._closing.wait(period):
             try:
                 if supervisor is not None:
-                    await loop.run_in_executor(self._pool, supervisor.tick)
-                if next_pull is not None and time.monotonic() >= next_pull:
-                    await loop.run_in_executor(
-                        self._pool,
-                        lambda: self.router.pull_telemetry(max_age=max_age),
-                    )
+                    supervisor.tick()
+                if pull_every > 0 and time.monotonic() >= next_pull:
+                    self.router.pull_telemetry(max_age=pull_every / 2.0)
                     next_pull = time.monotonic() + pull_every
-            except asyncio.CancelledError:
-                raise
             except Exception:  # noqa: BLE001 - a lost shard is shed inside
                 pass
 
@@ -308,47 +282,53 @@ class ClusterHttpServer:
     # HTTP plumbing
     # ------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve(self, conn: socket.socket, refused: bool) -> None:
+        """A connection's thread: its requests, in order, until it ends."""
+        reader = conn.makefile("rb")
         try:
-            while True:
-                keep_alive = await self._handle_one(reader, writer)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
+            if refused:
+                self._reject(
+                    conn, 503, "edge at its connection limit; retry later",
+                    headers=_RETRY_AFTER,
+                )
+            else:
+                while self._handle_one(conn, reader):
+                    pass
+        except OSError:
+            pass  # the peer went away
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
+            reader.close()
+            conn.close()
+            with self._conns_lock:
+                del self._conns[conn]
 
-    async def _handle_one(self, reader, writer) -> bool:
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return False  # clean EOF between keep-alive requests
-            raise
-        except asyncio.LimitOverrunError:  # no blank line within the stream's limit
-            return await self._reject(writer, 413, "headers too large")
+    def _handle_one(self, conn: socket.socket, reader) -> bool:
+        """Read, serve and log one request; True to read the next one."""
+        head = bytearray()
+        while not head.endswith(b"\r\n\r\n"):
+            line = reader.readline(_MAX_HEADER_BYTES + 1 - len(head))
+            if not line:
+                return False  # the peer closed, between requests or mid-head
+            head += line
+            if len(head) > _MAX_HEADER_BYTES:
+                return self._reject(conn, 413, "headers too large")
         try:
             request_line, headers = split_head(head)
             method, target, _version = request_line.split(" ", 2)
         except ValueError:
-            return await self._reject(writer, 400, "malformed request line")
+            return self._reject(conn, 400, "malformed request line")
         method, path = method.upper(), target.split("?", 1)[0]
         try:
             length = int(headers.get("content-length") or 0)
             if length < 0:
                 raise ValueError(length)
         except ValueError:
-            return await self._reject(writer, 400, "bad Content-Length", method, path)
+            return self._reject(conn, 400, "bad Content-Length", method, path)
         if length > _MAX_BODY_BYTES:
-            return await self._reject(writer, 413, "body too large", method, path)
-        body = await reader.readexactly(length) if length else b""
+            return self._reject(conn, 413, "body too large", method, path)
+        body = reader.read(length) if length else b""
+        if len(body) < length:
+            return False  # the peer closed mid-body
         keep_alive = headers.get("connection", "").lower() != "close"
         request_id = headers.get("x-request-id") or uuid.uuid4().hex[:12]
         frame = SNAPSHOT_FRAME_TYPE in headers.get("accept", "")
@@ -358,7 +338,7 @@ class ClusterHttpServer:
         try:
             try:
                 route, admit, work = self._route(method, path, body, frame)
-                code, payload, content_type = await self._call(work, admit, request_id, route)
+                code, payload, content_type = self._call(work, admit, request_id, route)
             except _HttpError as exc:
                 code, payload, extra = exc.status, {"error": str(exc)}, exc.headers
             except KeyError as exc:  # unknown session
@@ -367,8 +347,8 @@ class ClusterHttpServer:
                 code, payload = 400, {"error": str(exc)}
             except Exception as exc:  # noqa: BLE001 - edge must not die
                 code, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-            status, sent = await self._respond(
-                writer, code, payload, content_type,
+            status, sent = self._respond(
+                conn, code, payload, content_type,
                 extra + (("X-Request-Id", request_id),), keep_alive,
             )
         finally:
@@ -377,18 +357,28 @@ class ClusterHttpServer:
             )
         return keep_alive
 
-    async def _reject(
-        self, writer, status: int, message: str, method: str = "-", path: str = "-"
+    def _reject(
+        self, conn: socket.socket, status: int, message: str, method: str = "-",
+        path: str = "-", headers=(),
     ) -> bool:
         """Answer a request the edge will not read any further — it cannot
-        tell where the next one starts — log it, and close."""
+        tell where the next one starts — log it, and close once the peer
+        has had :data:`_LINGER_S` to finish sending."""
         t0 = time.perf_counter()
-        status, sent = await self._respond(writer, status, {"error": message}, keep_alive=False)
+        status, sent = self._respond(
+            conn, status, {"error": message}, extra=headers, keep_alive=False
+        )
         self._observe_request(method, path, "other", "-", status, sent, time.perf_counter() - t0)
+        conn.shutdown(socket.SHUT_WR)
+        conn.settimeout(_LINGER_S)
+        deadline = time.monotonic() + _LINGER_S
+        while time.monotonic() < deadline and conn.recv(65536):
+            pass
         return False
 
-    async def _respond(
-        self, writer, status: int, payload, content_type: str = _JSON, extra=(),
+    @staticmethod
+    def _respond(
+        conn: socket.socket, status: int, payload, content_type: str = _JSON, extra=(),
         keep_alive: bool = True,
     ) -> tuple[int, int]:
         """Write one response; returns ``(status, body bytes)``."""
@@ -405,8 +395,7 @@ class ClusterHttpServer:
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
         lines += [f"{name}: {value}" for name, value in extra]
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
-        await writer.drain()
+        conn.sendall(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
         return status, len(body)
 
     # ------------------------------------------------------------------
@@ -452,8 +441,8 @@ class ClusterHttpServer:
     def _route(self, method: str, path: str, body: bytes, frame: bool):
         """``(route template, admit, work)`` for one request.
 
-        ``work()`` runs on the pool — router call and reply encoding in
-        one executor hop — and returns ``(status, payload, content
+        ``work()`` — router call and reply encoding — runs on the
+        connection's thread and returns ``(status, payload, content
         type)``.  The template is the request's metric label: session
         ids collapse to ``{id}`` and everything unrouted, whatever its
         method, shares ``other``, so per-route series stay bounded.
@@ -510,7 +499,7 @@ class ClusterHttpServer:
         raise _HttpError(404, f"no route for {method} {path}")
 
     # ------------------------------------------------------------------
-    # Router bridging (everything here runs on the pool)
+    # Router bridging (everything here runs inside ``work()``)
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -571,15 +560,11 @@ class ClusterHttpServer:
         self.router.pull_telemetry(max_age=_SCRAPE_MAX_AGE)
         return read()
 
-    async def _call(self, work, admit: bool, rid: str, route: str):
-        """Run ``work()`` on the pool, under admission control if ``admit``.
-
-        ``rid`` is bound as the trace context *inside the executor
-        thread* (never across an await — the context is a thread-local
-        stack and interleaving coroutines would corrupt it), so router
-        spans and the shard-side spans of the pipes it drives all carry
-        the request id.
-        """
+    def _call(self, work, admit: bool, rid: str, route: str):
+        """Run ``work()`` under admission control if ``admit``, with
+        ``rid`` bound as this thread's trace context, so router spans and
+        the shard-side spans of the pipes it drives all carry the request
+        id."""
         if admit:
             with self._inflight_lock:
                 if self._inflight >= self.max_inflight:
@@ -589,14 +574,9 @@ class ClusterHttpServer:
                         429, "cluster at capacity; retry later", _RETRY_AFTER
                     )
                 self._inflight += 1
-        loop = asyncio.get_running_loop()
-
-        def _bound() -> object:
+        try:
             with trace_context(rid):
                 return work()
-
-        try:
-            return await loop.run_in_executor(self._pool, _bound)
         finally:
             if admit:
                 with self._inflight_lock:

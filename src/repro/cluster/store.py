@@ -57,7 +57,8 @@ class ShardedStore:
         shards work concurrently: one overlapped round-trip (and one
         ``roundtrip`` sample) per shard.  Raises
         :class:`~repro.storage.resilient.RetrievalError` when an owner
-        is shed or lost, or a shard's own store abandoned its slice —
+        is shed or lost (a reply with the wrong number of values loses it
+        too), or a shard's own store abandoned its slice —
         the scheduler's per-key fallback then skips exactly the
         unavailable keys.  Every sent command is received even after a
         failure, so no pipe carries a stale reply into the next gather.
@@ -94,7 +95,10 @@ class ShardedStore:
                     sent.append((index, *message, started))
             for index, owned, positions, started in sent:
                 try:
-                    values[positions] = self.shards[index].recv()
+                    reply = self.shards[index].recv()
+                    if len(reply) != owned.size:
+                        raise ShardLostError(index, f"{len(reply)} values for {owned.size} keys")
+                    values[positions] = reply
                 except ShardLostError as exc:
                     error = self._lost(index, exc, owned)
                     continue

@@ -8,18 +8,21 @@ worker held can be rebuilt by opening the paged file again, so healing
 is "respawn, re-fetch the skipped keys" (``docs/CLUSTER.md``).
 
 Workers run in-process (:class:`InlineShard`) or as separate OS
-processes (:func:`spawn_shard` → :class:`ProcessShard`) speaking a tiny
-pickled command protocol over a ``multiprocessing`` pipe.  Both handles
-split a command into ``send`` and ``recv`` so a gather can be in flight
-on every shard at once; ``call`` is the two back to back.  Process
-workers open the paged file with ``shared=True`` so co-located shards
-map one OS page cache (:class:`~repro.storage.paged.PagedCoefficientStore`).
+processes (:func:`spawn_shard` → :class:`ProcessShard`) over a
+``multiprocessing`` pipe, where a ``fetch`` and its values travel as raw
+frames and everything else is pickled (``docs/CLUSTER.md``, "Fetch
+frames").  Both handles split a command into ``send`` and ``recv`` so a
+gather can be in flight on every shard at once; ``call`` is the two back
+to back.  Process workers open the paged file with ``shared=True`` so
+co-located shards map one OS page cache
+(:class:`~repro.storage.paged.PagedCoefficientStore`).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import pickle
 import time
 
 import numpy as np
@@ -38,12 +41,26 @@ from repro.storage.resilient import RetrievalError
 
 
 class ShardLostError(RuntimeError):
-    """A shard process stopped answering (died, hung, or pipe broke)."""
+    """A shard stopped answering (died, hung, pipe broke) or answered garbage."""
 
     def __init__(self, shard: int, reason: str) -> None:
         super().__init__(f"shard {shard} lost: {reason}")
         self.shard = shard
         self.reason = reason
+
+
+#: A fetch frame is ``b"F"``, the ``<u4`` length of the UTF-8 request id
+#: (0: none), the id, then the keys as ``<i8``; its reply is ``b"V"`` and
+#: the values as ``<f8``.  A pickle starts with the protocol byte 0x80, so
+#: the first byte tells a frame from a pickled command or reply.
+_FETCH, _VALUES = b"F", b"V"
+
+
+def _parse_fetch(raw: bytes) -> tuple[str, tuple, str | None]:
+    """A fetch frame as the ``(method, args, ctx)`` command it carries."""
+    end = 5 + int.from_bytes(raw[1:5], "little")
+    keys = np.frombuffer(raw, dtype="<i8", offset=end)
+    return "fetch", (keys,), raw[5:end].decode("utf-8") or None
 
 
 def _find(store, attribute: str):
@@ -134,16 +151,15 @@ def build_shard_store(spec: dict):
 def shard_worker_main(conn, spec: dict) -> None:
     """Process entry point: serve pipe commands until ``close``.
 
-    Every command is a ``(method, args, ctx)`` tuple — ``ctx`` is the
-    originating request id (or None), bound as the worker-side trace
-    context so the ``shard.<method>`` span carries the same
-    ``request_id`` as the edge/router spans of that request.  The reply
-    is ``(True, result)``, ``(False, RetrievalError)`` for a gather the
-    store abandoned (re-raised router-side so the scheduler degrades
-    exactly those keys), or ``(False, description)`` for any other
-    failure — reported, not fatal: only a broken pipe or ``close`` ends
-    the loop.  ``spec["trace"]`` turns span recording on (spawn children
-    do not inherit the parent's switch); ``telemetry`` drains the ring.
+    A command is a fetch frame or a pickled ``(method, args, ctx)``;
+    ``ctx``, the request id, is bound as the trace context of the
+    ``shard.<method>`` span.  A served fetch is answered with a values
+    frame, anything else with a pickled ``(True, result)``, ``(False,
+    RetrievalError)`` for a gather the store abandoned (re-raised
+    router-side so the scheduler degrades exactly those keys) or
+    ``(False, description)`` for any other failure — reported, not fatal:
+    only a broken pipe or ``close`` ends the loop.  ``spec["trace"]``
+    turns span recording on (spawn children do not inherit the switch).
     """
     if spec.get("trace"):
         set_tracing(True)
@@ -151,9 +167,11 @@ def shard_worker_main(conn, spec: dict) -> None:
     try:
         while True:
             try:
-                method, args, ctx = conn.recv()
+                raw = conn.recv_bytes()
             except (EOFError, OSError):
                 break
+            fetch = raw[:1] == _FETCH
+            method, args, ctx = _parse_fetch(raw) if fetch else pickle.loads(raw)
             if method == "close":
                 conn.send((True, None))
                 break
@@ -165,7 +183,10 @@ def shard_worker_main(conn, spec: dict) -> None:
             except Exception as exc:  # noqa: BLE001 - reported to the router
                 conn.send((False, f"{method}: {exc!r}"))
             else:
-                conn.send((True, result))
+                if fetch:
+                    conn.send_bytes(_VALUES + np.asarray(result, dtype="<f8").tobytes())
+                else:
+                    conn.send((True, result))
     finally:
         worker.close()
         conn.close()
@@ -236,21 +257,32 @@ class ProcessShard:
         if not self.alive:
             raise ShardLostError(self.shard, "shard already lost")
         try:
-            self._conn.send((method, args, current_request_id()))
+            if method == "fetch":
+                rid = (current_request_id() or "").encode("utf-8")
+                keys = np.asarray(args[0], dtype="<i8").tobytes()
+                self._conn.send_bytes(
+                    b"".join((_FETCH, len(rid).to_bytes(4, "little"), rid, keys))
+                )
+            else:
+                self._conn.send((method, args, current_request_id()))
         except OSError as exc:
             self.abandon()
             raise ShardLostError(self.shard, repr(exc)) from None
 
     def recv(self):
-        """The reply to the command last sent."""
+        """The reply to the command last sent.  A values frame that is not
+        whole float64s loses the shard like a broken pipe does."""
         try:
             if not self._conn.poll(REPLY_TIMEOUT_S):
                 raise ShardLostError(self.shard, f"no reply in {REPLY_TIMEOUT_S}s")
-            ok, payload = self._conn.recv()
+            raw = self._conn.recv_bytes()
+            if raw[:1] == _VALUES:
+                return np.frombuffer(raw, dtype="<f8", offset=1)
+            ok, payload = pickle.loads(raw)
         except ShardLostError:
             self.abandon()
             raise
-        except (EOFError, OSError) as exc:
+        except (EOFError, OSError, ValueError) as exc:
             self.abandon()
             raise ShardLostError(self.shard, repr(exc)) from None
         if ok:

@@ -285,9 +285,9 @@ class trace_context:
     and the shard workers.  Contexts nest (a stack per thread); binding
     ``None`` is a no-op marker that keeps call sites unconditional.
 
-    Thread-scoped on purpose: the HTTP edge binds it inside the worker
-    thread that runs the router call (never across an ``await``), and the
-    shard pipe protocol re-binds the forwarded id in the worker process.
+    Thread-scoped on purpose: the HTTP edge binds it on the connection's
+    thread while the router works, and the shard pipe protocol re-binds
+    the forwarded id in the worker process.
     """
 
     __slots__ = ("_request_id",)

@@ -8,7 +8,7 @@ that question; this module *implements* it: a
 :class:`~repro.storage.counter.CountingStore` into fixed-size pages in a
 single flat file (plain ``struct`` header + raw little-endian float64
 values — no dependencies beyond numpy) and serves reads through a
-thread-safe LRU buffer pool with hit/miss/eviction counters.
+thread-safe LRU buffer pool with exact hit/miss/eviction counters.
 
 The store quacks like a read-only :class:`CountingStore` — ``fetch`` /
 ``peek`` / the aggregate methods / ``stats`` — so any
@@ -33,12 +33,11 @@ from __future__ import annotations
 import itertools
 import struct
 import threading
-import time
 from collections import OrderedDict
 
 import numpy as np
 
-from repro.obs import REGISTRY, MetricRegistry, span
+from repro.obs import REGISTRY, MetricRegistry
 from repro.storage.counter import IOStatistics
 
 _MAGIC = b"RPRPAGE1"
@@ -52,11 +51,9 @@ _INSTANCE_IDS = itertools.count()
 class PageCacheStats:
     """Buffer-pool counters for a paged store.
 
-    Since the telemetry refactor this is a read-only *view* over the
-    ``repro.obs`` metric registry (the ``repro_paged_page_*_total``
-    series with this store's ``store=`` label); the attribute surface is
-    unchanged.  The store batches its increments per ``fetch`` call, so
-    the per-key hot path never takes the registry lock.
+    A read-only *view* over the ``repro_paged_page_*_total`` registry
+    series with this store's ``store=`` label.  The store adds one
+    increment per ``fetch`` call, so its per-key loop takes no lock.
 
     Attributes
     ----------
@@ -170,15 +167,13 @@ class PagedCoefficientStore:
         LRU buffer-pool capacity in pages.  Zero disables buffering (every
         page request reads the file).
     shared:
-        When True, buffered pages are zero-copy *views* of the read-only
-        memmap instead of private copies.  Every process that opens the
-        same file with ``shared=True`` then reads through the operating
-        system's page cache — co-located shard workers share one physical
-        buffer pool instead of copying each page per process, and a write
-        to the file (e.g. a re-serialization through another mapping)
-        becomes visible to already-buffered pages without reopening.  The
-        default (False) keeps the original private-copy semantics: a
-        buffered page is immutable until evicted.
+        When True, values are read straight from the read-only memmap
+        (one gather per fetch) and the pool only keeps the LRU books, so
+        every process that opens the file ``shared=True`` reads through
+        the OS page cache — one physical buffer pool for co-located shard
+        workers — and a write to the file is visible without reopening.
+        The default (False) keeps private page copies: a buffered page is
+        immutable until evicted.  Both modes count pool traffic alike.
 
     All read paths are thread-safe: the buffer pool, the retrieval
     counters, and the underlying memmap are guarded by one lock, so many
@@ -222,17 +217,15 @@ class PagedCoefficientStore:
             offset=_HEADER_SIZE,
             shape=(self.num_pages * self.page_size,),
         )
-        #: The mapping as a plain ``ndarray``: a page-fault slice skips
+        #: The mapping as a plain ``ndarray``: gathers and page slices skip
         #: ``np.memmap``'s subclass machinery (~10x cheaper).
         self._values = np.asarray(self._mm)
-        self._pool: OrderedDict[int, np.ndarray] = OrderedDict()
+        #: Buffered pages in LRU order: a private copy, or None in shared
+        #: mode, where the pool is accounting only.
+        self._pool: OrderedDict[int, np.ndarray | None] = OrderedDict()
         self._lock = threading.RLock()
         self.stats = IOStatistics()
         self.cache = PageCacheStats(self.registry, self._instance)
-        self._fault_seconds = self.registry.histogram(
-            "repro_paged_fault_seconds",
-            "Wall-clock latency of page faults (file reads into the pool)",
-        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -249,8 +242,7 @@ class PagedCoefficientStore:
     ) -> "PagedCoefficientStore":
         """Serialize a :class:`CountingStore` (or anything with
         ``as_dense``) and open the result."""
-        write_paged_file(path, store.as_dense(), page_size=page_size)
-        return cls(path, buffer_pages=buffer_pages, shared=shared)
+        return cls.from_dense(store.as_dense(), path, page_size, buffer_pages, shared)
 
     @classmethod
     def from_dense(
@@ -375,40 +367,32 @@ class PagedCoefficientStore:
         return keys
 
     def _gather(self, keys: np.ndarray) -> np.ndarray:
-        out = np.empty(keys.size, dtype=np.float64)
-        offsets = keys % self.page_size
-        # Tally pool traffic locally and flush one registry update per
-        # fetch call, keeping the per-key loop free of metric locks.
-        tally = [0, 0, 0]
-        for i, page in enumerate((keys // self.page_size).tolist()):
-            out[i] = self._page(page, tally)[offsets[i]]
-        self.cache._record(*tally)
+        """Values of ``keys`` in order; the loop walks the pool per key, in
+        request order, so hits, misses and evictions are exact.  Shared
+        mode reads the values with one gather from the map; copy mode
+        reads each from its page's private copy."""
+        size, capacity, pool = self.page_size, self.buffer_pages, self._pool
+        copy = not self.shared
+        out = np.empty(keys.size) if copy else self._values[keys]
+        hits = misses = evictions = 0
+        for i, page in enumerate((keys // size).tolist()):
+            if page in pool:
+                pool.move_to_end(page)
+                hits += 1
+            else:
+                misses += 1
+                if capacity:
+                    pool[page] = (
+                        self._values[page * size : (page + 1) * size].copy()
+                        if copy
+                        else None
+                    )
+                    if len(pool) > capacity:
+                        pool.popitem(last=False)
+                        evictions += 1
+            if copy:
+                key = int(keys[i])
+                out[i] = pool[page][key - page * size] if capacity else self._values[key]
+        # One registry update per fetch keeps the loop free of metric locks.
+        self.cache._record(hits, misses, evictions)
         return out
-
-    def _page(self, page: int, tally: list[int]) -> np.ndarray:
-        pool = self._pool
-        cached = pool.get(page)
-        if cached is not None:
-            pool.move_to_end(page)
-            tally[0] += 1
-            return cached
-        tally[1] += 1
-        with span("paged.fault", page=page):
-            t0 = time.perf_counter()
-            start = page * self.page_size
-            window = self._values[start : start + self.page_size]
-            # ``shared`` serves the mmap slice itself: the OS page cache
-            # is the buffer pool, shared across every process mapping the
-            # file, and external writes stay visible while buffered.
-            values = (
-                window
-                if self.shared
-                else np.asarray(window, dtype=np.float64).copy()
-            )
-            self._fault_seconds.observe(time.perf_counter() - t0)
-        if self.buffer_pages > 0:
-            pool[page] = values
-            if len(pool) > self.buffer_pages:
-                pool.popitem(last=False)
-                tally[2] += 1
-        return values

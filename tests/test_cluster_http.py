@@ -1,8 +1,12 @@
-"""The asyncio HTTP edge: session API, backpressure, chaos over HTTP."""
+"""The HTTP edge: session API, backpressure, chaos over HTTP, connections."""
 
 from __future__ import annotations
 
 import json
+import socket
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from repro.cluster import (
     ClusterHttpServer,
     build_cluster,
 )
+from repro.cluster import http as http_module
 from repro.cluster.http import RETRY_AFTER_S
 from repro.queries.workload import partition_count_batch
 from repro.storage.wavelet_store import WaveletStorage
@@ -384,3 +389,135 @@ class TestWireFormat:
             assert response.status == 200
             response.read()
         conn.close()
+
+
+def raw_exchange(port: int, request: bytes) -> bytes:
+    """Send ``request``, read until the edge closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+def edge_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("repro-edge")]
+
+
+class TestConnections:
+    """One thread per connection: ordering, shutdown and the cap."""
+
+    def test_pipelined_requests_are_answered_in_order(self, edge):
+        server, _ = edge
+        reply = raw_exchange(
+            server.port,
+            b"POST /sessions/zz/retry HTTP/1.1\r\nX-Request-Id: first\r\n"
+            b"Content-Length: 2\r\n\r\n{}"
+            b"GET /sessions HTTP/1.1\r\nX-Request-Id: second\r\n"
+            b"Connection: close\r\n\r\n",
+        )
+        first, second = reply.split(b"HTTP/1.1 ")[1:]
+        assert first.startswith(b"404 ") and b"X-Request-Id: first\r\n" in first
+        assert second.startswith(b"200 ") and b"X-Request-Id: second\r\n" in second
+        assert second.endswith(b'{"sessions": []}')
+
+    def test_concurrent_connections_keep_exact_books(self, edge):
+        server, client = edge
+        sid = client.submit(make_batch(47))
+        polls = server._route_requests
+        before = polls.value(route="GET /sessions/{id}", status="200")
+        errors: list[Exception] = []
+
+        def poller() -> None:
+            try:
+                with ClusterClient("127.0.0.1", server.port) as own:
+                    for _ in range(25):
+                        own.poll(sid)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=poller) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors and not any(t.is_alive() for t in threads)
+
+        def books():  # a request is counted just after its reply is sent
+            served = polls.value(route="GET /sessions/{id}", status="200") - before
+            return served, len(server._conns), server._inflight
+
+        deadline = time.monotonic() + 5.0
+        while books() != (200, 1, 0) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert books() == (200, 1, 0)  # every poll once; `client` still open
+        client.cancel(sid)
+
+    def test_close_finishes_the_request_in_flight_and_ends_idle_ones(
+        self, storage, tmp_path
+    ):
+        router = build_cluster(
+            storage, tmp_path / "close.pages", 2,
+            process_shards=False, buffer_pages=16,
+        )
+        server = ClusterHttpServer(router, port=0, access_log=False).start_in_thread()
+        idle = ClusterClient("127.0.0.1", server.port)
+        busy = ClusterClient("127.0.0.1", server.port)
+        sid = busy.submit(make_batch(43))
+        assert idle.sessions() == [sid]  # a keep-alive connection, now idle
+        entered, release = threading.Event(), threading.Event()
+        advance = router.advance
+
+        def held_advance(*args):
+            entered.set()
+            release.wait(10.0)
+            return advance(*args)
+
+        router.advance = held_advance
+        replies: list[dict] = []
+        in_flight = threading.Thread(target=lambda: replies.append(busy.advance(sid, 8)))
+        in_flight.start()
+        try:
+            assert entered.wait(10.0)
+            closer = threading.Thread(target=server.close)
+            closer.start()
+            closer.join(0.3)
+            assert closer.is_alive() and router.live_shards == 2  # waiting
+        finally:
+            release.set()
+        in_flight.join(10.0)
+        released = time.monotonic()
+        closer.join(10.0)
+        assert not closer.is_alive() and time.monotonic() - released < 2.0
+        assert not in_flight.is_alive() and replies[0]["gained"] == 8
+        assert router.live_shards == 0  # the router closed after the reply
+        assert edge_threads() == []
+        idle.close()
+        busy.close()
+
+    def test_a_connection_past_the_cap_gets_503_and_retry_after(
+        self, storage, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(http_module, "MAX_CONNECTIONS", 1)
+        router = build_cluster(
+            storage, tmp_path / "cap.pages", 2,
+            process_shards=False, buffer_pages=16,
+        )
+        server = ClusterHttpServer(router, port=0, access_log=False).start_in_thread()
+        try:
+            with ClusterClient("127.0.0.1", server.port) as holder:
+                assert holder.sessions() == []  # holds the one connection
+                reply = raw_exchange(server.port, b"GET /healthz HTTP/1.1\r\n\r\n")
+                head, _, body = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 503 ")
+                assert f"Retry-After: {RETRY_AFTER_S:g}\r\n".encode() in head + b"\r\n"
+                assert b"Connection: close" in head and b"limit" in body
+                assert holder.sessions() == []  # the holder is still served
+        finally:
+            server.close()

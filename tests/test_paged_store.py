@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.batch import BatchBiggestB
+from repro.obs import MetricRegistry
 from repro.queries.workload import partition_count_batch
 from repro.storage.counter import CountingStore
 from repro.storage.paged import PagedCoefficientStore, write_paged_file
@@ -134,6 +138,76 @@ class TestLruPool:
         assert paged.cache.requests == 0
         paged.clear_buffer()
         assert paged.buffered_pages == 0
+
+
+REFEREE_VALUES = np.random.default_rng(3).normal(size=300)
+REFEREE_PAGE = 16  # 300 keys -> 19 pages, the last one partial
+
+
+@pytest.fixture(scope="module")
+def referee_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("referee") / "referee.pages"
+    write_paged_file(path, REFEREE_VALUES, page_size=REFEREE_PAGE)
+    return path
+
+
+class LruReferee:
+    """The buffer pool's contract, one key at a time: an ``OrderedDict``
+    of pages in least-recently-used order, capped at ``capacity``."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.pool: OrderedDict[int, None] = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
+
+    def fetch(self, keys) -> np.ndarray:
+        for key in keys:
+            page = key // REFEREE_PAGE
+            if page in self.pool:
+                self.pool.move_to_end(page)
+                self.hits += 1
+                continue
+            self.misses += 1
+            if self.capacity:
+                self.pool[page] = None
+                if len(self.pool) > self.capacity:
+                    self.pool.popitem(last=False)
+                    self.evictions += 1
+        return REFEREE_VALUES[list(keys)]
+
+
+class TestPoolAccountingIsExact:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.sampled_from([0, 1, 2, 7, 64]),
+        shared=st.booleans(),
+        gathers=st.lists(
+            st.lists(
+                st.integers(0, 299) | st.sampled_from([0, 1, 15, 16, 299]),
+                max_size=40,
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_counters_and_values_match_a_per_key_lru(
+        self, referee_path, capacity, shared, gathers
+    ):
+        referee = LruReferee(capacity)
+        with PagedCoefficientStore(
+            referee_path, buffer_pages=capacity, registry=MetricRegistry(),
+            shared=shared,
+        ) as store:
+            for keys in gathers:
+                got = store.fetch(np.array(keys, dtype=np.int64))
+                assert got.tobytes() == referee.fetch(keys).tobytes()
+                assert (
+                    store.cache.hits, store.cache.misses, store.cache.evictions,
+                    store.buffered_pages,
+                ) == (
+                    referee.hits, referee.misses, referee.evictions,
+                    len(referee.pool),
+                )
 
 
 class TestClose:

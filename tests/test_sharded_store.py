@@ -9,6 +9,10 @@ adds to the bit-identical contract lives in that one ``fetch``:
 * an oversized slice travels as several bounded messages;
 * a lost shard surfaces as ``RetrievalError`` and is shed, while the
   surviving shards' keys of the same chunk are still delivered;
+* over a real spawned shard a fetch is one raw frame each way: every
+  float64 bit pattern and the whole request id arrive, and a reply with
+  the wrong number of values sheds the shard instead of failing the
+  request;
 * one ``advance`` costs a handful of overlapped round-trips, not one
   per couple of keys (the tier-1 twin of the benchmark's
   ``cluster.router.keys_per_shard_call``).
@@ -17,21 +21,30 @@ adds to the bit-identical contract lives in that one ``fetch``:
 from __future__ import annotations
 
 import math
+import multiprocessing
+import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ShardedStore, build_cluster, make_partitioner
+from repro.cluster import (
+    ClusterClient,
+    ClusterHttpServer,
+    ShardedStore,
+    build_cluster,
+    make_partitioner,
+)
 from repro.cluster import store as store_module
-from repro.cluster.worker import ShardLostError, inline_shard, spawn_shard
+from repro.cluster.worker import ShardLostError, _parse_fetch, inline_shard, spawn_shard
 from repro.core.penalties import SsePenalty
 from repro.core.session import ProgressiveSession
 from repro.obs import MetricRegistry
 from repro.queries.workload import partition_count_batch
 from repro.storage.paged import PagedCoefficientStore, write_paged_file
-from repro.storage.resilient import RetrievalError
+from repro.storage.resilient import RetrievalError, fetch_degrading
 from repro.storage.wavelet_store import WaveletStorage
 
 KEY_SPACE = 4096
@@ -219,10 +232,140 @@ class TestLostShard:
             with pytest.raises(RuntimeError, match="no_such_command"):
                 shard.call("no_such_command")
             assert shard.call("ping")["shard"] == 0
+            # Through the data plane, only the blacked-out keys are lost.
+            store, _ = make_store([shard])
+            keys = np.array([3, 7, 9, 40, 7, 200], dtype=np.int64)
+            values, failed = fetch_degrading(store, keys)
+            assert failed == [1, 4]
+            served = [0, 2, 3, 5]
+            np.testing.assert_array_equal(values[served], keys[served])
+            assert shard.alive and not store.dead
         finally:
             shard.close()
         with pytest.raises(ShardLostError):
             shard.call("ping")
+
+
+#: Every float64 bit pattern JSON cannot promise: a NaN with a payload,
+#: both infinities, -0.0 and subnormals of both signs.
+AWKWARD = np.concatenate([
+    np.frombuffer(struct.pack("<Q", 0x7FF8_0000_0000_0123), dtype="<f8"),
+    [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, -2.2250738585072014e-308, 1.5],
+])
+
+
+@pytest.fixture(scope="module")
+def awkward(tmp_path_factory):
+    """A spawned shard over a 256-key file of :data:`AWKWARD` values."""
+    path = tmp_path_factory.mktemp("frames") / "awkward.pages"
+    write_paged_file(path, np.resize(AWKWARD, 256), page_size=16)
+    shard = spawn_shard(path, 0, buffer_pages=2)
+    with PagedCoefficientStore(path) as local:
+        yield shard, local.peek
+    shard.close()
+
+
+@pytest.fixture(scope="module")
+def small():
+    """A 32x32 db2 storage and a 3x3 partition batch over it."""
+    data = np.random.default_rng(9).poisson(2.0, size=(32, 32)).astype(float)
+    batch = partition_count_batch((32, 32), (3, 3), rng=np.random.default_rng(2))
+    return WaveletStorage.build(data, wavelet="db2"), batch
+
+
+class TestFrames:
+    """The pipe's data plane: a fetch is one raw frame each way."""
+
+    def test_values_are_bit_identical_to_peek(self, awkward):
+        shard, peek = awkward
+        keys = np.random.default_rng(0).integers(0, 256, size=300)  # repeats
+        got = shard.call("fetch", keys)
+        assert got.dtype == np.float64
+        assert got.tobytes() == peek(keys).tobytes()
+
+    def test_an_empty_slice(self, awkward):
+        shard, _ = awkward
+        got = shard.call("fetch", np.array([], dtype=np.int64))
+        assert got.dtype == np.float64 and got.size == 0
+
+    def test_a_slice_split_into_waves_at_the_byte_cap(self, awkward, monkeypatch):
+        shard, peek = awkward
+        monkeypatch.setattr(store_module, "MAX_SLICE_BYTES", 64)  # 8 keys
+        store, registry = make_store([shard])
+        keys = np.random.default_rng(1).integers(0, 256, size=61)
+        assert store.fetch(keys).tobytes() == peek(keys).tobytes()
+        assert roundtrips(registry).count(shard="0") == math.ceil(61 / 8)
+
+    def test_control_commands_interleave_with_fetches(self, awkward):
+        shard, peek = awkward
+        keys = np.arange(0, 256, 5)
+        before = shard.call("telemetry", True)["retrievals"]
+        for command, args in (("ping", ()), ("telemetry", (True,)), ("ping", ())):
+            assert shard.call("fetch", keys).tobytes() == peek(keys).tobytes()
+            assert shard.call(command, *args)["shard"] == 0
+        assert shard.call("telemetry", True)["retrievals"] - before == 3 * keys.size
+
+    def test_a_300_byte_request_id_reaches_the_shard_fetch_span(self, small, tmp_path):
+        storage, batch = small
+        # 300 bytes in the header (latin-1), 330 once UTF-8 encoded: the
+        # frame's length prefix counts bytes, not characters.
+        request_id = "ü-request" * 30
+        router = build_cluster(
+            storage, tmp_path / "rid.pages", 1, process_shards=True,
+            buffer_pages=16, trace=True,
+        )
+        server = ClusterHttpServer(
+            router, port=0, telemetry_interval=0.0, access_log=False
+        ).start_in_thread()
+        try:
+            with ClusterClient("127.0.0.1", server.port) as client:
+                sid = client.submit(batch)
+                client.next_request_id = request_id
+                assert client.advance(sid, 16)["gained"] == 16
+                assert client.last_request_id == request_id
+            spans = router.store.call(0, "telemetry", True)["spans"]
+        finally:
+            server.close()
+        fetched_under = [attrs.get("request_id") for name, *_, attrs in spans if name == "shard.fetch"]
+        assert fetched_under == [request_id]
+
+    def test_a_short_values_frame_sheds_the_shard_and_the_edge_answers(
+        self, small, tmp_path
+    ):
+        storage, batch = small
+        router = build_cluster(
+            storage, tmp_path / "short.pages", 2, process_shards=True, buffer_pages=16
+        )
+        # Shard 1 now answers through a pipe the test holds: every values
+        # frame comes back one float64 short.
+        ours, theirs = multiprocessing.Pipe()
+        victim = router._shards[1]
+        victim._conn.close()  # the real worker sees EOF and exits
+        victim._conn = ours
+
+        def one_value_short() -> None:
+            while True:
+                try:
+                    _, (keys,), _ = _parse_fetch(theirs.recv_bytes())
+                except (EOFError, OSError):
+                    return
+                theirs.send_bytes(b"V" + np.zeros(keys.size - 1).tobytes())
+
+        liar = threading.Thread(target=one_value_short, daemon=True)
+        liar.start()
+        server = ClusterHttpServer(router, port=0, access_log=False).start_in_thread()
+        try:
+            with ClusterClient("127.0.0.1", server.port) as client:
+                sid = client.submit(batch)
+                reply = client.advance(sid, 64)  # no 400, no 500
+                assert reply["gained"] > 0 and reply["snapshot"]["degraded"]
+                assert client.healthz()["shed_shards"] == [1]
+            skipped = router._sessions[sid].session.skipped_keys()
+            assert set(router.partitioner.shard_of(skipped).tolist()) == {1}
+        finally:
+            server.close()
+        liar.join(5.0)
+        assert not liar.is_alive()
 
 
 class TestRoundTripBudget:
