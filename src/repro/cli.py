@@ -488,11 +488,10 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the continuous benchmark scenarios and gate against baselines."""
+    """Run the continuous benchmark scenarios and gate their counters."""
     from repro.obs import bench
 
-    trials = min(2, args.trials) if args.smoke else args.trials
-    documents = bench.run_all(seed=args.seed, trials=trials)
+    documents = bench.run_all(seed=args.seed)
     problems: list[str] = []
     for family, doc in documents.items():
         problems.extend(f"{family}: {p}" for p in bench.validate(doc))
@@ -519,15 +518,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"{args.baseline_dir}; gate skipped for this family"
             )
             continue
-        regressions.extend(
-            f"{family}: {p}"
-            for p in bench.compare(doc, baseline, tolerance=args.tolerance)
-        )
+        regressions.extend(f"{family}: {p}" for p in bench.compare(doc, baseline))
     if regressions:
         for regression in regressions:
             print(f"REGRESSION: {regression}", file=sys.stderr)
         return 1
-    print(f"regression gate passed (tolerance {args.tolerance:.0%})")
+    print("regression gate passed (counters exact)")
     return 0
 
 
@@ -673,12 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--baseline-dir", default=None, dest="baseline_dir",
                          help="directory holding committed BENCH_*.json "
                          "baselines; enables the regression gate")
-    p_bench.add_argument("--tolerance", type=float, default=0.5,
-                         help="allowed normalized-wall slowdown vs baseline")
-    p_bench.add_argument("--trials", type=_positive_int, default=3,
-                         help="timing trials per scenario (best taken)")
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="quick two-trial mode (CI)")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(func=cmd_bench)
     return parser

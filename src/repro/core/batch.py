@@ -14,14 +14,17 @@ approximation*, which Theorem 1 (worst case) and Theorem 2 (average case)
 prove optimal among all B-term approximations.  When the order is
 exhausted the estimates are exact.
 
-Two execution surfaces are provided:
+:class:`BatchBiggestB` is a one-session façade: step 4 is the loop of
+:class:`~repro.core.session.ProgressiveSession`, whose pick / fetch /
+apply pieces the shared scheduler also runs, so every surface here is
+bit-identical to ``ProgressiveSession.advance(b)``:
 
-* :meth:`BatchBiggestB.steps` — the faithful loop of Figure 1 (its heap
-  is the importance order sorted once at construction), yielding one
-  :class:`ProgressiveStep` per retrieval (interactive use);
-* :meth:`BatchBiggestB.run` / :meth:`BatchBiggestB.run_progressive` —
-  vectorized execution with identical semantics for large experiments,
-  returning final answers or estimate snapshots at chosen checkpoints.
+* :meth:`BatchBiggestB.steps` — one :class:`ProgressiveStep` per
+  retrieval (interactive use);
+* :meth:`BatchBiggestB.run_progressive` — estimate snapshots at chosen
+  checkpoints;
+* :meth:`BatchBiggestB.run` — the exact answers, one gather and the
+  plan's exact reduction.
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.penalties import Penalty, SsePenalty
+from repro.core.penalties import Penalty
 from repro.core.plan import QueryPlan
-from repro.obs import CostAccount, span
+from repro.core.session import ProgressiveSession
+from repro.obs import span
 from repro.obs.ledger import activate as _charge_to
 from repro.queries.vector_query import QueryBatch
 from repro.storage.base import LinearStorage
-from repro.storage.resilient import fetch_degrading
+from repro.storage.resilient import available_runs, fetch_degrading
 
 
 @dataclass(frozen=True)
@@ -77,36 +81,30 @@ class BatchBiggestB:
         plan: QueryPlan | None = None,
         workers: int | None = None,
     ) -> None:
-        self.storage = storage
-        self.batch = batch
-        self.penalty = penalty if penalty is not None else SsePenalty()
-        #: Per-evaluation cost attribution (stage timings + counters).
-        self.costs = CostAccount(owner="batch", queries=batch.size)
-        # Steps 1-3 of Figure 1: rewrite each query, merge into a master
-        # list (QueryPlan.from_batch; ``workers > 1`` computes the batch's
-        # distinct per-dimension rewrite factors on a process pool).
-        # Callers evaluating one batch under several penalties can pass
-        # the plan (or the rewrites) of a previous evaluator to skip this
-        # work (only the importance ordering depends on the penalty) — the
-        # skipped stages then cost this account nothing, which is the
-        # point of passing them in.
+        # Steps 1-3 of Figure 1 (QueryPlan.from_batch; ``workers > 1``
+        # computes the batch's distinct per-dimension rewrite factors on a
+        # process pool).  Callers evaluating one batch under several
+        # penalties can pass the plan (or the rewrites) of a previous
+        # evaluator to skip this work — only the ranking depends on the
+        # penalty — and the skipped stages then cost this account nothing.
         if rewrites is not None and len(rewrites) != batch.size:
             raise ValueError("rewrites must match the batch size")
+        if plan is None and rewrites is not None:
+            plan = QueryPlan.from_rewrites(rewrites)
+        self.storage = storage
+        self.batch = batch
         self._rewrites = rewrites
-        with _charge_to(self.costs):
-            if plan is not None:
-                self.plan = plan
-            elif rewrites is not None:
-                with self.costs.stage("plan"):
-                    self.plan = QueryPlan.from_rewrites(rewrites)
-            else:
-                self.plan = QueryPlan.from_batch(storage, batch, workers=workers)
-        if self.plan.batch_size != batch.size:
-            raise ValueError("plan must match the batch size")
-        with self.costs.stage("plan"):
-            # Step 4: importance of every master key, biggest-B order.
-            self.importance, self.order = self.plan.ranking(self.penalty)
-            self._sorted_importance = self.importance[self.order]
+        # Step 4's ranking is the session's: computed once, read off it.
+        ranked = ProgressiveSession(storage, batch, penalty, workers=workers, plan=plan)
+        self.plan, self.penalty = ranked.plan, ranked.penalty
+        #: Per-evaluation cost attribution (stage timings + counters),
+        #: shared by every session this evaluator drives.
+        self.costs = ranked.costs
+        self.costs.owner = "batch"
+        self.importance, self.order = ranked._importance, ranked._order
+        self._sorted_importance = self.importance[self.order]
+        #: ``(store version, coefficients in rank order)`` once fetched.
+        self._ranked_coefficients: tuple | None = None
 
     @property
     def rewrites(self) -> list:
@@ -115,6 +113,14 @@ class BatchBiggestB:
         if self._rewrites is None:
             self._rewrites = self.storage.rewrite_batch(self.batch)
         return self._rewrites
+
+    def _session(self) -> ProgressiveSession:
+        """A fresh session over this evaluator's plan, charging its account."""
+        session = ProgressiveSession(
+            self.storage, self.batch, self.penalty, plan=self.plan
+        )
+        session.costs = self.costs
+        return session
 
     # ------------------------------------------------------------------
     # Sizes (Observation 1's accounting)
@@ -154,78 +160,59 @@ class BatchBiggestB:
     # ------------------------------------------------------------------
 
     def steps(self, readahead: int = 16) -> Iterator[ProgressiveStep]:
-        """The faithful Figure-1 loop: extract max, retrieve, increment, repeat.
+        """The Figure-1 loop: extract max, retrieve, increment, repeat.
 
         Yields a :class:`ProgressiveStep` per retrieval; after the last step
         the estimates are exact.
 
-        ``readahead`` batches the store reads: the next (up to)
-        ``readahead`` keys of :attr:`order` are fetched with one ``fetch``
-        call, then applied and yielded one at a time.  Semantics are unchanged — the
-        step order is identical and retrieval accounting still counts every
-        key — but a paged/disk store sees chunked, importance-ordered reads
-        instead of ``master_list_size`` single-key probes.  (A consumer that
-        abandons the iterator mid-chunk has paid for at most
+        ``readahead`` batches the store reads: the session's next (up to)
+        ``readahead`` pending keys are fetched with one ``fetch`` call,
+        then applied and yielded one at a time.  The step order is the
+        same for every ``readahead`` and retrieval accounting still counts
+        every key, but a paged/disk store sees chunked, importance-ordered
+        reads instead of ``master_list_size`` single-key probes.  (A
+        consumer that abandons the iterator mid-chunk has paid for at most
         ``readahead - 1`` coefficients it never saw.)  ``readahead=1``
         reproduces the strict fetch-per-step loop.
 
         Degradation: when a resilient store abandons a chunked fetch
         (:class:`~repro.storage.resilient.RetrievalError`), the chunk is
-        re-fetched key by key and only the still-failing keys are dropped
-        from the progression — their estimates contributions are simply
-        never applied, which keeps every yielded estimate inside the
-        Theorem-1 bound for its step count.
+        re-fetched key by key and only the still-failing keys are skipped
+        — their contributions are simply never applied, which keeps every
+        yielded estimate inside the Theorem-1 bound for its step count.
         """
         if readahead < 1:
             raise ValueError(f"readahead must be positive, got {readahead}")
-        estimates = np.zeros(self.plan.batch_size)
-        step = 0
-        # Step 5: walk the importance order (step 4's max-heap, sorted
-        # once: ties go to the smaller key), retrieve chunked, advance
-        # each query.
-        for lo in range(0, self.plan.num_keys, readahead):
-            chunk = self.order[lo : lo + readahead]
-            # The active-account binding covers only the fetch calls (a
-            # generator must not leave a thread-local bound across yields);
+        session = self._session()
+        while True:
+            keys, iotas = session.upcoming(readahead)
+            if not keys.size:
+                return
+            # The active-account binding covers only the fetch (a generator
+            # must not leave a thread-local bound across yields);
             # resilient-store retries inside the fetch still land here.
-            with span("batch.fetch", keys=chunk.size), _charge_to(self.costs), \
+            with span("batch.fetch", keys=keys.size), _charge_to(self.costs), \
                     self.costs.stage("fetch"):
-                coefficients, failed = fetch_degrading(
-                    self.storage.store, self.plan.keys[chunk]
-                )
-            if failed:
-                chunk = np.delete(chunk, failed)
-                coefficients = np.delete(coefficients, failed)
-            self.costs.add(retrievals=chunk.size, skipped_keys=len(failed))
-            # One concatenated-CSR gather for the surviving chunk; the
-            # per-key slices below are views into it, so the yield-per-step
-            # surface keeps its semantics without re-slicing the CSR
-            # arrays key by key.
-            chunk_qids, chunk_vals, counts = self.plan.chunk_segments(chunk)
-            edges = np.concatenate(([0], np.cumsum(counts)))
-            for i, (pos, coefficient) in enumerate(
-                zip(chunk.tolist(), coefficients.tolist())
-            ):
-                with self.costs.stage("apply"):
-                    segment = slice(edges[i], edges[i + 1])
-                    np.add.at(
-                        estimates,
-                        chunk_qids[segment],
-                        chunk_vals[segment] * coefficient,
+                values, failed = fetch_degrading(self.storage.store, keys)
+            self.costs.add(retrievals=keys.size - len(failed))
+            positions = np.searchsorted(self.plan.keys, keys)
+            for lo, hi in available_runs(keys.size, failed):
+                for i in range(lo, hi):
+                    session._apply_batch(positions[i : i + 1], values[i : i + 1])
+                    yield ProgressiveStep(
+                        step=session.steps_taken,
+                        key=int(keys[i]),
+                        importance=float(iotas[i]),
+                        coefficient=float(values[i]),
+                        estimates=session.estimates.copy(),
                     )
-                step += 1
-                yield ProgressiveStep(
-                    step=step,
-                    key=int(self.plan.keys[pos]),
-                    importance=float(self.importance[pos]),
-                    coefficient=coefficient,
-                    estimates=estimates.copy(),
-                )
+                if hi < keys.size:
+                    session.skip_many(keys[hi : hi + 1])
 
     def run_progressive(
         self, checkpoints: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized progression: estimate snapshots at given step counts.
+        """Estimate snapshots at given step counts.
 
         Parameters
         ----------
@@ -238,51 +225,33 @@ class BatchBiggestB:
         (checkpoints, estimates):
             The effective checkpoint array and a ``(len(checkpoints),
             batch_size)`` matrix of progressive estimates.  The store's
-            retrieval counter advances by ``master_list_size`` (the full
-            progression is materialized once).
+            retrieval counter advances by ``master_list_size`` on the first
+            call (the whole master list is fetched in rank order once);
+            later calls on an unchanged store fetch nothing.
         """
         checkpoints = np.unique(
             np.clip(np.asarray(checkpoints, dtype=np.int64), 0, self.plan.num_keys)
         )
-        # The materialized progression caches *data* coefficients, so it is
-        # only valid for the store contents it was fetched from: a streaming
-        # insert between calls must invalidate it, exactly like the
+        ordered_keys = self.plan.keys[self.order]
+        # The cached coefficients are *data*, so they are only valid for
+        # the store contents they were fetched from: a streaming insert
+        # between calls must invalidate them, exactly like the
         # store-version-tied Theorem-1 constant cache in ProgressiveSession.
         version = getattr(self.storage.store, "version", None)
-        cached = getattr(self, "_progression_cache", None)
-        if cached is not None and cached[0] == version:
-            # Reuse the materialized progression; no retrievals re-counted
-            # (the coefficients are already held).
-            sorted_rank, contrib, qid_sorted = cached[1]
-        else:
-            with span(
-                "batch.run_progressive.materialize", keys=self.plan.num_keys
-            ), _charge_to(self.costs):
-                ordered_keys = self.plan.keys[self.order]
+        if self._ranked_coefficients is None or self._ranked_coefficients[0] != version:
+            with span("batch.run_progressive.fetch", keys=ordered_keys.size), \
+                    _charge_to(self.costs):
                 with self.costs.stage("fetch"):
                     fetched = self.storage.store.fetch(ordered_keys)
                 self.costs.add(retrievals=int(ordered_keys.size))
-                # Every column in delivery order; column r is rank r's.
-                qid_sorted, val_sorted, counts = self.plan.chunk_segments(self.order)
-                sorted_rank = np.repeat(np.arange(self.plan.num_keys), counts)
-                contrib = val_sorted * np.repeat(fetched, counts)
-                self._progression_cache = (
-                    version,
-                    (sorted_rank, contrib, qid_sorted),
-                )
-        estimates = np.zeros(self.plan.batch_size)
-        out = np.zeros((checkpoints.size, self.plan.batch_size))
-        prev_edge = 0
-        for i, b in enumerate(checkpoints):
-            edge = int(np.searchsorted(sorted_rank, b, side="left"))
-            if edge > prev_edge:
-                estimates += np.bincount(
-                    qid_sorted[prev_edge:edge],
-                    weights=contrib[prev_edge:edge],
-                    minlength=self.plan.batch_size,
-                )
-                prev_edge = edge
-            out[i] = estimates
+            self._ranked_coefficients = (version, fetched)
+        fetched = self._ranked_coefficients[1]
+        session = self._session()
+        out = np.empty((checkpoints.size, self.plan.batch_size))
+        for i, b in enumerate(checkpoints.tolist()):
+            done = session.steps_taken
+            session.deliver_many(ordered_keys[done:b], fetched[done:b])
+            out[i] = session.estimates
         return checkpoints, out
 
     # ------------------------------------------------------------------

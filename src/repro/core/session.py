@@ -1,4 +1,4 @@
-"""Interactive progressive sessions on top of Batch-Biggest-B.
+"""Interactive progressive sessions: the one Batch-Biggest-B loop.
 
 The paper's user stories (Section 4) are interactive: a dashboard renders
 progressive estimates, the user scrolls (moving the cursor), pauses, or
@@ -31,7 +31,9 @@ rewinds the cursor to the first re-queued rank (O(cursor)).
 :meth:`upcoming` reads the next pending keys off the array, and
 :meth:`advance` is *pick* (the queue head), *fetch*
 (:func:`~repro.storage.resilient.fetch_degrading`), *apply* — the same
-three pieces the shared scheduler runs over many sessions.
+three pieces the shared scheduler runs over many sessions and
+:class:`~repro.core.batch.BatchBiggestB` runs over one.  Whoever drives
+it, a session's estimates accumulate in one place, ``_apply_batch``.
 
 Degraded mode: when the store abandons a fetch permanently
 (:class:`~repro.storage.resilient.RetrievalError` after retries and the
@@ -62,11 +64,16 @@ from repro.storage.base import LinearStorage
 from repro.storage.resilient import available_runs, fetch_degrading
 
 #: Keys fetched per store gather when a wall-clock deadline bounds an
-#: :meth:`ProgressiveSession.advance` call (without one, the whole
-#: request is a single gather) or one of
+#: :meth:`ProgressiveSession.advance` call or one of
 #: :class:`~repro.service.scheduler.SharedRetrievalScheduler`, and the
 #: first block of the cursor's forward scan.
 DEFAULT_CHUNK = 64
+
+#: Keys per gather when nothing else caps it — both loops' flush rule (and
+#: ``cluster/store.py``'s for a pipe message): a larger request —
+#: ``run_to_completion`` of a 200k-key plan — is served in pieces, so one
+#: apply never concatenates a whole plan's entries.
+MAX_CHUNK_KEYS = 8192
 
 
 def _max_after(values: np.ndarray, last: float) -> np.ndarray:
@@ -87,6 +94,7 @@ class ProgressiveSession:
         penalty: Penalty | None = None,
         workers: int | None = None,
         convergence_capacity: int = 1024,
+        plan: QueryPlan | None = None,
     ) -> None:
         self.storage = storage
         self.batch = batch
@@ -95,9 +103,15 @@ class ProgressiveSession:
         #: counters, itemized in ``docs/OBSERVABILITY.md``.
         self.costs = CostAccount(owner="session", queries=batch.size)
         # ``workers > 1`` parallelizes the rewrite front end (the distinct
-        # per-dimension factors) without changing the resulting plan.
-        with _charge_to(self.costs):
-            self.plan = QueryPlan.from_batch(storage, batch, workers=workers)
+        # per-dimension factors) without changing the resulting plan.  A
+        # prebuilt ``plan`` (only the ranking depends on the penalty)
+        # skips that work and costs this account nothing.
+        if plan is None:
+            with _charge_to(self.costs):
+                plan = QueryPlan.from_batch(storage, batch, workers=workers)
+        elif plan.batch_size != batch.size:
+            raise ValueError("plan must match the batch size")
+        self.plan = plan
         self.estimates = np.zeros(batch.size)
         #: Bounded ring of ``(B, retrievals, bound, wall_time)`` events —
         #: one per applied coefficient; see ``docs/OBSERVABILITY.md``.
@@ -169,10 +183,11 @@ class ProgressiveSession:
         """Boolean mask over master positions: unretrieved and unskipped."""
         return ~(self._retrieved | self._skipped)
 
-    def has_pending(self, keys: np.ndarray) -> np.ndarray:
-        """Which of ``keys`` are in the master list and pending."""
+    def lacks(self, keys: np.ndarray) -> np.ndarray:
+        """Which of ``keys`` :meth:`deliver_many` would apply: in the
+        master list and not yet retrieved, pending or skipped."""
         pos, found = self._locate(keys)
-        return found & ~(self._retrieved[pos] | self._skipped[pos])
+        return found & ~self._retrieved[pos]
 
     def upcoming(
         self, n: int, floor: float | None = None
@@ -233,9 +248,10 @@ class ProgressiveSession:
         counters, and the Theorem-1 bound after every coefficient are
         identical to the one-key-at-a-time loop (``chunk=1`` reproduces
         it literally).
-        Without a ``deadline`` the whole request is a single gather;
-        under a deadline the chunk is capped so a slow store is
-        re-checked against the clock every few keys.
+        Without a ``deadline`` a chunk is the whole request up to
+        :data:`MAX_CHUNK_KEYS`; under a deadline it is
+        :data:`DEFAULT_CHUNK` keys, so a slow store is re-checked against
+        the clock every few keys.
 
         ``deadline`` is a wall-clock budget in seconds for this call: no
         new fetch is started once it has elapsed, so a slow store costs
@@ -250,7 +266,7 @@ class ProgressiveSession:
         if chunk is not None and chunk < 1:
             raise ValueError(f"chunk must be positive, got {chunk}")
         if chunk is None:
-            chunk = k if deadline is None else DEFAULT_CHUNK
+            chunk = min(k, MAX_CHUNK_KEYS) if deadline is None else DEFAULT_CHUNK
         start = time.monotonic() if deadline is not None else 0.0
         done = 0
         # Bind this session's account to the thread so deep layers (the

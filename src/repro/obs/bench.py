@@ -3,28 +3,26 @@
 Runs a small set of seeded end-to-end scenarios — single-batch
 progressive evaluation, concurrent service sharing, resilient degraded
 mode — and emits one schema-versioned JSON document per scenario family
-(``BENCH_progressive.json``, ``BENCH_service.json``) containing:
+(``BENCH_progressive.json``, ``BENCH_service.json``) containing, per
+scenario:
 
-* **deterministic counters** — master-list sizes, retrievals,
-  deliveries, cache hits, skipped keys.  These are pure functions of the
-  seeds, so the regression gate compares them *exactly*: a drifted
-  counter means the algorithm changed, not the machine.
-* **per-stage ledger timings** — wall/CPU seconds per pipeline stage
-  (``rewrite -> plan -> schedule -> fetch -> apply``) read from the
+* **counters** — master-list sizes, retrievals, deliveries, cache hits,
+  retries, skipped keys;
+* **per-stage calls** — how many times each pipeline stage
+  (``rewrite -> plan -> schedule -> fetch -> apply``) ran, read from the
   :mod:`repro.obs.ledger` cost accounts of the sessions the scenario
   ran.
-* **normalized wall times** — every timing is divided by an in-run
-  *calibration* measurement (a fixed reference workload through the same
-  code paths), so machine speed cancels and the ``--tolerance`` gate
-  (default 25%) is portable across laptops and CI runners.
 
-The gate (:func:`compare`) fails on counter drift or on a normalized
-slowdown beyond the tolerance; small normalized values are floored so
-scheduler jitter on near-zero stages cannot flake the gate.  CI runs
-``repro bench --smoke`` (single trial instead of three) against the
-baselines committed at the repository root; refresh those baselines by
-re-running ``repro bench --out-dir .`` after an intentional performance
-change.
+Both are pure functions of the seeds, so the gate is exact and never
+times anything: :func:`compare` fails on any counter that drifted from
+the baseline (a drifted counter means the algorithm changed, not the
+machine), and :func:`vectorized_gate` requires the chunked engine to
+match the scalar one counter for counter while making fewer store
+gathers.  Speed is measured end to end by the ``BENCHMARK.json``
+harness (``benchmarks/e2e``), not here.  CI runs ``repro bench
+--baseline-dir .`` against the baselines committed at the repository
+root; refresh them with ``repro bench --out-dir .`` after an
+intentional change.
 
 This module deliberately imports the pipeline lazily (inside functions):
 ``repro.obs`` must stay importable from the innermost layers without
@@ -34,21 +32,16 @@ cycling back through :mod:`repro.core`.
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
 #: Bumped whenever the document layout changes incompatibly.
-SCHEMA = "repro-bench/v1"
+SCHEMA = "repro-bench/v2"
 
 #: Scenario families and their output file names.
 BENCH_FILES = {
     "progressive": "BENCH_progressive.json",
     "service": "BENCH_service.json",
 }
-
-#: Normalized-wall slowdowns below this floor never fail the gate
-#: (micro-stages are dominated by scheduler jitter, not regressions).
-NORMALIZED_FLOOR = 0.5
 
 _COUNTER_KEYS = (
     "retrievals",
@@ -61,7 +54,7 @@ _COUNTER_KEYS = (
 
 
 def _fresh_run_state() -> None:
-    """Reset cross-run caches so repeated trials measure the same work."""
+    """Reset cross-run caches so every run counts the same work."""
     from repro.obs import LEDGER
     from repro.wavelets.query_transform import clear_cache
 
@@ -76,56 +69,12 @@ def _account_result(accounts, extra_counters=None) -> dict:
     for account in accounts:
         snap = account.to_dict()
         for name, cell in snap["stages"].items():
-            agg = stages.setdefault(
-                name, {"calls": 0, "wall_s": 0.0, "cpu_s": 0.0}
-            )
-            agg["calls"] += cell["calls"]
-            agg["wall_s"] += cell["wall_s"]
-            agg["cpu_s"] += cell["cpu_s"]
+            stages.setdefault(name, {"calls": 0})["calls"] += cell["calls"]
         for key in _COUNTER_KEYS:
             counters[key] += snap["counters"][key]
     if extra_counters:
         counters.update(extra_counters)
-    return {
-        "counters": counters,
-        "stages": stages,
-        "wall_s": sum(cell["wall_s"] for cell in stages.values()),
-    }
-
-
-def calibrate(repeats: int = 3) -> float:
-    """Wall seconds of a fixed reference workload on *this* machine.
-
-    Eight cache-warm seeded exact batch evaluations — the same
-    rewrite/plan/fetch/apply code paths the scenarios time — measured as
-    one block, best (minimum) of ``repeats`` blocks taken.  Scenario
-    timings are divided by this, so a machine twice as fast shrinks
-    numerator and denominator together.  The block is sized to run for
-    ~10ms so the yardstick itself is not dominated by timer jitter (a
-    sub-millisecond reference would make every normalized reading
-    noise).
-    """
-    from repro.core.batch import BatchBiggestB
-    from repro.data.synthetic import uniform_dataset
-    from repro.queries.workload import partition_count_batch
-    from repro.storage.wavelet_store import WaveletStorage
-
-    import numpy as np
-
-    relation = uniform_dataset((64, 64), 4000, seed=7)
-    storage = WaveletStorage.build(relation.frequency_distribution())
-    batch = partition_count_batch(
-        relation.shape, (4, 4), rng=np.random.default_rng(8)
-    )
-    _fresh_run_state()
-    BatchBiggestB(storage, batch).run()  # warm the rewrite memos once
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        for _ in range(8):
-            BatchBiggestB(storage, batch).run()
-        best = min(best, time.perf_counter() - t0)
-    return best
+    return {"counters": counters, "stages": stages}
 
 
 # ----------------------------------------------------------------------
@@ -173,11 +122,9 @@ def run_progressive_scenarios(seed: int = 0) -> dict:
     # One progressive session driven through the service scheduler on a
     # larger workload, once with the vectorized chunked engine and once
     # with the per-key scalar loop (``chunk_size=1``).  Counters are
-    # identical by the engine's bit-equality contract — only the wall
-    # time may differ, and :func:`vectorized_gate` requires the chunked
-    # engine to win.  The vectorized variant runs *first* so rewrite
-    # memo warming (done explicitly here) and cache effects can only
-    # bias against it.
+    # identical by the engine's bit-equality contract — only the number
+    # of store gathers may differ, and :func:`vectorized_gate` requires
+    # the chunked engine to make fewer.
     from repro.service.server import ProgressiveQueryService
 
     big_relation = uniform_dataset((64, 64), 16000, seed=seed + 2)
@@ -185,7 +132,7 @@ def run_progressive_scenarios(seed: int = 0) -> dict:
     big_batch = partition_count_batch(
         big_relation.shape, (4, 4), rng=np.random.default_rng(seed + 3)
     )
-    big_storage.rewrite_batch(big_batch)  # warm the memo for both runs
+    big_storage.rewrite_batch(big_batch)  # same memo state for both runs
     for name, chunk in (("advance_vectorized", 64), ("advance_scalar", 1)):
         service = ProgressiveQueryService(big_storage, chunk_size=chunk)
         session_id = service.submit(big_batch)
@@ -339,34 +286,15 @@ _FAMILIES = {
 }
 
 
-def run_family(family: str, seed: int = 0, trials: int = 3) -> dict:
-    """Run one scenario family; returns its schema-versioned document.
-
-    Counters come from the first trial (they are identical across
-    trials by construction); timings are the per-scenario minimum over
-    ``trials`` runs, then normalized by :func:`calibrate`.
-    """
+def run_family(family: str, seed: int = 0) -> dict:
+    """Run one scenario family; returns its schema-versioned document."""
     from repro.obs import set_enabled
 
     runner = _FAMILIES[family]
     previous = set_enabled(True)
     try:
-        calibration_s = calibrate()
-        best: dict[str, dict] = {}
-        for trial in range(max(1, trials)):
-            _fresh_run_state()
-            results = runner(seed=seed)
-            for name, result in results.items():
-                if trial == 0:
-                    best[name] = result
-                elif result["wall_s"] < best[name]["wall_s"]:
-                    # Keep trial-0 counters (deterministic), best timings.
-                    result["counters"] = best[name]["counters"]
-                    best[name] = result
-        for result in best.values():
-            result["normalized_wall"] = result["wall_s"] / calibration_s
-            for cell in result["stages"].values():
-                cell["normalized_wall"] = cell["wall_s"] / calibration_s
+        _fresh_run_state()
+        scenarios = runner(seed=seed)
     finally:
         set_enabled(previous)
         _fresh_run_state()
@@ -374,18 +302,13 @@ def run_family(family: str, seed: int = 0, trials: int = 3) -> dict:
         "schema": SCHEMA,
         "family": family,
         "seed": int(seed),
-        "trials": int(max(1, trials)),
-        "calibration_s": calibration_s,
-        "scenarios": best,
+        "scenarios": scenarios,
     }
 
 
-def run_all(seed: int = 0, trials: int = 3) -> dict[str, dict]:
+def run_all(seed: int = 0) -> dict[str, dict]:
     """Every family's document, keyed by family name."""
-    return {
-        family: run_family(family, seed=seed, trials=trials)
-        for family in _FAMILIES
-    }
+    return {family: run_family(family, seed=seed) for family in _FAMILIES}
 
 
 # ----------------------------------------------------------------------
@@ -403,8 +326,6 @@ def validate(doc: dict) -> list[str]:
         return problems
     if doc.get("family") not in _FAMILIES:
         problems.append(f"unknown family {doc.get('family')!r}")
-    if not isinstance(doc.get("calibration_s"), float) or doc["calibration_s"] <= 0:
-        problems.append("calibration_s must be a positive float")
     scenarios = doc.get("scenarios")
     if not isinstance(scenarios, dict) or not scenarios:
         problems.append("scenarios must be a non-empty object")
@@ -421,15 +342,12 @@ def validate(doc: dict) -> list[str]:
                     f"{where}: counter {key}={value!r} must be a "
                     "non-negative int"
                 )
-        for key in ("wall_s", "normalized_wall"):
-            if not isinstance(result.get(key), float) or result[key] < 0:
-                problems.append(f"{where}: {key} must be a non-negative float")
         stages = result.get("stages")
         if not isinstance(stages, dict):
             problems.append(f"{where}: missing stages")
             continue
         for stage, cell in stages.items():
-            if cell.get("calls", 0) <= 0 or cell.get("wall_s", -1.0) < 0:
+            if not isinstance(cell.get("calls"), int) or cell["calls"] <= 0:
                 problems.append(f"{where}: malformed stage {stage!r}: {cell}")
     return problems
 
@@ -453,14 +371,11 @@ def load_baseline(baseline_dir, family: str) -> dict | None:
     return json.loads(path.read_text())
 
 
-def compare(current: dict, baseline: dict, tolerance: float = 0.5) -> list[str]:
+def compare(current: dict, baseline: dict) -> list[str]:
     """The regression gate; returns the violations (empty = pass).
 
-    Counters must match the baseline exactly (they are deterministic in
-    the seeds).  Normalized wall times may not exceed the baseline by
-    more than ``tolerance`` — unless both readings are under
-    :data:`NORMALIZED_FLOOR`, where jitter dominates.  Speedups never
-    fail; re-baseline to bank them.
+    Every baseline scenario must be present and its counters must match
+    exactly (they are deterministic in the seeds).
     """
     problems: list[str] = []
     if current.get("schema") != baseline.get("schema"):
@@ -481,32 +396,16 @@ def compare(current: dict, baseline: dict, tolerance: float = 0.5) -> list[str]:
                     f"{expected} -> {got} (counters are deterministic; "
                     "an intentional change needs new baselines)"
                 )
-        base_wall = base["normalized_wall"]
-        mine_wall = mine["normalized_wall"]
-        if (
-            mine_wall > base_wall * (1.0 + tolerance)
-            and mine_wall > NORMALIZED_FLOOR
-            and base_wall > NORMALIZED_FLOOR
-        ):
-            problems.append(
-                f"scenario {name!r}: normalized wall regressed "
-                f"{base_wall:.2f} -> {mine_wall:.2f} "
-                f"(> {tolerance:.0%} over baseline)"
-            )
     return problems
 
 
 def vectorized_gate(doc: dict) -> list[str]:
-    """The chunked-engine perf gate on a ``progressive`` document.
+    """The chunked-engine gate on a ``progressive`` document.
 
-    Two requirements, both from the PR-7 contract: the
-    ``advance_vectorized`` and ``advance_scalar`` scenarios must agree
-    on every resource counter (the engine may change *when* work
-    happens, never *how much*), and the vectorized normalized wall must
-    beat the scalar one.  The speed check is waived when the scalar
-    reading is itself under :data:`NORMALIZED_FLOOR` — a machine on
-    which the scalar loop is already jitter-dominated cannot resolve
-    the comparison.
+    The ``advance_vectorized`` and ``advance_scalar`` scenarios must
+    agree on every resource counter (the engine may change *when* work
+    happens, never *how much*), and the vectorized engine must reach the
+    store in fewer ``fetch`` calls — the gathers that are its point.
     """
     scenarios = doc.get("scenarios", {})
     scalar = scenarios.get("advance_scalar")
@@ -527,11 +426,11 @@ def vectorized_gate(doc: dict) -> list[str]:
                 f"(scalar {expected} vs vectorized {got}; the chunked "
                 "engine must be bit-equal)"
             )
-    scalar_wall = scalar["normalized_wall"]
-    vector_wall = vector["normalized_wall"]
-    if scalar_wall > NORMALIZED_FLOOR and vector_wall >= scalar_wall:
+    scalar_fetches = scalar["stages"].get("fetch", {}).get("calls", 0)
+    vector_fetches = vector["stages"].get("fetch", {}).get("calls", 0)
+    if vector_fetches >= scalar_fetches:
         problems.append(
-            f"vectorized gate: chunked engine not faster than scalar "
-            f"({vector_wall:.2f} >= {scalar_wall:.2f} normalized)"
+            f"vectorized gate: chunked engine made {vector_fetches} fetch "
+            f"calls, not fewer than the scalar engine's {scalar_fetches}"
         )
     return problems

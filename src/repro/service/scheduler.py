@@ -23,8 +23,9 @@ overlap too — whole-domain partitions share every coarse wavelet key.  The
 
 An ``advance`` without a deadline is served as **one chunk** — one pick,
 one gather, one apply, for any number of live sessions (an explicit
-``chunk_size``, the :data:`MAX_CHUNK_KEYS` cap, or a deadline's
-:data:`~repro.core.session.DEFAULT_CHUNK` cut it into several).  The
+``chunk_size``, or the flush rule a session's own ``advance`` follows —
+:data:`~repro.core.session.MAX_CHUNK_KEYS`, or a deadline's
+:data:`~repro.core.session.DEFAULT_CHUNK` — cut it into several).  The
 three shared pieces:
 
 * **pick** — merge the live queues' heads up to the key that brings the
@@ -60,16 +61,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.session import DEFAULT_CHUNK, ProgressiveSession
+from repro.core.session import DEFAULT_CHUNK, MAX_CHUNK_KEYS, ProgressiveSession
 from repro.obs import REGISTRY, MetricRegistry, span
 from repro.obs.ledger import activate as _charge_to, note_fetch
 from repro.storage.resilient import available_runs, fetch_degrading
-
-#: Keys per chunk when nothing else caps it (the flush rule
-#: ``cluster/store.py`` applies to a pipe message): a larger ``advance`` —
-#: ``run_to_completion`` of a 200k-key plan — is served in pieces, so one
-#: apply never concatenates a whole plan's entries.
-MAX_CHUNK_KEYS = 8192
 
 #: Distinguishes scheduler instances inside the process-global registry.
 _INSTANCE_IDS = itertools.count()
@@ -228,8 +223,9 @@ class SharedRetrievalScheduler:
         session — never past ``k``, so the set and order of served keys
         are those of the scalar loop.  The loop runs again only when a
         key was skipped or a cap cut the chunk: ``chunk_size``,
-        :data:`MAX_CHUNK_KEYS`, or — under a ``deadline``, so the clock
-        is re-read — :data:`~repro.core.session.DEFAULT_CHUNK`.  Returns
+        :data:`~repro.core.session.MAX_CHUNK_KEYS`, or — under a
+        ``deadline``, so the clock is re-read —
+        :data:`~repro.core.session.DEFAULT_CHUNK`.  Returns
         the number of coefficients the target session actually gained
         (less than ``k`` at exhaustion, when the remaining keys are
         unavailable, or once ``deadline`` seconds have elapsed).
@@ -280,10 +276,10 @@ class SharedRetrievalScheduler:
         entries and the last one's importance is the floor of every other
         window (the module docstring has the argument); a target with
         fewer pending (degraded) sets no floor, so the merged remainder
-        is served.  No window needs more than ``limit`` entries: the
-        first ``limit`` distinct keys hold at most that many of any one
-        session.  Windows are concatenated in sid order and ``lexsort``
-        is stable, so ties fall to the lower sid.
+        is served up to that gain.  No window needs more than ``limit``
+        entries: the first ``limit`` distinct keys hold at most that many
+        of any one session.  Windows are concatenated in sid order and
+        ``lexsort`` is stable, so ties fall to the lower sid.
         """
         window = min(need, limit)
         own = target.upcoming(window)
@@ -296,16 +292,19 @@ class SharedRetrievalScheduler:
             if head_keys.size:
                 keys.append(head_keys)
                 iotas.append(head_iotas)
-        if len(keys) < 2:
-            return keys[0] if keys else np.empty(0, dtype=np.int64)
+        if not keys:
+            return np.empty(0, dtype=np.int64)
+        if len(keys) == 1 and keys[0] is own[0]:
+            return own[0]  # the target's own window: every key a gain
         keys, iotas = np.concatenate(keys), np.concatenate(iotas)
         merged = keys[np.lexsort((keys, -iotas))]
         first = np.unique(merged, return_index=True)[1]
         first.sort()
         keys = merged[first[:limit]]
-        # Another session's entry for a key the target is waiting on is
-        # a gain for the target too.
-        gains = np.cumsum(target.has_pending(keys))
+        # Every key the target lacks is a gain: another session's entry
+        # for a key the target is waiting on, or has skipped (delivery
+        # un-skips it), lands in the target too.
+        gains = np.cumsum(target.lacks(keys))
         return keys[: int(np.searchsorted(gains, need)) + 1]
 
     @contextmanager

@@ -12,6 +12,7 @@ from repro.core.penalties import (
     LpPenalty,
     SsePenalty,
 )
+from repro.core.session import ProgressiveSession
 from repro.queries.range import HyperRect
 from repro.queries.vector_query import QueryBatch, VectorQuery
 from repro.queries.workload import partition_count_batch, random_rectangles
@@ -336,6 +337,37 @@ class TestReadahead:
         for bad in (0, -3):
             with pytest.raises(ValueError):
                 next(ev.steps(readahead=bad))
+
+
+class TestOneLoop:
+    """Every progressive surface is ``ProgressiveSession.advance(b)``, bit for bit."""
+
+    @pytest.fixture
+    def workload(self):
+        data = np.random.default_rng(0).poisson(2.0, size=(32, 32)).astype(float)
+        storage = WaveletStorage.build(data, wavelet="db2")
+        batch = partition_count_batch((32, 32), (4, 4), rng=np.random.default_rng(1))
+        return storage, batch
+
+    def _advanced(self, storage, batch, b):
+        session = ProgressiveSession(storage, batch)
+        session.advance(b)
+        return session.estimates
+
+    def test_steps_equal_session_advance(self, workload):
+        storage, batch = workload
+        steps = list(BatchBiggestB(storage, batch).steps())
+        for b, step in enumerate(steps, start=1):
+            np.testing.assert_array_equal(
+                step.estimates, self._advanced(storage, batch, b)
+            )
+
+    def test_run_progressive_equals_session_advance(self, workload):
+        storage, batch = workload
+        ev = BatchBiggestB(storage, batch)
+        checkpoints, snaps = ev.run_progressive([1, 7, 50, 200, ev.master_list_size])
+        for b, snap in zip(checkpoints.tolist(), snaps):
+            np.testing.assert_array_equal(snap, self._advanced(storage, batch, b))
 
 
 class TestProgressionCacheStaleness:

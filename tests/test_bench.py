@@ -12,8 +12,8 @@ from repro.obs import bench
 
 @pytest.fixture(scope="module")
 def progressive_doc():
-    """One real single-trial run of the progressive family (module-cached)."""
-    return bench.run_family("progressive", seed=0, trials=1)
+    """One real run of the progressive family (module-cached)."""
+    return bench.run_family("progressive", seed=0)
 
 
 class TestRunFamily:
@@ -21,8 +21,6 @@ class TestRunFamily:
         doc = progressive_doc
         assert doc["schema"] == bench.SCHEMA
         assert doc["family"] == "progressive"
-        assert doc["trials"] == 1
-        assert doc["calibration_s"] > 0
         assert set(doc["scenarios"]) == {
             "exact", "steps", "advance_vectorized", "advance_scalar",
         }
@@ -31,7 +29,7 @@ class TestRunFamily:
         assert bench.validate(progressive_doc) == []
 
     def test_counters_are_deterministic(self, progressive_doc):
-        rerun = bench.run_family("progressive", seed=0, trials=1)
+        rerun = bench.run_family("progressive", seed=0)
         for name, result in progressive_doc["scenarios"].items():
             assert rerun["scenarios"][name]["counters"] == result["counters"]
 
@@ -41,12 +39,6 @@ class TestRunFamily:
         assert counters["bytes_fetched"] == counters["retrievals"] * 8
         # Sharing helps: the shared master list beats per-query fetching.
         assert counters["unshared_retrievals"] > counters["retrievals"]
-
-    def test_normalized_walls_present(self, progressive_doc):
-        for result in progressive_doc["scenarios"].values():
-            assert result["normalized_wall"] >= 0
-            for cell in result["stages"].values():
-                assert "normalized_wall" in cell
 
     def test_unknown_family_raises(self):
         with pytest.raises(KeyError):
@@ -113,43 +105,9 @@ class TestCompareGate:
         problems = bench.compare(current, progressive_doc)
         assert any("missing from current run" in p for p in problems)
 
-    def test_slowdown_beyond_tolerance_fails(self, progressive_doc):
-        baseline = copy.deepcopy(progressive_doc)
-        current = copy.deepcopy(progressive_doc)
-        # Push both readings above the jitter floor, then regress by 2x.
-        baseline["scenarios"]["exact"]["normalized_wall"] = 10.0
-        current["scenarios"]["exact"]["normalized_wall"] = 20.0
-        problems = bench.compare(current, baseline, tolerance=0.25)
-        assert any("regressed" in p for p in problems)
-
-    def test_slowdown_within_tolerance_passes(self, progressive_doc):
-        baseline = copy.deepcopy(progressive_doc)
-        current = copy.deepcopy(progressive_doc)
-        baseline["scenarios"]["exact"]["normalized_wall"] = 10.0
-        current["scenarios"]["exact"]["normalized_wall"] = 12.0
-        assert bench.compare(current, baseline, tolerance=0.25) == []
-
-    def test_jitter_floor_suppresses_tiny_regressions(self, progressive_doc):
-        baseline = copy.deepcopy(progressive_doc)
-        current = copy.deepcopy(progressive_doc)
-        # 3x slower, but both readings are under NORMALIZED_FLOOR.
-        floor = bench.NORMALIZED_FLOOR
-        for name in baseline["scenarios"]:
-            baseline["scenarios"][name]["normalized_wall"] = floor * 0.1
-            current["scenarios"][name]["normalized_wall"] = floor * 0.3
-        assert bench.compare(current, baseline) == []
-
-    def test_speedups_never_fail(self, progressive_doc):
-        baseline = copy.deepcopy(progressive_doc)
-        current = copy.deepcopy(progressive_doc)
-        for name in baseline["scenarios"]:
-            baseline["scenarios"][name]["normalized_wall"] = 10.0
-            current["scenarios"][name]["normalized_wall"] = 1.0
-        assert bench.compare(current, baseline) == []
-
     def test_schema_drift_requires_rebaseline(self, progressive_doc):
         current = copy.deepcopy(progressive_doc)
-        current["schema"] = "repro-bench/v2"
+        current["schema"] = "repro-bench/v1"
         problems = bench.compare(current, progressive_doc)
         assert problems and "re-baseline" in problems[0]
 
@@ -170,13 +128,12 @@ class TestVectorizedGate:
         scalar = progressive_doc["scenarios"]["advance_scalar"]["counters"]
         assert vec["chunk"] != scalar["chunk"]
 
-    def test_slow_vectorized_path_fails(self, progressive_doc):
+    def test_as_many_fetch_calls_as_scalar_fails(self, progressive_doc):
         doc = copy.deepcopy(progressive_doc)
-        floor = bench.NORMALIZED_FLOOR
-        doc["scenarios"]["advance_scalar"]["normalized_wall"] = floor * 4
-        doc["scenarios"]["advance_vectorized"]["normalized_wall"] = floor * 8
+        scalar = doc["scenarios"]["advance_scalar"]["stages"]["fetch"]["calls"]
+        doc["scenarios"]["advance_vectorized"]["stages"]["fetch"]["calls"] = scalar
         problems = bench.vectorized_gate(doc)
-        assert any("not faster" in p for p in problems)
+        assert any("fetch calls" in p for p in problems)
 
     def test_missing_scenarios_fail(self, progressive_doc):
         doc = copy.deepcopy(progressive_doc)

@@ -14,8 +14,9 @@ machine's one ``RecordingStore -> FaultInjectingStore -> ResilientStore``
 stack, so a blackout and the fetch record mean the same thing everywhere.
 
 The heal rule re-queues *every* live session, like
-``ClusterRouter.reintegrate_shard``: a key skipped for the advancing
-session yet pending for another is outside the modelled contract.
+``ClusterRouter.reintegrate_shard``; a key skipped for the advancing
+session yet pending for another is reached by a scripted regression
+below instead.
 """
 
 from __future__ import annotations
@@ -283,6 +284,51 @@ def test_degraded_target_with_nothing_pending_serves_the_merged_remainder(
         # serve B every key B does not share with A.
         assert service.poll(a).skipped_count == len(dark)
         assert service.poll(b).steps_taken == len(model.sessions[b].keys - dark) > 5
+    m = service.metrics()
+    assert (m.retrievals, m.deliveries, m.skipped_keys) == (
+        model.retrievals, model.deliveries, model.skipped_keys
+    )
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize(
+    "shards, partitioner", [(0, "hash"), (1, "hash"), (2, "hash"), (2, "range")]
+)
+@pytest.mark.parametrize("dark", ["shared", "all"])
+def test_keys_skipped_for_the_target_count_toward_its_k(shards, partitioner, chunk, dark):
+    """A key the target skipped, pending for a session submitted after the
+    heal, is delivered to the target too: the pick must count it as one of
+    the target's ``k`` gains, or one chunk overshoots ``k`` (21 or more
+    keys for ``advance(a, 3)``) where the one-key loop stops at 3.
+    ``dark="all"`` leaves the target nothing pending at all.
+    """
+    service, faults, _ = make_front(shards, partitioner, chunk)
+    model = Model(STORAGE)
+    batch_a = partition_count_batch(SHAPE, (4, 4), rng=np.random.default_rng(2))
+    batch_b = partition_count_batch(SHAPE, (4, 2), rng=np.random.default_rng(3))
+    a = service.submit(batch_a)
+    model.submit(a, QueryPlan.from_batch(STORAGE, batch_a), SsePenalty())
+    keys_a = model.sessions[a].keys
+    blackout = keys_a
+    if dark == "shared":
+        blackout = keys_a & set(QueryPlan.from_batch(STORAGE, batch_b).keys.tolist())
+    faults.blackout_keys.update(blackout)
+    model.blackout.update(blackout)
+    while not service.poll(a).degraded:
+        assert service.advance(a, 8) == model.advance(a, 8)
+    faults.heal()
+    model.blackout.clear()
+    b = service.submit(batch_b)
+    model.submit(b, QueryPlan.from_batch(STORAGE, batch_b), SsePenalty())
+    for sid in (a, a, b):
+        assert service.advance(sid, 3) == model.advance(sid, 3) == 3
+        for session_id, s in model.sessions.items():
+            snap = service.poll(session_id)
+            assert snap.estimates.tobytes() == s.answers().tobytes()
+            assert (snap.steps_taken, snap.skipped_count) == (
+                len(s.retrieved), len(s.skipped)
+            )
+            assert snap.worst_case_bound == s.bound(model.k_const)
     m = service.metrics()
     assert (m.retrievals, m.deliveries, m.skipped_keys) == (
         model.retrievals, model.deliveries, model.skipped_keys
