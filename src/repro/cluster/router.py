@@ -451,8 +451,4 @@ class ClusterRouter(ProgressiveQueryService):
         self._dead.add(index)
         self._publish_state(index)
         self._shards[index].abandon()
-        for entry in self._sessions.values():
-            keys, _ = entry.session.pending()
-            entry.session.skip_many(
-                keys[self.partitioner.shard_of(keys) == index]
-            )
+        self.scheduler.shed(lambda keys: self.partitioner.shard_of(keys) == index)

@@ -28,12 +28,16 @@ cursor at its first pending rank.  The cursor only moves forward, past
 ranks that were retrieved or skipped; :meth:`set_penalty` re-sorts the
 unretrieved keys (O(n log n), the only re-sort) and :meth:`retry_skipped`
 rewinds the cursor to the first re-queued rank (O(cursor)).
-:meth:`upcoming` reads the next pending keys off the array, and
 :meth:`advance` is *pick* (the queue head), *fetch*
 (:func:`~repro.storage.resilient.fetch_degrading`), *apply* — the same
 three pieces the shared scheduler runs over many sessions and
-:class:`~repro.core.batch.BatchBiggestB` runs over one.  Whoever drives
-it, a session's estimates accumulate in one place, ``_apply_batch``.
+:class:`~repro.core.batch.BatchBiggestB` runs over one.
+
+Whoever drives it, *apply* only lands the keys (``_apply_batch``: the
+retrieved mask, the coefficients, the step count); :attr:`estimates` and
+:attr:`convergence` fold the landed chunks in when read (``_fold``).  A
+scheduler serving eight sessions round-robin lands eight chunks in each
+of them between two reads, and the fold sums them in one pass.
 
 Degraded mode: when the store abandons a fetch permanently
 (:class:`~repro.storage.resilient.RetrievalError` after retries and the
@@ -76,14 +80,6 @@ DEFAULT_CHUNK = 64
 MAX_CHUNK_KEYS = 8192
 
 
-def _max_after(values: np.ndarray, last: float) -> np.ndarray:
-    """``out[i] = max(values[i+1:], last)``: a running max from the right."""
-    tail = np.empty(values.size)
-    tail[:-1] = values[1:]
-    tail[-1] = last
-    return np.maximum.accumulate(tail[::-1])[::-1]
-
-
 class ProgressiveSession:
     """A pausable, re-targetable progressive batch evaluation."""
 
@@ -112,10 +108,10 @@ class ProgressiveSession:
         elif plan.batch_size != batch.size:
             raise ValueError("plan must match the batch size")
         self.plan = plan
-        self.estimates = np.zeros(batch.size)
-        #: Bounded ring of ``(B, retrievals, bound, wall_time)`` events —
-        #: one per applied coefficient; see ``docs/OBSERVABILITY.md``.
-        self.convergence = ConvergenceLog(capacity=convergence_capacity)
+        self._estimates = np.zeros(batch.size)
+        self._convergence = ConvergenceLog(capacity=convergence_capacity)
+        #: Chunks landed but not yet folded in, and their keys (:meth:`_fold`).
+        self._unfolded, self._unfolded_keys = [], 0
         self._retrieved = np.zeros(self.plan.num_keys, dtype=bool)
         self._skipped = np.zeros(self.plan.num_keys, dtype=bool)
         self._skipped_count = 0
@@ -135,6 +131,18 @@ class ProgressiveSession:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+
+    @property
+    def estimates(self) -> np.ndarray:
+        """The progressive answers (the live array; copy to keep it)."""
+        self._fold()
+        return self._estimates
+
+    @property
+    def convergence(self) -> ConvergenceLog:
+        """One ``(B, retrievals, bound, wall_time)`` event per coefficient."""
+        self._fold()
+        return self._convergence
 
     @property
     def steps_taken(self) -> int:
@@ -183,22 +191,12 @@ class ProgressiveSession:
         """Boolean mask over master positions: unretrieved and unskipped."""
         return ~(self._retrieved | self._skipped)
 
-    def lacks(self, keys: np.ndarray) -> np.ndarray:
-        """Which of ``keys`` :meth:`deliver_many` would apply: in the
-        master list and not yet retrieved, pending or skipped."""
-        pos, found = self._locate(keys)
-        return found & ~self._retrieved[pos]
-
-    def upcoming(
-        self, n: int, floor: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def upcoming(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``(keys, importance)`` of the next ``n`` pending keys, in
         delivery order (importance desc, key asc); fewer when fewer are
-        pending — or, with ``floor``, when fewer are at least that
-        important.  The head of :meth:`pending`, sorted — what a shared
-        scheduler merges across sessions.
+        pending.  The head of :meth:`pending`, sorted.
         """
-        head = self._head(n, floor)
+        head = self._head(n)
         return self.plan.keys[head], self._importance[head]
 
     def worst_case_bound(self) -> float:
@@ -216,8 +214,6 @@ class ProgressiveSession:
         held.
         """
         next_iota = self._next_iota()
-        if self._skipped_count and self._skipped_max_iota > next_iota:
-            next_iota = self._skipped_max_iota
         if next_iota <= 0.0:
             return 0.0
         return float(self._k_alpha() * next_iota)
@@ -293,30 +289,22 @@ class ProgressiveSession:
         return done
 
     def deliver(self, key: int, coefficient: float) -> bool:
-        """Apply a coefficient retrieved externally (scheduler hook).
-
-        Marks ``key`` as retrieved and advances the estimates exactly as if
-        :meth:`advance` had fetched it, but without touching the store —
-        the caller already paid the retrieval.  Returns True when the key
-        was pending (False: not in the master list, or already held).
-        The one-key form of :meth:`deliver_many`.
-        """
+        """The one-key form of :meth:`deliver_many`: True when ``key`` was pending."""
         return bool(self.deliver_many([key], [coefficient])[0])
 
     def deliver_many(self, keys, coefficients) -> np.ndarray:
-        """Apply a chunk of externally retrieved coefficients at once.
+        """Apply coefficients retrieved externally, exactly as if
+        :meth:`advance` had fetched them but without touching the store.
 
-        What the shared scheduler calls per (session, run of served
-        keys): one position lookup, one estimate update and
-        one ledger charge for the whole chunk instead of per key.  The
-        keys must be distinct; they are applied in the order given, so
-        estimates, counters, and the per-coefficient Theorem-1 bound
-        records are bit-identical to calling :meth:`deliver` in a loop.
-        Returns a boolean mask saying which keys were pending (False:
-        not in the master list, or already held).
+        One position lookup, then :meth:`deliver_at`.  The keys must be
+        distinct; they are applied in the order given, so estimates,
+        counters, and the per-coefficient Theorem-1 bound records are
+        bit-identical to delivering them one by one.  Returns a boolean
+        mask saying which keys were pending (False: not in the master
+        list, or already held).
         """
         keys = np.asarray(keys, dtype=np.int64).ravel()
-        coefficients = np.asarray(coefficients, dtype=np.float64).ravel()
+        coefficients = np.array(coefficients, dtype=np.float64).ravel()  # kept: a copy
         if keys.size != coefficients.size:
             raise ValueError("keys and coefficients must align")
         if keys.size == 0:
@@ -324,47 +312,43 @@ class ProgressiveSession:
         if keys.size > 1 and np.unique(keys).size != keys.size:
             raise ValueError("deliver_many requires distinct keys")
         pos, found = self._locate(keys)
-        applied = found & ~self._retrieved[pos]
-        if not applied.any():
+        return self.deliver_at(np.where(found, pos, -1), coefficients)
+
+    def deliver_at(self, positions: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+        """:meth:`deliver_many` by distinct master positions (-1: not in
+        the master list), which the shared scheduler's union index found
+        once for every session.  Both arrays are kept until the fold."""
+        if not self.plan.num_keys:
+            return np.zeros(positions.size, dtype=bool)
+        applied = (positions >= 0) & ~self._retrieved[positions]
+        count = int(np.count_nonzero(applied))
+        if not count:
             return applied
-        apos = pos[applied]
-        acoeff = coefficients[applied]
-        skipped_max_seq: np.ndarray | None = None
-        was_skipped = self._skipped[apos]
-        if was_skipped.any():
-            # Keys came back (another session's fetch succeeded after
-            # ours was abandoned).  The scalar loop un-skips them one by
-            # one, and the convergence records depend on the bound mass
-            # it sees *after each key*: the keys skipped outside this
-            # chunk, and the chunk's own skipped keys still to come.
-            self._skipped[apos] = False
-            self._skipped_count -= int(np.count_nonzero(was_skipped))
-            self._skipped_max_iota = self._max_skipped_iota()
-            skipped_max_seq = _max_after(
-                np.where(was_skipped, self._importance[apos], 0.0),
-                self._skipped_max_iota,
-            )
-        self.costs.add(deliveries=int(apos.size))
-        self._apply_batch(apos, acoeff, skipped_max_seq)
+        if count < positions.size:
+            positions, coefficients = positions[applied], coefficients[applied]
+        if self._skipped_count:
+            # Keys may come back (another session's fetch succeeded after
+            # ours was abandoned): they leave the skipped bound mass.
+            came_back = int(np.count_nonzero(self._skipped[positions]))
+            if came_back:
+                self._skipped[positions] = False
+                self._skipped_count -= came_back
+                self._skipped_max_iota = self._max_skipped_iota()
+        self.costs.add(deliveries=count)
+        self._apply_batch(positions, coefficients)
         return applied
 
     def skip(self, key: int) -> bool:
-        """Mark ``key`` unavailable (scheduler hook for abandoned fetches).
-
-        The key stays *unretrieved*: its importance remains in the
-        Theorem-1 bound mass, so :meth:`worst_case_bound` is still a
-        valid upper bound.  Returns True when the key was pending (False:
-        not in the master list, already held, or already skipped).
-        The one-key form of :meth:`skip_many`.
-        """
+        """The one-key form of :meth:`skip_many`: True when ``key`` was pending."""
         return bool(self.skip_many([key]))
 
     def skip_many(self, keys) -> int:
-        """Vectorized :meth:`skip` for a shed shard's whole key slice.
+        """Mark ``keys`` unavailable (abandoned fetches, a shed shard).
 
-        Bound mass, counters and :meth:`skipped_keys` end up exactly as
-        after calling :meth:`skip` per key; returns how many keys were
-        pending.
+        They stay *unretrieved*: their importance remains in the
+        Theorem-1 bound mass, so :meth:`worst_case_bound` is still a
+        valid upper bound.  Returns how many of them were pending (not:
+        outside the master list, already held, or already skipped).
         """
         keys = np.asarray(keys, dtype=np.int64).ravel()
         if not keys.size or not self.plan.num_keys:
@@ -410,7 +394,9 @@ class ProgressiveSession:
         """Re-rank the remaining retrievals under a new penalty.
 
         Progress is kept; only the order of future retrievals changes.
+        Landed chunks fold first: their bounds are under the old ranking.
         """
+        self._fold()
         self.penalty = penalty
         self._rank()
         self._skipped_max_iota = self._max_skipped_iota()
@@ -489,48 +475,66 @@ class ProgressiveSession:
     # Internals
     # ------------------------------------------------------------------
 
-    def _apply_batch(
-        self,
-        positions: np.ndarray,
-        coefficients: np.ndarray,
-        skipped_max_seq: np.ndarray | None = None,
-    ) -> None:
-        """Apply a chunk of coefficients at their master positions.
-
-        One concatenated-CSR gather and one ``np.add.at`` update the
-        estimates for the whole chunk; because ``np.add.at`` accumulates
-        element by element in array order, the floating-point result is
-        bit-identical to applying the keys one at a time in the same
-        order.  The convergence records carry the bound after each key:
-        the most important *unused* coefficient then is the max of the
-        chunk's own importance suffix, the queue head behind the chunk,
-        and the skipped bound mass (``skipped_max_seq``, per key, when
-        the chunk un-skipped keys on the way).
-        """
-        n = int(positions.size)
-        base_steps = self._steps_taken
+    def _apply_batch(self, positions: np.ndarray, coefficients: np.ndarray) -> None:
+        """Land a chunk: the bookkeeping now, the estimates and records at
+        the next read (:meth:`_fold`), with the facts a record needs that
+        may change before then — the wall time, the store's retrieval
+        count (-1: none), ``K**alpha`` — or None while telemetry is off.
+        :data:`MAX_CHUNK_KEYS` unfolded keys fold at once: the flush rule."""
         with self.costs.stage("apply"):
-            qid, val, counts = self.plan.chunk_segments(positions)
-            np.add.at(self.estimates, qid, val * np.repeat(coefficients, counts))
             self._retrieved[positions] = True
             self._coefficients[positions] = coefficients
-            self._steps_taken += n
-        if _telemetry_enabled():
-            steps = np.arange(base_steps + 1, base_steps + n + 1)
+            self._steps_taken += int(positions.size)
             stats = getattr(self.storage.store, "stats", None)
-            next_iota = _max_after(self._importance[positions], self._next_iota())
-            if skipped_max_seq is not None:
-                np.maximum(next_iota, skipped_max_seq, out=next_iota)
-            elif self._skipped_count:
-                np.maximum(next_iota, self._skipped_max_iota, out=next_iota)
-            bounds = self._k_alpha() * next_iota
+            facts = (
+                time.perf_counter(), -1 if stats is None else stats.retrievals, self._k_alpha()
+            ) if _telemetry_enabled() else None
+            self._unfolded.append((positions, coefficients, facts))
+            self._unfolded_keys += positions.size
+        if self._unfolded_keys >= MAX_CHUNK_KEYS:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Bring the estimates and the convergence log up to date.
+
+        Replays the landed chunks in order: one ``chunk_segments``, one
+        ``np.add.at`` (it adds in array order: bit-identical to one key at
+        a time) and one ``record_many``.  A key's bound is
+        ``K**alpha`` times the most important key not retrieved once it
+        landed: of the keys landed later and those not retrieved now.
+        Only landings retrieve keys, so that is exact while importances
+        hold still — :meth:`set_penalty` folds first; skips and retries
+        only move keys between pending and skipped.
+        """
+        if not self._unfolded:
+            return
+        t0, c0 = time.perf_counter(), time.thread_time()
+        backlog, self._unfolded, self._unfolded_keys = self._unfolded, [], 0
+        positions = np.concatenate([chunk[0] for chunk in backlog])
+        coefficients = np.concatenate([chunk[1] for chunk in backlog])
+        qid, val, counts = self.plan.chunk_segments(positions)
+        np.add.at(self._estimates, qid, val * np.repeat(coefficients, counts))
+        if any(chunk[2] for chunk in backlog):
+            at, retrievals, k_alpha = np.repeat(
+                [chunk[2] or (np.nan, -1, 0.0) for chunk in backlog],
+                [chunk[0].size for chunk in backlog], axis=0,
+            ).T
+            # A running max from the right: the keys landed later, then
+            # the most important key not retrieved (pending or skipped).
+            tail = np.append(self._importance[positions[1:]], self._next_iota())
+            next_iota = np.maximum.accumulate(tail[::-1])[::-1]
+            bounds = k_alpha * next_iota
             if next_iota[-1] <= 0.0:  # non-increasing: zeros are a tail
                 bounds[next_iota <= 0.0] = 0.0
-            self.convergence.record_many(
-                steps,
-                steps if stats is None else np.full(n, int(stats.retrievals)),
-                bounds,
-            )
+            steps = np.arange(self._steps_taken - positions.size, self._steps_taken) + 1
+            keep = ~np.isnan(at)  # landed while telemetry was on
+            self._convergence.record_many(*(column[keep] for column in (
+                steps, np.where(retrievals < 0, steps, retrievals), bounds, at
+            )))
+        # The landings counted the calls; a fold adds only its time.
+        self.costs.add_stage(
+            "apply", time.perf_counter() - t0, time.thread_time() - c0, calls=0
+        )
 
     def _locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Master-list positions of ``keys`` and which are in the list."""
@@ -551,24 +555,17 @@ class ProgressiveSession:
         self._order = order[~self._retrieved[order]]
         self._cursor = 0
 
-    def _head(self, n: int, floor: float | None = None) -> np.ndarray:
-        """Master positions of the next ``n`` pending keys, in order,
-        stopping at the first rank less important than ``floor``.
+    def _head(self, n: int) -> np.ndarray:
+        """Master positions of the next ``n`` pending keys, in order.
 
         A read: nothing is consumed.  Keys leave the queue by being
         retrieved or skipped, and the cursor catches up lazily.
         """
-        order, start = self._order, self._seek()
-        # A floor mostly ends the window within a few ranks: start small.
-        width = n if floor is None else min(n, DEFAULT_CHUNK)
+        order, start, width = self._order, self._seek(), n
         while True:
             block = order[start : start + width]
-            last = start + width >= order.size
-            if floor is not None and block.size and self._importance[block[-1]] < floor:
-                # Importance descends by rank: the floor cuts a prefix.
-                block, last = block[self._importance[block] >= floor], True
             live = block[~(self._retrieved[block] | self._skipped[block])]
-            if live.size >= n or last:
+            if live.size >= n or start + width >= order.size:
                 return live[:n]
             width *= 2  # delivered or skipped keys sit inside the window: widen it
 
@@ -595,11 +592,12 @@ class ProgressiveSession:
         return cursor
 
     def _next_iota(self) -> float:
-        """Importance of the most important pending key (0.0 when none)."""
+        """Importance of the most important key not retrieved — the
+        pending head or the skipped bound mass (0.0 when none)."""
         head = self._seek()
         if head == self._order.size:
-            return 0.0
-        return float(self._importance[self._order[head]])
+            return self._skipped_max_iota
+        return max(float(self._importance[self._order[head]]), self._skipped_max_iota)
 
     def _k_alpha(self) -> float:
         """Theorem 1's ``K**alpha``; ``K`` is cached per store version."""

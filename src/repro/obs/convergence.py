@@ -5,9 +5,9 @@ Every :class:`~repro.core.session.ProgressiveSession` owns a bounded
 :class:`ConvergenceRecord` ``(steps_taken, retrievals, worst_case_bound,
 wall_time)``.  Coefficients are applied a chunk at a time, so the log
 takes a chunk's records as columns (:meth:`ConvergenceLog.record_many`)
-and they share one ``wall_time`` — they landed together.  A dashboard polling
-``ProgressiveQueryService.convergence(session_id)`` can therefore plot
-the Theorem-1 bound against the progressive budget B as it decays —
+that share the ``wall_time`` they landed at, even when folded in later.
+A dashboard polling ``ProgressiveQueryService.convergence(session_id)``
+plots the Theorem-1 bound against the progressive budget B as it decays —
 reproduced from live telemetry rather than offline replay.
 
 ``worst_case_bound`` is guaranteed monotonically non-increasing along a
@@ -124,20 +124,20 @@ class ConvergenceLog:
         """Append one event: the one-element form of :meth:`record_many`."""
         self.record_many([steps_taken], [retrievals], [worst_case_bound])
 
-    def record_many(self, steps, retrievals, bounds) -> None:
+    def record_many(self, steps, retrievals, bounds, at=None) -> None:
         """Append one event per element of the aligned columns, in order
-        (no-op while telemetry is disabled).
-
-        The records of one call share one ``wall_time``: they landed
-        together.  Overflow drops the oldest, counted once per call.
+        (no-op while telemetry is disabled).  ``at`` gives each record's
+        landing ``perf_counter`` time (a late recorder checked the switch
+        then); by default they share one ``wall_time``, now.  Overflow
+        drops the oldest, counted once per call.
         """
         n = len(steps)
-        if not n or not _switch.enabled:
+        if not n or (at is None and not _switch.enabled):
             return
-        wall = time.perf_counter() - self._t0
+        wall = (np.full(n, time.perf_counter()) if at is None else np.asarray(at)) - self._t0
         keep = min(n, self.capacity)
         if keep < n:  # only the newest can survive
-            steps, retrievals, bounds = steps[-keep:], retrievals[-keep:], bounds[-keep:]
+            steps, retrievals, bounds, wall = (c[-keep:] for c in (steps, retrievals, bounds, wall))
         with self._lock:
             written = self._written + n
             stop = (written - 1) % self.capacity + 1  # one past the newest

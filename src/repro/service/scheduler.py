@@ -5,46 +5,50 @@ fetched once.  A service runs many batches at once, and their supports
 overlap too — whole-domain partitions share every coarse wavelet key.  The
 :class:`SharedRetrievalScheduler` extends the merge across sessions:
 
-* every live :class:`~repro.core.session.ProgressiveSession` keeps its own
-  queue — its master list sorted once by (importance desc, key asc), read
-  through :meth:`ProgressiveSession.upcoming`;
 * the scheduler serves the globally most important pending coefficient —
   the max of the per-session importances (Definition 3), which is the
   natural batch importance of the union workload under a max-combined
   penalty;
 * the coefficient is fetched from the store **once** and delivered to
   every session whose master list still lacks it
-  (:meth:`ProgressiveSession.deliver_many`), so concurrent batches never
+  (:meth:`ProgressiveSession.deliver_at`), so concurrent batches never
   pay for the same key twice;
 * fetched coefficients stay in a coefficient cache while any live session
   that ever had them pending is registered, so a session submitted later
   gets overlapping keys served without new I/O (the Storyboard-style
   reuse of precomputed state).
 
-An ``advance`` without a deadline is served as **one chunk** — one pick,
-one gather, one apply, for any number of live sessions (an explicit
-``chunk_size``, or the flush rule a session's own ``advance`` follows —
-:data:`~repro.core.session.MAX_CHUNK_KEYS`, or a deadline's
-:data:`~repro.core.session.DEFAULT_CHUNK` — cut it into several).  The
-three shared pieces:
+An ``advance`` without a deadline is served as **one chunk** (an explicit
+``chunk_size``, :data:`~repro.core.session.MAX_CHUNK_KEYS`, or a
+deadline's :data:`~repro.core.session.DEFAULT_CHUNK` cut it into
+several), and a chunk is one pass over the live sessions.  Two
+structures, built at ``register``, ``deregister``, ``reprioritize`` and
+``shed`` and never inside ``advance``, make that so:
 
-* **pick** — merge the live queues' heads up to the key that brings the
-  advancing session its ``k``-th gain.  That session's own next ``k``
-  pending keys bound the chunk: the importance of the last of them is a
-  *floor*, every entry the merged order ranks before it is at least that
-  important, so every other session contributes just its pending entries
-  at or above the floor (read off its rank order from the cursor; no
-  pass over the queue).  One stable ``lexsort`` of those windows (with one live
-  session: that session's slice, no sort), first occurrence per key, cut
-  at the ``k``-th gain — *exact*, not a heuristic.  Nothing is ever
-  stale: the queues are read fresh per chunk, so a delivery, a penalty
-  switch (the session re-sorts) or a cancellation needs no bookkeeping
-  here;
+* **the union index** — the sorted union of the live master lists, and
+  per registration an int32 row: the master position of each union key
+  (-1: absent).  A chunk is union indices; a session reads its
+  positions with one row gather;
+* **the merged queue** — the union keys pending somewhere, in the
+  one-key loop's order (max pending importance desc, key asc), with a
+  *done* mask.  A key leaves every holder's pending set at once — a
+  delivery reaches every session that lacks it, an abandoned fetch is
+  skipped everywhere — so a key not done keeps its max pending
+  importance: the order holds until a session joins, leaves with keys
+  pending, re-ranks or loses a shard.
+
+With one live session both are its own: its master list and its rank
+order from its cursor (no sort, no copy).  A chunk is then:
+
+* **pick** — the queue from its cursor, past done keys, up to the key
+  that brings the advancing session its ``k``-th gain (a key it lacks,
+  pending or skipped, read off its row) — *exact*, not a heuristic;
 * **fetch** — :func:`~repro.storage.resilient.fetch_degrading`: one store
   gather for the uncached keys; an abandoned gather degrades to per-key
   fetches so only the still-failing keys are skipped;
-* **apply** — one vectorized :meth:`ProgressiveSession.deliver_many` per
-  (session, run of available keys), convergence records included.
+* **apply** — one :meth:`ProgressiveSession.deliver_at` per (session, run
+  of available keys): it lands the keys, and the session folds them into
+  its estimates and convergence records when those are read.
 
 Answers, delivery order, counters, and degraded-state semantics are
 identical for every ``chunk_size`` (1 reproduces the fetch-per-coefficient
@@ -58,6 +62,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -77,6 +82,9 @@ class _Registration:
     #: (at ``register`` or a later ``reprioritize``): the keys whose
     #: cached coefficients it keeps alive.
     held: np.ndarray
+    #: Union index -> master position (-1: not in this master list);
+    #: None while this is the only live session (the identity).
+    row: np.ndarray | None = None
 
 
 class SharedRetrievalScheduler:
@@ -139,6 +147,10 @@ class SharedRetrievalScheduler:
         self._registrations: dict[int, _Registration] = {}
         self._coefficients: dict[int, float] = {}
         self._ids = itertools.count()
+        #: The union index, the merged queue, its done mask and cursor
+        #: (module docstring; no queue while at most one session is live).
+        self._union = self._queue = self._done = None
+        self._cursor = 0
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -150,6 +162,7 @@ class SharedRetrievalScheduler:
             sid = next(self._ids)
             self._registrations[sid] = _Registration(session, session.pending_mask())
             self._live_sessions.inc(scheduler=self._instance)
+            self._index(union=True)
             return sid
 
     def deregister(self, sid: int) -> None:
@@ -172,18 +185,33 @@ class SharedRetrievalScheduler:
                 )
             for key in keys[~kept].tolist():
                 self._coefficients.pop(key, None)
+            # Its keys' max pending importance may drop; the union keeps
+            # its master list until the next registration.
+            if len(self._registrations) < 2 or reg.session.pending_mask().any():
+                self._index()
 
     def reprioritize(self, sid: int) -> None:
         """Note a session's re-queue (penalty switch, ``retry_skipped``).
 
-        The session already re-sorted or rewound its own queue, and the
-        next chunk reads it fresh; what is left to record is the keys
-        that entered its pending set since registration (un-skipped
-        after a heal), which it now keeps cached like the rest.
+        The session already re-sorted or rewound its own queue; the
+        merged queue is rebuilt from it, and the keys that entered its
+        pending set since registration (un-skipped after a heal) are
+        kept cached like the rest.
         """
         with self._lock:
             reg = self._registrations[sid]
             reg.held |= reg.session.pending_mask()
+            self._index()
+
+    def shed(self, lost: Callable[[np.ndarray], np.ndarray]) -> None:
+        """Skip, in every live session, the pending keys ``lost(keys)``
+        marks (a shed shard's slice), and rebuild the queue without them
+        so no later chunk asks the store for one."""
+        with self._lock:
+            for reg in self._registrations.values():
+                keys, _ = reg.session.pending()
+                reg.session.skip_many(keys[lost(keys)])
+            self._index()
 
     @property
     def live_sessions(self) -> int:
@@ -237,7 +265,8 @@ class SharedRetrievalScheduler:
         )
         with self._lock, span("scheduler.advance", sid=sid, k=k):
             t0 = time.perf_counter()
-            session = self._registrations[sid].session
+            reg = self._registrations[sid]
+            session = reg.session
             start = session.steps_taken
             # The driving session pays for the schedule it requested —
             # "schedule" wall time (inclusive of the nested "fetch"
@@ -255,10 +284,10 @@ class SharedRetrievalScheduler:
                         # moment the target turns exact, so the chunk must
                         # not reach past the target's last pending key.
                         need = min(need, session.remaining)
-                    keys = self._pick(session, need, limit)
-                    if not keys.size:
+                    picked = self._pick(reg, need, limit)
+                    if not picked.size:
                         break
-                    self._serve_batch(keys)
+                    self._serve_batch(picked)
             self._advance_seconds.observe(time.perf_counter() - t0)
             return session.steps_taken - start
 
@@ -266,46 +295,67 @@ class SharedRetrievalScheduler:
     # Internals
     # ------------------------------------------------------------------
 
-    def _pick(self, target: ProgressiveSession, need: int, limit: int) -> np.ndarray:
-        """The merged pending order up to the key that brings ``target``
-        its ``need``-th gain, at most ``limit`` distinct keys.
+    def _index(self, union: bool = False) -> None:
+        """Rebuild the merged queue — pending union keys by max pending
+        importance desc, key asc (a stable sort of ascending union
+        indices) — after the union index if ``union`` (a registration).
+        One live session: its master list, identity rows, its order."""
+        regs = list(self._registrations.values())
+        if len(regs) < 2:
+            self._union = regs[0].session.plan.keys if regs else None
+            self._queue = self._done = None
+            for reg in regs:
+                reg.row = None
+            return
+        if union:
+            keys = self._union  # the only session's keys, or the last union ...
+            if regs[0].row is not None:  # ... less the keys of departed sessions
+                keys = keys[np.any([reg.row >= 0 for reg in regs[:-1]], axis=0)]
+            self._union = keys = np.union1d(keys, regs[-1].session.plan.keys)
+            for reg in regs:
+                own = reg.session.plan.keys
+                reg.row = np.full(keys.size, -1, dtype=np.int32)
+                reg.row[np.searchsorted(keys, own)] = np.arange(own.size, dtype=np.int32)
+        best = np.full(self._union.size, -np.inf)
+        for reg in regs:
+            pending = np.flatnonzero(reg.session.pending_mask())
+            where = np.flatnonzero(reg.row >= 0)[pending]
+            best[where] = np.maximum(best[where], reg.session._importance[pending])
+        queue = np.flatnonzero(best > -np.inf)
+        self._queue = queue[np.argsort(-best[queue], kind="stable")]
+        self._done = np.zeros(self._union.size, dtype=bool)
+        self._cursor = 0
 
-        The order is (importance desc, key asc, sid asc) over every live
-        session's pending entries, a key counting at its first — most
-        important — occurrence.  The target's window is its next ``need``
-        entries and the last one's importance is the floor of every other
-        window (the module docstring has the argument); a target with
-        fewer pending (degraded) sets no floor, so the merged remainder
-        is served up to that gain.  No window needs more than ``limit``
-        entries: the first ``limit`` distinct keys hold at most that many
-        of any one session.  Windows are concatenated in sid order and
-        ``lexsort`` is stable, so ties fall to the lower sid.
+    def _pick(self, reg: _Registration, need: int, limit: int) -> np.ndarray:
+        """Union indices of the merged pending order up to the key that
+        brings ``reg``'s session its ``need``-th gain, at most ``limit``.
+
+        Every key it lacks is a gain, pending or skipped (a delivery
+        un-skips it); lacking nothing pending anywhere (degraded), it is
+        served the merged remainder.  One live session: its own head.
         """
-        window = min(need, limit)
-        own = target.upcoming(window)
-        floor = float(own[1][-1]) if own[0].size == window else None
-        keys, iotas = [], []
-        for reg in self._registrations.values():
-            head_keys, head_iotas = (
-                own if reg.session is target else reg.session.upcoming(limit, floor)
-            )
-            if head_keys.size:
-                keys.append(head_keys)
-                iotas.append(head_iotas)
-        if not keys:
-            return np.empty(0, dtype=np.int64)
-        if len(keys) == 1 and keys[0] is own[0]:
-            return own[0]  # the target's own window: every key a gain
-        keys, iotas = np.concatenate(keys), np.concatenate(iotas)
-        merged = keys[np.lexsort((keys, -iotas))]
-        first = np.unique(merged, return_index=True)[1]
-        first.sort()
-        keys = merged[first[:limit]]
-        # Every key the target lacks is a gain: another session's entry
-        # for a key the target is waiting on, or has skipped (delivery
-        # un-skips it), lands in the target too.
-        gains = np.cumsum(target.lacks(keys))
-        return keys[: int(np.searchsorted(gains, need)) + 1]
+        target = reg.session
+        if self._queue is None:
+            return target._head(min(need, limit))
+        queue, done, retrieved = self._queue, self._done, target._retrieved
+        scan, width, blocks, gains = self._cursor, need, [], 0
+        while scan < queue.size and limit:  # doubling blocks past done keys
+            block = queue[scan : scan + width]
+            scan, width = scan + block.size, width * 2
+            block = block[~done[block]][:limit]
+            if not block.size:
+                if not blocks:
+                    self._cursor = scan  # a done prefix: never scanned again
+                continue
+            pos = reg.row[block]
+            gained = np.cumsum((pos >= 0) & ~retrieved[pos])
+            if gains + gained[-1] >= need:
+                blocks.append(block[: int(np.searchsorted(gained, need - gains)) + 1])
+                break
+            blocks.append(block)
+            limit -= block.size
+            gains += int(gained[-1])
+        return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
 
     @contextmanager
     def _timed_fetch(self, n: int):
@@ -319,8 +369,9 @@ class SharedRetrievalScheduler:
         self._fetch_seconds.observe(wall)
         note_fetch(n, wall, time.thread_time() - c0)
 
-    def _serve_batch(self, keys: np.ndarray) -> None:
-        """Fetch and deliver one chunk of picked keys, in serve order.
+    def _serve_batch(self, picked: np.ndarray) -> None:
+        """Fetch and deliver one chunk of picked union indices, in serve
+        order.
 
         Uncached keys go to the store as **one** gather
         (:func:`~repro.storage.resilient.fetch_degrading` owns the
@@ -329,6 +380,7 @@ class SharedRetrievalScheduler:
         updates, counters, and bound records land in exactly the scalar
         order.
         """
+        keys = self._union[picked]
         cache = self._coefficients
         cached = np.array([key in cache for key in keys.tolist()], dtype=bool)
         values = np.empty(keys.size)
@@ -346,18 +398,26 @@ class SharedRetrievalScheduler:
             self._count("retrievals", fetched.size)
         for lo, hi in available_runs(keys.size, failed):
             if hi > lo:
-                self._deliver_run(keys[lo:hi], values[lo:hi], cached[lo:hi])
-            if hi < keys.size:
-                self._skip_key(int(keys[hi]))
+                self._deliver_run(picked[lo:hi], values[lo:hi], cached[lo:hi])
+            # An abandoned key is skipped by every session waiting on it.
+            if hi < keys.size and sum(
+                reg.session.skip_many(keys[hi : hi + 1])
+                for reg in self._registrations.values()
+            ):
+                self._count("skipped_keys")
+        if self._done is not None:  # delivered or skipped wherever pending
+            self._done[picked] = True
 
     def _deliver_run(
-        self, keys: np.ndarray, values: np.ndarray, cached: np.ndarray
+        self, picked: np.ndarray, values: np.ndarray, cached: np.ndarray
     ) -> None:
         deliveries = cache_deliveries = 0
+        any_cached = cached.any()
         for reg in self._registrations.values():
-            applied = reg.session.deliver_many(keys, values)
-            deliveries += int(applied.sum())
-            hits = int((applied & cached).sum())
+            positions = picked if reg.row is None else reg.row[picked]
+            applied = reg.session.deliver_at(positions, values)
+            deliveries += int(np.count_nonzero(applied))
+            hits = int(np.count_nonzero(applied & cached)) if any_cached else 0
             if hits:
                 cache_deliveries += hits
                 # The receiving session got the keys without any I/O:
@@ -367,10 +427,3 @@ class SharedRetrievalScheduler:
             self._count("deliveries", deliveries)
         if cache_deliveries:
             self._count("cache_deliveries", cache_deliveries)
-
-    def _skip_key(self, key: int) -> None:
-        skipped = sum(
-            reg.session.skip(key) for reg in self._registrations.values()
-        )
-        if skipped:
-            self._count("skipped_keys")

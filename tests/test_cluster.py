@@ -431,6 +431,31 @@ class TestRouterSurface:
             assert snap.degraded and snap.skipped_count == orphaned
             assert snap.remaining == orphaned
 
+    def test_shed_mid_wave_never_asks_the_dead_shard(self, storage, tmp_path):
+        """Regression: a shed skips the dead shard's keys in every session
+        *and* drops them from the scheduler's merged queue.  Skipping
+        alone left them queued, and every later chunk that reached one
+        failed its gather and fell back to per-key fetches (384 store
+        calls and 170 fetch samples here instead of 7 and 7)."""
+        from repro.obs import MetricRegistry
+
+        with build_cluster(
+            storage, tmp_path / "shed.pages", 2,
+            process_shards=False, buffer_pages=16, registry=MetricRegistry(),
+        ) as router:
+            calls = []
+            fetch = router.store.fetch
+            router.store.fetch = lambda keys: (calls.append(len(keys)), fetch(keys))[1]
+            sids = [router.submit(make_batch(seed)) for seed in (81, 82, 83)]
+            for sid in sids:
+                router.advance(sid, 24)
+            router.mark_lost(1)
+            for _ in range(3):
+                for sid in sids:
+                    router.advance(sid, 24)
+            assert len(calls) == router.scheduler._fetch_seconds.count() == 7
+            assert [router.poll(sid).steps_taken for sid in sids] == [139, 148, 156]
+
     def test_session_api_is_inherited_from_the_service(self, storage, tmp_path):
         from repro.cluster import ClusterRouter
 

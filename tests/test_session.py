@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.batch import BatchBiggestB
 from repro.core.penalties import CursoredSsePenalty, LpPenalty, SsePenalty
@@ -258,3 +260,78 @@ class TestCursorScenario:
             session.advance(session.plan.num_keys // 6)
         answers = session.run_to_completion()
         np.testing.assert_allclose(answers, exact, atol=1e-9)
+
+
+FOLD_STORAGE = WaveletStorage.build(
+    np.random.default_rng(7).poisson(3.0, size=(16, 16)).astype(np.float64), wavelet="db2"
+)
+FOLD_BATCH = partition_count_batch((16, 16), (4, 2), rng=np.random.default_rng(8))
+FOLD_PENALTIES = [
+    SsePenalty(),
+    LpPenalty(1.5),
+    CursoredSsePenalty(FOLD_BATCH.size, high_priority=[0]),
+    CursoredSsePenalty(FOLD_BATCH.size, high_priority=[5], high_weight=50.0),
+]
+
+
+def _records(session):
+    return [
+        (r.steps_taken, r.retrievals, r.worst_case_bound)
+        for r in session.convergence.trajectory()
+    ]
+
+
+class TestFoldAtRead:
+    """A session lands chunks and folds them into its estimates and
+    convergence records when they are read.  Between a landing and its
+    fold the session may skip keys, retry them, un-skip them by a
+    delivery, or switch penalty (the one mutation that must fold first).
+    One session is read after every delivery, the other only at the
+    end: both must agree bit for bit.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["chunk", "chunk", "skip", "retry", "penalty"]),
+                st.integers(0, 2**16),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_reading_late_equals_reading_after_every_delivery(self, ops):
+        eager = ProgressiveSession(FOLD_STORAGE, FOLD_BATCH)
+        late = ProgressiveSession(FOLD_STORAGE, FOLD_BATCH, plan=eager.plan)
+        keys = eager.plan.keys
+        for op, seed in ops:
+            rng = np.random.default_rng(seed)
+            head, _ = eager.upcoming(24)
+            if op == "chunk":
+                # Out of rank order, mixing pending, skipped (a delivery
+                # un-skips them) and already held keys.
+                pool = np.unique(np.concatenate([
+                    head, eager.skipped_keys(), rng.choice(keys, size=8),
+                ]))
+                chunk = rng.permutation(pool)[: rng.integers(1, 24)]
+                values = FOLD_STORAGE.store.fetch(chunk)
+                for session in (eager, late):
+                    session.deliver_many(chunk, values)
+                eager.estimates, eager.convergence  # read now: folds as it landed
+            elif op == "skip":
+                # The head, as an abandoned gather would leave it.
+                chunk = head[: rng.integers(1, 6)]
+                for session in (eager, late):
+                    session.skip_many(chunk)
+            elif op == "retry":
+                keep = rng.random(eager.skipped_count) < 0.3
+                assert eager.retry_skipped(keep) == late.retry_skipped(keep)
+            elif op == "penalty":
+                penalty = FOLD_PENALTIES[seed % len(FOLD_PENALTIES)]
+                for session in (eager, late):
+                    session.set_penalty(penalty)
+        assert late.estimates.tobytes() == eager.estimates.tobytes()
+        assert _records(late) == _records(eager)
+        walls = [r.wall_time for r in late.convergence.trajectory()]
+        assert walls == sorted(walls)
