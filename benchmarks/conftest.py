@@ -26,7 +26,7 @@ import pytest
 from repro.core.batch import BatchBiggestB
 from repro.core.penalties import SsePenalty
 from repro.data.synthetic import temperature_dataset
-from repro.obs import LEDGER, REGISTRY, get_recorder
+from repro.obs import REGISTRY, get_recorder
 from repro.queries.workload import partition_sum_batch
 from repro.storage.wavelet_store import WaveletStorage
 from repro.wavelets.query_transform import clear_cache
@@ -83,23 +83,21 @@ def section6() -> Section6Setup:
 @pytest.fixture(autouse=True)
 def fresh_rewrite_caches():
     """Drop every rewrite-path memo (dense oracle and sparse cascade) and
-    zero the telemetry state (metric samples, trace ring, cost ledger)
-    before each trial, so no bench inherits another's warm caches or
-    counters and timings stay comparable across runs.
+    zero the telemetry state (metric samples, trace ring) before each
+    trial, so no bench inherits another's warm caches or counters and
+    timings stay comparable across runs.
 
     This also covers shard-federated state left by cluster scenarios
     (``cluster_sharing`` and friends): ``REGISTRY.reset()`` drops the
     router's shard-labeled series (``repro_cluster_shard_up``, the
     pipe-RTT histograms), ``recorder.clear()`` drops absorbed worker
-    spans *and* the ``repro-shard-<i>`` process-lane names, and
-    ``LEDGER.reset()`` drops the router's per-session registrations.
-    The federated snapshot caches themselves live on each
-    ``ClusterRouter`` instance and die with it.
+    spans *and* the ``repro-shard-<i>`` process-lane names.  Cost
+    accounts and the federated snapshot caches live on each session and
+    ``ClusterRouter`` instance and die with them.
     """
     clear_cache()
     REGISTRY.reset()
     get_recorder().clear()
-    LEDGER.reset()
     yield
 
 

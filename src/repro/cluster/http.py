@@ -7,8 +7,11 @@ the next request.  No request is handed between threads; the router's
 lock serializes the work.  Past :data:`MAX_CONNECTIONS` open connections
 a new one gets ``503`` and ``Retry-After`` and is closed; past
 ``max_inflight`` session-facing requests in flight a request gets ``429``
-and ``Retry-After`` instead of queueing.  Observability endpoints bypass
-admission — you can always see what an overloaded cluster is doing.
+and ``Retry-After`` instead of queueing.  A connection that sends nothing
+for :data:`IDLE_TIMEOUT_S` — idle between requests, or stalled inside
+one — is closed, so it cannot hold its thread and slot forever.
+Observability endpoints bypass admission — you can always see what an
+overloaded cluster is doing.
 
 The routes are the ``match`` in :meth:`ClusterHttpServer._route`;
 ``docs/CLUSTER.md`` shows each with its body and a curl example.
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import json
 import socket
+import struct
 import sys
 import threading
 import time
@@ -71,6 +75,12 @@ _RETRY_AFTER = (("Retry-After", f"{RETRY_AFTER_S:g}"),)
 SLOW_REQUEST_S = 1.0
 #: Open connections, one thread each (refused ones while they close).
 MAX_CONNECTIONS = 128
+#: Seconds a connection may send nothing — idle between requests, or
+#: stalled in a request's head or body — before the edge closes it.  A
+#: kernel receive timeout (``SO_RCVTIMEO``): unlike a socket timeout it
+#: adds no ``poll()`` before every read.  ``ClusterClient`` reconnects
+#: when a kept-alive connection was closed under it.
+IDLE_TIMEOUT_S = 30.0
 #: Seconds a refused request's sender may go on sending before the close:
 #: closing with unread input resets the connection and can drop the reply.
 _LINGER_S = 1.0
@@ -247,6 +257,8 @@ class ClusterHttpServer:
                 time.sleep(0.01)  # e.g. out of descriptors: back off
                 continue
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            timeval = (int(IDLE_TIMEOUT_S), int(IDLE_TIMEOUT_S % 1 * 1e6))
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, struct.pack("ll", *timeval))
             with self._conns_lock:
                 thread = threading.Thread(
                     target=self._serve, args=(conn, len(self._conns) >= MAX_CONNECTIONS),
@@ -308,7 +320,7 @@ class ClusterHttpServer:
         while not head.endswith(b"\r\n\r\n"):
             line = reader.readline(_MAX_HEADER_BYTES + 1 - len(head))
             if not line:
-                return False  # the peer closed, between requests or mid-head
+                return False  # the peer closed or went idle, here or mid-head
             head += line
             if len(head) > _MAX_HEADER_BYTES:
                 return self._reject(conn, 413, "headers too large")
@@ -327,8 +339,8 @@ class ClusterHttpServer:
         if length > _MAX_BODY_BYTES:
             return self._reject(conn, 413, "body too large", method, path)
         body = reader.read(length) if length else b""
-        if len(body) < length:
-            return False  # the peer closed mid-body
+        if body is None or len(body) < length:
+            return False  # the peer closed or stalled mid-body
         keep_alive = headers.get("connection", "").lower() != "close"
         request_id = headers.get("x-request-id") or uuid.uuid4().hex[:12]
         frame = SNAPSHOT_FRAME_TYPE in headers.get("accept", "")

@@ -207,8 +207,8 @@ class ClusterRouter(ProgressiveQueryService):
 
     def cost_report(self, session_id: str) -> dict:
         """The session's bill plus ``shards``, the owners of its master
-        keys.  The ledger lives router-side (``schedule`` and ``fetch``
-        contain the pipe round-trips), so this issues no shard command."""
+        keys.  The ledger lives router-side (``fetch`` contains the pipe
+        round-trips), so this issues no shard command."""
         with self._lock:
             report = super().cost_report(session_id)
             report["shards"] = self._owners(self._session(session_id).session)

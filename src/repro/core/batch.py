@@ -37,11 +37,11 @@ import numpy as np
 from repro.core.penalties import Penalty
 from repro.core.plan import QueryPlan
 from repro.core.session import ProgressiveSession
-from repro.obs import span
+from repro.obs import span, stage
 from repro.obs.ledger import activate as _charge_to
 from repro.queries.vector_query import QueryBatch
 from repro.storage.base import LinearStorage
-from repro.storage.resilient import available_runs, fetch_degrading
+from repro.storage.resilient import available_runs, charged_fetch, fetch_degrading
 
 
 @dataclass(frozen=True)
@@ -146,11 +146,8 @@ class BatchBiggestB:
         Retrieves every master-list key exactly once, in importance order.
         """
         with span("batch.run", keys=self.plan.num_keys), _charge_to(self.costs):
-            ordered_keys = self.plan.keys[self.order]
-            with self.costs.stage("fetch"):
-                fetched = self.storage.store.fetch(ordered_keys)
-            self.costs.add(retrievals=int(ordered_keys.size))
-            with self.costs.stage("apply"):
+            fetched = charged_fetch(self.storage.store, self.plan.keys[self.order])
+            with stage("apply"):
                 coeff_by_pos = np.empty(self.plan.num_keys)
                 coeff_by_pos[self.order] = fetched
                 return self.plan.exact_estimates(coeff_by_pos)
@@ -189,12 +186,12 @@ class BatchBiggestB:
             if not keys.size:
                 return
             # The active-account binding covers only the fetch (a generator
-            # must not leave a thread-local bound across yields);
-            # resilient-store retries inside the fetch still land here.
-            with span("batch.fetch", keys=keys.size), _charge_to(self.costs), \
-                    self.costs.stage("fetch"):
-                values, failed = fetch_degrading(self.storage.store, keys)
-            self.costs.add(retrievals=keys.size - len(failed))
+            # must not leave a thread-local bound, or a stage open, across
+            # yields); resilient-store retries inside the fetch land here.
+            with _charge_to(self.costs):
+                values, failed = fetch_degrading(
+                    self.storage.store, keys, "batch.fetch"
+                )
             positions = np.searchsorted(self.plan.keys, keys)
             for lo, hi in available_runs(keys.size, failed):
                 for i in range(lo, hi):
@@ -239,11 +236,10 @@ class BatchBiggestB:
         # store-version-tied Theorem-1 constant cache in ProgressiveSession.
         version = getattr(self.storage.store, "version", None)
         if self._ranked_coefficients is None or self._ranked_coefficients[0] != version:
-            with span("batch.run_progressive.fetch", keys=ordered_keys.size), \
-                    _charge_to(self.costs):
-                with self.costs.stage("fetch"):
-                    fetched = self.storage.store.fetch(ordered_keys)
-                self.costs.add(retrievals=int(ordered_keys.size))
+            with _charge_to(self.costs):
+                fetched = charged_fetch(
+                    self.storage.store, ordered_keys, "batch.run_progressive.fetch"
+                )
             self._ranked_coefficients = (version, fetched)
         fetched = self._ranked_coefficients[1]
         session = self._session()

@@ -32,8 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.penalties import Penalty, SsePenalty
-from repro.obs import span
-from repro.obs.ledger import active_stage
+from repro.obs import span, stage
 
 #: Entry budget of one block of lazily built columns (12 bytes an entry,
 #: so ~100 MB).  A block closes on the key that reaches the budget; block
@@ -256,14 +255,14 @@ class QueryPlan:
         """
         queries = list(batch)
         with span("plan.from_batch", queries=len(queries)):
-            with active_stage("rewrite"):
+            with stage("rewrite"):
                 factors = storage.rewrite_batch_factors(queries, workers=workers)
                 grid = None if factors is None else _GridFactors.of(factors)
                 if grid is None:
                     rewrites = storage.rewrite_batch(
                         queries, workers=workers if factors is None else None
                     )
-            with active_stage("plan"):
+            with stage("plan"):
                 if grid is None:
                     return cls.from_rewrites(rewrites)
                 with span("plan.from_factors", queries=len(queries)):

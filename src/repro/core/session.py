@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.core.penalties import Penalty, SsePenalty
 from repro.core.plan import QueryPlan
-from repro.obs import ConvergenceLog, CostAccount
+from repro.obs import ConvergenceLog, CostAccount, stage
 from repro.obs import enabled as _telemetry_enabled
 from repro.obs.ledger import activate as _charge_to
 from repro.queries.vector_query import QueryBatch
@@ -122,7 +122,7 @@ class ProgressiveSession:
         # Rank, and build the first block of columns, now and not in the
         # first apply: the first ``advance`` must cost what every later
         # one does.
-        with self.costs.stage("plan"):
+        with stage("plan", self.costs):
             self._rank()
             self.plan.build_next_block()
         self._k_const: float | None = None
@@ -275,13 +275,10 @@ class ProgressiveSession:
                 if not positions.size:
                     break
                 values, failed = fetch_degrading(
-                    self.storage.store,
-                    self.plan.keys[positions],
-                    lambda _n: self.costs.stage("fetch"),
+                    self.storage.store, self.plan.keys[positions]
                 )
                 for lo, hi in available_runs(positions.size, failed):
                     if hi > lo:
-                        self.costs.add(retrievals=hi - lo)
                         self._apply_batch(positions[lo:hi], values[lo:hi])
                         done += hi - lo
                     if hi < positions.size:
@@ -478,17 +475,17 @@ class ProgressiveSession:
     def _apply_batch(self, positions: np.ndarray, coefficients: np.ndarray) -> None:
         """Land a chunk: the bookkeeping now, the estimates and records at
         the next read (:meth:`_fold`), with the facts a record needs that
-        may change before then — the wall time, the store's retrieval
+        may change before then — the landing's clock, the store's retrieval
         count (-1: none), ``K**alpha`` — or None while telemetry is off.
         :data:`MAX_CHUNK_KEYS` unfolded keys fold at once: the flush rule."""
-        with self.costs.stage("apply"):
+        with stage("apply", self.costs) as landing:
             self._retrieved[positions] = True
             self._coefficients[positions] = coefficients
             self._steps_taken += int(positions.size)
             stats = getattr(self.storage.store, "stats", None)
             facts = (
-                time.perf_counter(), -1 if stats is None else stats.retrievals, self._k_alpha()
-            ) if _telemetry_enabled() else None
+                landing.t0, -1 if stats is None else stats.retrievals, self._k_alpha()
+            ) if landing is not None and _telemetry_enabled() else None
             self._unfolded.append((positions, coefficients, facts))
             self._unfolded_keys += positions.size
         if self._unfolded_keys >= MAX_CHUNK_KEYS:
@@ -508,33 +505,30 @@ class ProgressiveSession:
         """
         if not self._unfolded:
             return
-        t0, c0 = time.perf_counter(), time.thread_time()
-        backlog, self._unfolded, self._unfolded_keys = self._unfolded, [], 0
-        positions = np.concatenate([chunk[0] for chunk in backlog])
-        coefficients = np.concatenate([chunk[1] for chunk in backlog])
-        qid, val, counts = self.plan.chunk_segments(positions)
-        np.add.at(self._estimates, qid, val * np.repeat(coefficients, counts))
-        if any(chunk[2] for chunk in backlog):
-            at, retrievals, k_alpha = np.repeat(
-                [chunk[2] or (np.nan, -1, 0.0) for chunk in backlog],
-                [chunk[0].size for chunk in backlog], axis=0,
-            ).T
-            # A running max from the right: the keys landed later, then
-            # the most important key not retrieved (pending or skipped).
-            tail = np.append(self._importance[positions[1:]], self._next_iota())
-            next_iota = np.maximum.accumulate(tail[::-1])[::-1]
-            bounds = k_alpha * next_iota
-            if next_iota[-1] <= 0.0:  # non-increasing: zeros are a tail
-                bounds[next_iota <= 0.0] = 0.0
-            steps = np.arange(self._steps_taken - positions.size, self._steps_taken) + 1
-            keep = ~np.isnan(at)  # landed while telemetry was on
-            self._convergence.record_many(*(column[keep] for column in (
-                steps, np.where(retrievals < 0, steps, retrievals), bounds, at
-            )))
         # The landings counted the calls; a fold adds only its time.
-        self.costs.add_stage(
-            "apply", time.perf_counter() - t0, time.thread_time() - c0, calls=0
-        )
+        with stage("apply", self.costs, calls=0):
+            backlog, self._unfolded, self._unfolded_keys = self._unfolded, [], 0
+            positions = np.concatenate([chunk[0] for chunk in backlog])
+            coefficients = np.concatenate([chunk[1] for chunk in backlog])
+            qid, val, counts = self.plan.chunk_segments(positions)
+            np.add.at(self._estimates, qid, val * np.repeat(coefficients, counts))
+            if any(chunk[2] for chunk in backlog):
+                at, retrievals, k_alpha = np.repeat(
+                    [chunk[2] or (np.nan, -1, 0.0) for chunk in backlog],
+                    [chunk[0].size for chunk in backlog], axis=0,
+                ).T
+                # A running max from the right: the keys landed later, then
+                # the most important key not retrieved (pending or skipped).
+                tail = np.append(self._importance[positions[1:]], self._next_iota())
+                next_iota = np.maximum.accumulate(tail[::-1])[::-1]
+                bounds = k_alpha * next_iota
+                if next_iota[-1] <= 0.0:  # non-increasing: zeros are a tail
+                    bounds[next_iota <= 0.0] = 0.0
+                steps = np.arange(self._steps_taken - positions.size, self._steps_taken) + 1
+                keep = ~np.isnan(at)  # landed while telemetry was on
+                self._convergence.record_many(*(column[keep] for column in (
+                    steps, np.where(retrievals < 0, steps, retrievals), bounds, at
+                )))
 
     def _locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Master-list positions of ``keys`` and which are in the list."""

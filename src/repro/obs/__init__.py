@@ -22,7 +22,7 @@ progressive pipeline:
 Both collection systems are switchable: :func:`set_enabled` gates
 metrics, the cost ledger and convergence events (default on),
 :func:`set_tracing` gates spans (default off).  Disabled telemetry costs
-one boolean check per call site — enforced by
+one boolean check per call site (a :func:`stage` checks both at once) — enforced by
 ``tests/test_telemetry_overhead.py``.
 
 See ``docs/OBSERVABILITY.md`` for the full tour.
@@ -33,7 +33,7 @@ from repro.obs.convergence import (
     ConvergenceRecord,
     ConvergenceTrajectory,
 )
-from repro.obs.ledger import LEDGER, CostAccount, CostLedger
+from repro.obs.ledger import CostAccount, stage
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
     Counter,
@@ -63,13 +63,11 @@ from repro.obs.trace import (
 
 __all__ = [
     "REGISTRY",
-    "LEDGER",
     "DEFAULT_TIME_BUCKETS",
     "ConvergenceLog",
     "ConvergenceRecord",
     "ConvergenceTrajectory",
     "CostAccount",
-    "CostLedger",
     "Counter",
     "Gauge",
     "Histogram",
@@ -89,6 +87,7 @@ __all__ = [
     "set_tracing",
     "snapshot_to_prometheus",
     "span",
+    "stage",
     "tracing_enabled",
     "trace_context",
 ]

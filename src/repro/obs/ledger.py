@@ -11,77 +11,34 @@ this ledger answers "what did *this session* do", stage by stage:
 Every :class:`~repro.core.session.ProgressiveSession` and
 :class:`~repro.core.batch.BatchBiggestB` owns a :class:`CostAccount`;
 the pipeline charges it with wall time and per-thread CPU time per
-stage (:meth:`CostAccount.stage`) and with resource counters
-(retrievals, coefficient bytes, cache hits, deliveries, retries,
-skipped keys).  Deep layers that cannot see the session — the resilient
-store retrying a fetch, the shared scheduler serving a key — charge the
-*active* account bound to the current thread with :func:`activate` /
-:func:`note`, so a retry three layers down still lands on the session
-that asked for the coefficient.
+stage and with resource counters (retrievals, coefficient bytes, cache
+hits, deliveries, retries, skipped keys).  Deep layers that cannot see
+the session — the resilient store retrying a fetch, the shared scheduler
+serving a key — charge the *active* account bound to the current thread
+with :func:`activate` / :func:`note`, so a retry three layers down still
+lands on the session that asked for the coefficient.
 
-Exposition:
-
-* ``ProgressiveQueryService.cost_report(session_id)`` — one session,
-  served as ``/sessions/<id>/costs`` by the ``repro serve`` edge;
-* the process-global :data:`LEDGER` — every account.
-
-Accounting honours the module-level telemetry switch
-(:func:`repro.obs.set_enabled`): disabled, a stage context and a
-counter charge are each one boolean check — enforced by
-``tests/test_telemetry_overhead.py``.
+Every timed region is a :func:`stage`, charged *exclusive* of the
+stages nested in it: a thread's stages are disjoint and add up to its
+time.  ``cost_report(session_id)`` (``/sessions/<id>/costs``) reads one
+account.  With telemetry off (:func:`repro.obs.set_enabled`) a charge is
+one boolean check — ``tests/test_telemetry_overhead.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
+from contextlib import nullcontext
 
 from repro.obs.metrics import _switch
+from repro.obs.trace import record_span
 
 #: The pipeline stages a cost account itemizes, in execution order.
 STAGES = ("rewrite", "plan", "schedule", "fetch", "apply")
 
 #: Stored coefficient width: every retrieval moves one float64.
 COEFFICIENT_BYTES = 8
-
-
-class _NoopStage:
-    """The disabled-telemetry stage context (shared singleton)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopStage":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NOOP_STAGE = _NoopStage()
-
-
-class _Stage:
-    """Times one stage region: wall clock plus calling-thread CPU."""
-
-    __slots__ = ("_account", "_name", "_t0", "_c0")
-
-    def __init__(self, account: "CostAccount", name: str) -> None:
-        self._account = account
-        self._name = name
-
-    def __enter__(self) -> "_Stage":
-        self._t0 = time.perf_counter()
-        self._c0 = time.thread_time()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._account.add_stage(
-            self._name,
-            time.perf_counter() - self._t0,
-            time.thread_time() - self._c0,
-        )
-        return False
 
 
 class CostAccount:
@@ -121,19 +78,11 @@ class CostAccount:
 
     # -- charging ------------------------------------------------------
 
-    def stage(self, name: str):
-        """Context manager charging wall + CPU time to stage ``name``.
-
-        One boolean check when telemetry is disabled.
-        """
-        if not _switch.enabled:
-            return _NOOP_STAGE
-        return _Stage(self, name)
-
     def add_stage(
         self, name: str, wall_s: float, cpu_s: float = 0.0, calls: int = 1
     ) -> None:
-        """Charge a pre-measured stage duration (inline hot-path form)."""
+        """Charge a measured stage duration (what a :func:`stage` region
+        charges on exit)."""
         if not _switch.enabled:
             return
         with self._lock:
@@ -164,25 +113,6 @@ class CostAccount:
             self.retries += retries
             self.skipped_keys += skipped_keys
 
-    def add_fetch(self, retrievals: int, wall_s: float, cpu_s: float = 0.0) -> None:
-        """Charge one chunked gather: fetch-stage time plus ``retrievals``
-        keys (and their bytes) under a single lock acquisition — the bulk
-        form of ``stage("fetch")`` + ``add(retrievals=...)`` the
-        vectorized serve engine uses once per chunk instead of per key.
-        """
-        if not _switch.enabled:
-            return
-        with self._lock:
-            cell = self._stages.get("fetch")
-            if cell is None:
-                cell = [0, 0.0, 0.0]
-                self._stages["fetch"] = cell
-            cell[0] += 1
-            cell[1] += wall_s
-            cell[2] += cpu_s
-            self.retrievals += retrievals
-            self.bytes_fetched += retrievals * COEFFICIENT_BYTES
-
     # -- reading -------------------------------------------------------
 
     def stage_totals(self) -> dict[str, dict[str, float]]:
@@ -199,11 +129,6 @@ class CostAccount:
             }
             for name in ordered
         }
-
-    def total_wall_s(self) -> float:
-        """Summed stage wall clock (stages may nest; see docstrings)."""
-        with self._lock:
-            return float(sum(cell[1] for cell in self._stages.values()))
 
     def to_dict(self) -> dict:
         """A JSON-friendly snapshot of the whole account."""
@@ -224,69 +149,20 @@ class CostAccount:
         }
 
 
-class CostLedger:
-    """A named registry of cost accounts (the process-wide roll-up).
-
-    The service registers each session's account under its session id;
-    standalone evaluators can register themselves.  Name collisions
-    (two services both handing out ``s1``) are disambiguated with a
-    ``#n`` suffix — :meth:`register` returns the name actually used.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._accounts: dict[str, CostAccount] = {}
-        self._dedup = itertools.count(2)
-
-    def register(self, name: str, account: CostAccount) -> str:
-        with self._lock:
-            actual = name
-            while actual in self._accounts:
-                actual = f"{name}#{next(self._dedup)}"
-            self._accounts[actual] = account
-            return actual
-
-    def get(self, name: str) -> CostAccount | None:
-        with self._lock:
-            return self._accounts.get(name)
-
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._accounts)
-
-    def accounts(self) -> dict[str, CostAccount]:
-        with self._lock:
-            return dict(self._accounts)
-
-    def to_json(self) -> dict:
-        """Every account's snapshot, keyed by registered name."""
-        return {
-            name: account.to_dict()
-            for name, account in sorted(self.accounts().items())
-        }
-
-    def unregister(self, name: str) -> None:
-        """Drop one account (the router does this when a session is
-        cancelled, so a long-lived service's ledger does not grow without
-        bound).  Unknown names are ignored."""
-        with self._lock:
-            self._accounts.pop(name, None)
-
-    def reset(self) -> None:
-        """Forget every account (benchmarks do this between trials)."""
-        with self._lock:
-            self._accounts.clear()
-
-
-#: The process-global ledger: every registered session's account.
-LEDGER = CostLedger()
-
-
 # ----------------------------------------------------------------------
 # The active account: deep-layer attribution without plumbing
 # ----------------------------------------------------------------------
 
-_active = threading.local()
+
+class _Local(threading.local):
+    """Per-thread state: the active accounts and the open ledger stages."""
+
+    def __init__(self) -> None:
+        self.accounts: list[CostAccount | None] = []
+        self.stages: list[_Region] = []
+
+
+_local = _Local()
 
 
 class activate:
@@ -294,8 +170,8 @@ class activate:
 
     Layers that cannot see the session — the resilient store counting a
     retry, the shared scheduler issuing a fetch on a session's behalf —
-    charge whatever account is active via :func:`note` /
-    :func:`active_stage`.  Activations nest (a stack per thread).
+    charge whatever account is active via :func:`note` and
+    :func:`stage`.  Activations nest (a stack per thread).
     """
 
     __slots__ = ("_account",)
@@ -304,21 +180,18 @@ class activate:
         self._account = account
 
     def __enter__(self) -> "activate":
-        stack = getattr(_active, "stack", None)
-        if stack is None:
-            stack = _active.stack = []
-        stack.append(self._account)
+        _local.accounts.append(self._account)
         return self
 
     def __exit__(self, *exc) -> bool:
-        _active.stack.pop()
+        _local.accounts.pop()
         return False
 
 
 def active_account() -> CostAccount | None:
     """The account bound to this thread, or None."""
-    stack = getattr(_active, "stack", None)
-    return stack[-1] if stack else None
+    accounts = _local.accounts
+    return accounts[-1] if accounts else None
 
 
 def note(**counters: int) -> None:
@@ -330,21 +203,79 @@ def note(**counters: int) -> None:
         account.add(**counters)
 
 
-def note_fetch(retrievals: int, wall_s: float, cpu_s: float = 0.0) -> None:
-    """Charge a chunked gather to the thread's active account in one lock
-    acquisition (see :meth:`CostAccount.add_fetch`); no-op without one."""
-    if not _switch.enabled:
-        return
-    account = active_account()
-    if account is not None:
-        account.add_fetch(retrievals, wall_s, cpu_s)
+# ----------------------------------------------------------------------
+# The one timed region
+# ----------------------------------------------------------------------
+
+_OFF = nullcontext()
 
 
-def active_stage(name: str):
-    """A stage context on the thread's active account (no-op without one)."""
-    if not _switch.enabled:
-        return _NOOP_STAGE
-    account = active_account()
-    if account is None:
-        return _NOOP_STAGE
-    return _Stage(account, name)
+def stage(
+    name: str | None = None,
+    account: CostAccount | None = None,
+    histogram=None,
+    span: str | None = None,
+    calls: int = 1,
+    **attrs: object,
+):
+    """Time one region with one clock pair, feeding up to three sinks.
+
+    * ``span`` — a trace span of that name (with ``attrs``), when
+      tracing is on;
+    * ``histogram`` — observes the region's full (inclusive) wall time;
+    * ``name`` — the ledger stage charged on ``account`` (None: the
+      thread's active account), ``calls`` calls and the region's wall
+      and CPU time *exclusive* of the stages nested in it on this thread.
+
+    A region that raises leaves only its span (its time stays in the
+    enclosing stage).  A region that charges no stage — no ``name``, no
+    account — is transparent: its nested stages come off the enclosing
+    one.  With telemetry and tracing both off it is one boolean check.
+    """
+    if not _switch.timing:
+        return _OFF
+    return _Region(name, account, histogram, span, calls, attrs)
+
+
+class _Region:
+    __slots__ = (
+        "name", "account", "histogram", "span", "calls", "attrs",
+        "t0", "c0", "nested_wall", "nested_cpu",
+    )
+
+    def __init__(self, name, account, histogram, span, calls, attrs) -> None:
+        self.name, self.account, self.histogram = name, account, histogram
+        self.span, self.calls, self.attrs = span, calls, attrs
+
+    def __enter__(self) -> "_Region":
+        account = None
+        if self.name is not None and _switch.enabled:
+            account = self.account if self.account is not None else active_account()
+        self.account = account
+        if account is not None:
+            self.nested_wall = self.nested_cpu = 0.0
+            _local.stages.append(self)
+            self.c0 = time.thread_time()
+        self.t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        wall = time.perf_counter() - self.t0
+        account = self.account
+        if account is not None:
+            cpu = time.thread_time() - self.c0
+            stages = _local.stages
+            stages.pop()
+            if exc_type is None:
+                if stages:
+                    outer = stages[-1]
+                    outer.nested_wall += wall
+                    outer.nested_cpu += cpu
+                account.add_stage(
+                    self.name, wall - self.nested_wall, cpu - self.nested_cpu, self.calls
+                )
+        if exc_type is None and self.histogram is not None:
+            self.histogram.observe(wall)
+        if self.span is not None and _switch.tracing:
+            record_span(self.span, self.t0, wall, self.attrs)
+        return False

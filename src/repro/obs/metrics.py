@@ -33,12 +33,22 @@ from typing import Iterable, Mapping
 
 
 class _Switch:
-    """The module-level no-op switch (one attribute read on the hot path)."""
+    """The module-level no-op switches (one attribute read on the hot path).
 
-    __slots__ = ("enabled",)
+    ``enabled`` gates metrics, the cost ledger and convergence events;
+    ``tracing`` gates spans (:func:`repro.obs.set_tracing`); ``timing`` is
+    either, the one check a disabled :func:`repro.obs.stage` costs.
+    """
+
+    __slots__ = ("enabled", "tracing", "timing")
 
     def __init__(self) -> None:
-        self.enabled = True
+        self.enabled = self.timing = True
+        self.tracing = False
+
+    def set(self, enabled: bool, tracing: bool) -> None:
+        self.enabled, self.tracing = bool(enabled), bool(tracing)
+        self.timing = self.enabled or self.tracing
 
 
 _switch = _Switch()
@@ -53,7 +63,7 @@ def set_enabled(enabled: bool) -> bool:
     ``tests/test_telemetry_overhead.py`` for the enforced budget.
     """
     previous = _switch.enabled
-    _switch.enabled = bool(enabled)
+    _switch.set(enabled, _switch.tracing)
     return previous
 
 

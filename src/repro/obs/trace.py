@@ -46,7 +46,7 @@ import threading
 import time
 from collections import deque
 
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, _switch
 
 _SPANS_DROPPED = REGISTRY.counter(
     "repro_trace_spans_dropped_total",
@@ -229,7 +229,6 @@ class TraceRecorder:
         return sum(1 for e in trace["traceEvents"] if e["ph"] == "X")
 
 
-_enabled = False
 _recorder = TraceRecorder()
 #: perf_counter origin for microsecond timestamps (per-process, monotonic).
 _T0 = time.perf_counter()
@@ -252,16 +251,16 @@ def set_tracing(enabled: bool, capacity: int | None = None) -> bool:
     ``capacity`` (spans kept) replaces the recorder ring when given —
     existing records are dropped.
     """
-    global _enabled, _recorder
-    previous = _enabled
+    global _recorder
+    previous = _switch.tracing
     if capacity is not None:
         _recorder = TraceRecorder(capacity)
-    _enabled = bool(enabled)
+    _switch.set(_switch.enabled, enabled)
     return previous
 
 
 def tracing_enabled() -> bool:
-    return _enabled
+    return _switch.tracing
 
 
 def get_recorder() -> TraceRecorder:
@@ -386,22 +385,22 @@ class span:
         self._t0: float | None = None
 
     def __enter__(self) -> "span":
-        if _enabled:
+        if _switch.tracing:
             self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
         t0 = self._t0
-        if t0 is not None and _enabled:
-            t1 = time.perf_counter()
-            attrs = self.attrs
-            request_id = current_request_id()
-            if request_id is not None:
-                attrs = dict(attrs, request_id=request_id)
-            _recorder.add(
-                self.name,
-                ts_us=(t0 - _T0) * 1e6,
-                dur_us=(t1 - t0) * 1e6,
-                attrs=attrs,
-            )
+        if t0 is not None and _switch.tracing:
+            record_span(self.name, t0, time.perf_counter() - t0, self.attrs)
         return False
+
+
+def record_span(name: str, t0: float, seconds: float, attrs: dict) -> None:
+    """Record a completed span that began at ``perf_counter()`` ``t0``
+    (the one recording path of :class:`span` and :func:`repro.obs.stage`),
+    tagged with the thread's request id."""
+    request_id = current_request_id()
+    if request_id is not None:
+        attrs = dict(attrs, request_id=request_id)
+    _recorder.add(name, ts_us=(t0 - _T0) * 1e6, dur_us=seconds * 1e6, attrs=attrs)

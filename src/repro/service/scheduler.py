@@ -60,15 +60,14 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.core.session import DEFAULT_CHUNK, MAX_CHUNK_KEYS, ProgressiveSession
-from repro.obs import REGISTRY, MetricRegistry, span
-from repro.obs.ledger import activate as _charge_to, note_fetch
+from repro.obs import REGISTRY, MetricRegistry
+from repro.obs.ledger import activate as _charge_to
 from repro.storage.resilient import available_runs, fetch_degrading
 
 #: Distinguishes scheduler instances inside the process-global registry.
@@ -138,10 +137,6 @@ class SharedRetrievalScheduler:
             "repro_scheduler_fetch_seconds",
             "Wall-clock latency of store fetches (one gather of a chunk's "
             "uncached keys, or one key of a degraded gather)",
-        )
-        self._advance_seconds = self.registry.histogram(
-            "repro_scheduler_advance_seconds",
-            "Wall-clock latency of advance_session calls",
         )
         self._lock = threading.RLock()
         self._registrations: dict[int, _Registration] = {}
@@ -256,27 +251,27 @@ class SharedRetrievalScheduler:
         :data:`~repro.core.session.DEFAULT_CHUNK`.  Returns
         the number of coefficients the target session actually gained
         (less than ``k`` at exhaustion, when the remaining keys are
-        unavailable, or once ``deadline`` seconds have elapsed).
+        unavailable, or once ``deadline`` seconds have elapsed).  The
+        front's ``advance`` times the call: its one region is the driving
+        session's ``schedule`` stage.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
         limit = self.chunk_size or (
             MAX_CHUNK_KEYS if deadline is None else DEFAULT_CHUNK
         )
-        with self._lock, span("scheduler.advance", sid=sid, k=k):
-            t0 = time.perf_counter()
+        with self._lock:
+            started = time.monotonic() if deadline is not None else 0.0
             reg = self._registrations[sid]
             session = reg.session
             start = session.steps_taken
-            # The driving session pays for the schedule it requested —
-            # "schedule" wall time (inclusive of the nested "fetch"
-            # stages), the store fetches, and any resilient-store retries
-            # — even though other sessions receive coefficients along the
-            # way; their accounts are charged deliveries/cache hits as the
-            # coefficients land.
-            with _charge_to(session.costs), session.costs.stage("schedule"):
+            # The driving session pays for the store fetches it requested
+            # and any resilient-store retries, even though other sessions
+            # receive coefficients along the way; their accounts are
+            # charged deliveries/cache hits as the coefficients land.
+            with _charge_to(session.costs):
                 while session.steps_taken - start < k and not session.is_exact:
-                    if deadline is not None and time.perf_counter() - t0 >= deadline:
+                    if deadline is not None and time.monotonic() - started >= deadline:
                         break
                     need = k - (session.steps_taken - start)
                     if not session.skipped_count:
@@ -288,7 +283,6 @@ class SharedRetrievalScheduler:
                     if not picked.size:
                         break
                     self._serve_batch(picked)
-            self._advance_seconds.observe(time.perf_counter() - t0)
             return session.steps_taken - start
 
     # ------------------------------------------------------------------
@@ -357,18 +351,6 @@ class SharedRetrievalScheduler:
             gains += int(gained[-1])
         return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
 
-    @contextmanager
-    def _timed_fetch(self, n: int):
-        """Span, latency histogram and ledger charge around one store call
-        (an abandoned call raises through and records nothing)."""
-        with span("scheduler.fetch", keys=n):
-            t0 = time.perf_counter()
-            c0 = time.thread_time()
-            yield
-            wall = time.perf_counter() - t0
-        self._fetch_seconds.observe(wall)
-        note_fetch(n, wall, time.thread_time() - c0)
-
     def _serve_batch(self, picked: np.ndarray) -> None:
         """Fetch and deliver one chunk of picked union indices, in serve
         order.
@@ -390,7 +372,7 @@ class SharedRetrievalScheduler:
         if not cached.all():
             missing = np.flatnonzero(~cached)
             values[missing], lost = fetch_degrading(
-                self.store, keys[missing], self._timed_fetch
+                self.store, keys[missing], "scheduler.fetch", self._fetch_seconds
             )
             failed = missing[lost].tolist()
             fetched = np.delete(missing, lost) if lost else missing

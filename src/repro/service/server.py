@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from repro.core.penalties import Penalty
 from repro.core.session import ProgressiveSession
-from repro.obs import LEDGER, REGISTRY, ConvergenceRecord, MetricRegistry, span
+from repro.obs import REGISTRY, ConvergenceRecord, MetricRegistry, stage
 from repro.queries.vector_query import QueryBatch
 from repro.service.scheduler import SharedRetrievalScheduler
 from repro.storage.base import LinearStorage
@@ -119,8 +118,6 @@ class ProgressiveQueryService:
         )
         self._lock = threading.RLock()
         self._sessions: dict[str, _Entry] = {}
-        #: session id -> the name LEDGER actually registered (dedup-safe).
-        self._ledger_names: dict[str, str] = {}
         self._ids = itertools.count(1)
         self._submitted_total = registry.counter(
             f"repro_{self.FRONT}_sessions_submitted_total",
@@ -164,8 +161,10 @@ class ProgressiveQueryService:
         session starts degraded-but-bounded.
         """
         batch.validate_for(self.storage.shape)
-        with self._lock, span(f"{self.FRONT}.submit", queries=batch.size):
-            t0 = time.perf_counter()
+        with self._lock, stage(
+            histogram=self._submit_seconds, span=f"{self.FRONT}.submit",
+            queries=batch.size,
+        ):
             session = ProgressiveSession(
                 self.storage, batch, penalty=penalty, workers=workers
             )
@@ -175,12 +174,7 @@ class ProgressiveQueryService:
             self._sessions[session_id] = _Entry(
                 session, self.scheduler.register(session)
             )
-            # Expose the session's cost account process-wide (``repro
-            # cost`` / ``/costs.json``); the ledger disambiguates id
-            # collisions across service instances with a ``#n`` suffix.
-            self._ledger_names[session_id] = LEDGER.register(session_id, session.costs)
             self._submitted_total.inc(**self._submitted_labels)
-            self._submit_seconds.observe(time.perf_counter() - t0)
             return session_id
 
     def advance(self, session_id: str, k: int = 1, deadline: float | None = None) -> int:
@@ -192,15 +186,17 @@ class ProgressiveQueryService:
         slow store can hold the client: the call returns early with
         whatever progress was made — latency degrades, correctness never.
         It also returns early at exhaustion and when the remaining keys
-        are unavailable (they degrade to skipped).
+        are unavailable (they degrade to skipped).  The call is one
+        region: the ``<front>.advance`` span, the advance histogram and the
+        session's ``schedule`` stage (less the stages nested in it).
         """
-        with self._lock, span(f"{self.FRONT}.advance", sid=session_id, k=k):
-            t0 = time.perf_counter()
-            gained = self.scheduler.advance_session(
-                self._session(session_id).sid, k, deadline=deadline
-            )
-            self._advance_seconds.observe(time.perf_counter() - t0)
-            return gained
+        with self._lock:
+            session, sid = self._session(session_id)
+            with stage(
+                "schedule", session.costs, self._advance_seconds,
+                span=f"{self.FRONT}.advance", sid=session_id, k=k,
+            ):
+                return self.scheduler.advance_session(sid, k, deadline=deadline)
 
     def run_to_completion(self, session_id: str) -> np.ndarray:
         """Advance until the session is exact; returns the exact answers.
@@ -257,7 +253,6 @@ class ProgressiveQueryService:
         with self._lock:
             sid = self._session(session_id).sid  # friendly error for unknown ids
             del self._sessions[session_id]
-            LEDGER.unregister(self._ledger_names.pop(session_id))
             self.scheduler.deregister(sid)
 
     def session_ids(self) -> list[str]:
@@ -291,8 +286,7 @@ class ProgressiveQueryService:
         """What did *this* session cost?  (See ``docs/OBSERVABILITY.md``.)
 
         A JSON-friendly dict: per-stage wall/CPU timings
-        (``rewrite -> plan -> schedule -> fetch -> apply``; ``schedule``
-        is inclusive of the ``fetch`` stages nested inside it) plus
+        (``rewrite -> plan -> schedule -> fetch -> apply``, disjoint) plus
         resource counters — retrievals, coefficient bytes, cross-session
         cache hits, deliveries, store retries, skipped keys — and the
         session's progress (master-list size, steps taken, exactness).

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import itertools
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.obs import REGISTRY, MetricRegistry, span
+from repro.obs import REGISTRY, MetricRegistry, span, stage
 from repro.obs.ledger import note as _ledger_note
 
 #: Distinguishes resilient-store instances inside the process-global registry.
@@ -71,7 +70,21 @@ class CircuitOpenError(RetrievalError):
     """Fail-fast rejection: the circuit breaker is open."""
 
 
-def fetch_degrading(store, keys: np.ndarray, timed=nullcontext):
+def charged_fetch(store, keys: np.ndarray, span=None, histogram=None) -> np.ndarray:
+    """One store call as every evaluator counts it.
+
+    A :func:`~repro.obs.stage` region: one ``fetch`` stage call on the
+    thread's active account (plus ``span`` / ``histogram`` when given),
+    then ``keys.size`` retrievals — once the call returns.  An abandoned
+    call raises through and leaves only its span.
+    """
+    with stage("fetch", span=span, histogram=histogram, keys=keys.size):
+        values = np.asarray(store.fetch(keys), dtype=np.float64)
+    _ledger_note(retrievals=int(keys.size))
+    return values
+
+
+def fetch_degrading(store, keys: np.ndarray, span=None, histogram=None):
     """One gather; an abandoned multi-key gather degrades to per-key fetches.
 
     The single home of the degradation rule every evaluator shares (the
@@ -83,22 +96,17 @@ def fetch_degrading(store, keys: np.ndarray, timed=nullcontext):
     abandoned as well, so one unavailable key costs only itself, not its
     chunk.  A one-key gather *is* its own per-key fetch and fails
     directly — one-key chunks keep the per-key loop's store-call pattern
-    exactly.
-
-    ``timed(n)`` is entered around every store call of ``n`` keys (stage
-    timers, latency histograms); an abandoned call leaves it by exception.
+    exactly.  Every store call is a :func:`charged_fetch`.
     """
     try:
-        with timed(keys.size):
-            return np.asarray(store.fetch(keys), dtype=np.float64), []
+        return charged_fetch(store, keys, span, histogram), []
     except RetrievalError:
         if keys.size == 1:
             return np.zeros(1), [0]
     values, failed = np.zeros(keys.size), []
     for i in range(keys.size):
         try:
-            with timed(1):
-                values[i] = store.fetch(keys[i : i + 1])[0]
+            values[i] = charged_fetch(store, keys[i : i + 1], span, histogram)[0]
         except RetrievalError:
             failed.append(i)
     return values, failed

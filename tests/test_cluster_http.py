@@ -194,7 +194,7 @@ class TestObservability:
             obs.set_tracing(False)
         names = {record.name for record in obs.get_recorder().records()}
         obs.get_recorder().clear()
-        assert {"cluster.submit", "scheduler.advance", "scheduler.fetch"} <= names
+        assert {"cluster.submit", "cluster.advance", "scheduler.fetch"} <= names
         client.cancel(sid)
 
     def test_edge_request_metrics_label_routes(self, edge):
@@ -500,6 +500,39 @@ class TestConnections:
         assert edge_threads() == []
         idle.close()
         busy.close()
+
+    def test_idle_and_half_sent_connections_are_closed(
+        self, storage, tmp_path, monkeypatch
+    ):
+        """Slow loris: a connection that sends nothing and one that stops
+        halfway through a request head each hold an edge thread; past
+        IDLE_TIMEOUT_S the edge closes both and the table empties.  A
+        kept-alive client closed under it reconnects."""
+        monkeypatch.setattr(http_module, "IDLE_TIMEOUT_S", 0.5)
+        router = build_cluster(
+            storage, tmp_path / "loris.pages", 2,
+            process_shards=False, buffer_pages=16,
+        )
+        server = ClusterHttpServer(router, port=0, access_log=False).start_in_thread()
+        idle = socket.create_connection(("127.0.0.1", server.port))
+        half = socket.create_connection(("127.0.0.1", server.port))
+        try:
+            half.sendall(b"GET /sessions HTTP/1.1\r\nX-Request-")
+            for sock in (idle, half):
+                sock.settimeout(5.0)
+                assert sock.recv(1) == b""  # closed by the edge, not timed out
+            deadline = time.monotonic() + 5.0
+            while server._conns and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server._conns == {}
+            with ClusterClient("127.0.0.1", server.port) as client:
+                assert client.sessions() == []
+                time.sleep(1.0)  # the edge closes the kept-alive connection
+                assert client.sessions() == []
+        finally:
+            idle.close()
+            half.close()
+            server.close()
 
     def test_a_connection_past_the_cap_gets_503_and_retry_after(
         self, storage, tmp_path, monkeypatch

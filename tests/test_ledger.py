@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +18,15 @@ from repro.obs import ledger as ledger_mod
 from repro.obs.ledger import (
     COEFFICIENT_BYTES,
     CostAccount,
-    CostLedger,
     activate,
     active_account,
     note,
+    stage,
 )
+from repro.obs.metrics import MetricRegistry
 from repro.queries.workload import partition_count_batch
 from repro.service.server import ProgressiveQueryService
+from repro.storage.faults import chaos_stack
 from repro.storage.wavelet_store import WaveletStorage
 
 
@@ -40,7 +44,7 @@ class TestCostAccount:
     def test_stage_accumulates_wall_cpu_calls(self):
         account = CostAccount(owner="t", queries=3)
         for _ in range(4):
-            with account.stage("fetch"):
+            with stage("fetch", account):
                 pass
         totals = account.stage_totals()
         assert totals["fetch"]["calls"] == 4
@@ -68,7 +72,7 @@ class TestCostAccount:
 
     def test_to_dict_is_json_serializable(self):
         account = CostAccount(owner="session", queries=2)
-        with account.stage("plan"):
+        with stage("plan", account):
             pass
         account.add(retrievals=1)
         snapshot = json.loads(json.dumps(account.to_dict()))
@@ -80,33 +84,13 @@ class TestCostAccount:
         account = CostAccount()
         previous = obs.set_enabled(False)
         try:
-            with account.stage("fetch"):
+            with stage("fetch", account):
                 pass
             account.add(retrievals=9)
         finally:
             obs.set_enabled(previous)
         assert account.retrievals == 0
         assert account.stage_totals() == {}
-
-
-class TestCostLedger:
-    def test_register_disambiguates_collisions(self):
-        ledger = CostLedger()
-        first = ledger.register("s1", CostAccount())
-        second = ledger.register("s1", CostAccount())
-        assert first == "s1"
-        assert second != "s1" and second.startswith("s1#")
-        assert set(ledger.names()) == {first, second}
-
-    def test_to_json_and_reset(self):
-        ledger = CostLedger()
-        account = CostAccount(owner="batch")
-        account.add(retrievals=2)
-        ledger.register("b", account)
-        doc = ledger.to_json()
-        assert doc["b"]["counters"]["retrievals"] == 2
-        ledger.reset()
-        assert ledger.to_json() == {}
 
 
 class TestActiveAccount:
@@ -141,9 +125,116 @@ class TestActiveAccount:
     def test_active_stage_charges_active_account(self):
         account = CostAccount()
         with activate(account):
-            with ledger_mod.active_stage("fetch"):
+            with stage("fetch"):
                 pass
         assert account.stage_totals()["fetch"]["calls"] == 1
+
+
+class _FakeClock(SimpleNamespace):
+    """Stands in for the ``time`` module inside :mod:`repro.obs.ledger`:
+    both clocks move only when the test says so."""
+
+    def __init__(self) -> None:
+        super().__init__(wall=0.0, cpu=0.0)
+        self.perf_counter = lambda: self.wall
+        self.thread_time = lambda: self.cpu
+
+    def tick(self, wall: float, cpu: float = 0.0) -> None:
+        self.wall += wall
+        self.cpu += cpu
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = _FakeClock()
+    monkeypatch.setattr(ledger_mod, "time", fake)
+    return fake
+
+
+@pytest.fixture
+def tracing():
+    previous = obs.set_tracing(True)
+    obs.get_recorder().clear()
+    yield obs.get_recorder()
+    obs.set_tracing(previous)
+    obs.get_recorder().clear()
+
+
+class TestStage:
+    """``obs.stage``: one clock pair feeds the span, the histogram and an
+    exclusive ledger stage."""
+
+    def test_exclusive_stage_inclusive_histogram(self, clock):
+        account = CostAccount()
+        histogram = MetricRegistry().histogram("repro_test_seconds")
+        with stage("schedule", account, histogram):
+            clock.tick(1.0, 0.5)
+            with stage("fetch", account, histogram):
+                clock.tick(2.0, 0.25)
+            clock.tick(4.0, 1.0)
+            with stage("apply", account):
+                clock.tick(8.0, 2.0)
+        totals = account.stage_totals()
+        assert totals["schedule"] == {"calls": 1, "wall_s": 5.0, "cpu_s": 1.5}
+        assert totals["fetch"] == {"calls": 1, "wall_s": 2.0, "cpu_s": 0.25}
+        assert totals["apply"] == {"calls": 1, "wall_s": 8.0, "cpu_s": 2.0}
+        # The histogram takes each region's full time: 15 s and 2 s.
+        assert histogram.count() == 2 and histogram.sum() == 17.0
+
+    def test_a_raising_region_leaves_only_its_span(self, clock, tracing):
+        account = CostAccount()
+        histogram = MetricRegistry().histogram("repro_test_seconds")
+        with stage("schedule", account):
+            with pytest.raises(RuntimeError):
+                with stage("fetch", account, histogram, span="test.fetch", keys=3):
+                    clock.tick(2.0, 1.0)
+                    raise RuntimeError("abandoned")
+            clock.tick(1.0)
+        # Its time stays in the enclosing stage: nothing is lost.
+        assert account.stage_totals() == {
+            "schedule": {"calls": 1, "wall_s": 3.0, "cpu_s": 1.0}
+        }
+        assert histogram.count() == 0
+        [record] = tracing.records()
+        assert (record.name, record.dur_us, record.attrs) == (
+            "test.fetch", 2e6, {"keys": 3}
+        )
+
+    def test_a_region_without_a_stage_is_transparent(self, clock):
+        """``<front>.submit`` charges no stage: the stages nested in it
+        come off the enclosing stage, and its own time stays there."""
+        account = CostAccount()
+        histogram = MetricRegistry().histogram("repro_test_seconds")
+        with stage("schedule", account):
+            with stage(histogram=histogram, span="test.submit"):
+                with stage("plan", account):
+                    clock.tick(2.0)
+                clock.tick(1.0)
+            # No account to charge (none active): transparent as well.
+            with stage("rewrite"):
+                clock.tick(4.0)
+        totals = account.stage_totals()
+        assert totals["plan"]["wall_s"] == 2.0
+        assert totals["schedule"]["wall_s"] == 5.0
+        assert histogram.sum() == 3.0
+
+    def test_turning_telemetry_off_inside_a_region_still_pops_it(self):
+        account = CostAccount()
+        previous = obs.set_enabled(True)
+        try:
+            with stage("fetch", account):
+                obs.set_enabled(False)
+            assert ledger_mod._local.stages == []
+        finally:
+            obs.set_enabled(previous)
+        assert account.stage_totals() == {}
+
+    def test_steps_hold_no_stage_across_a_yield(self, workload):
+        storage, batch = workload
+        evaluator = BatchBiggestB(storage, batch)
+        for _ in evaluator.steps(readahead=4):
+            assert ledger_mod._local.stages == []
+            assert active_account() is None
 
 
 class TestPipelineAttribution:
@@ -194,6 +285,44 @@ class TestPipelineAttribution:
         assert session.costs.retrievals == 5
         assert session.costs.stage_totals()["fetch"]["calls"] == 5
 
+    @pytest.mark.parametrize("loop", ["session", "service", "batch"])
+    def test_a_fetch_call_is_a_store_call_that_returned(self, workload, loop):
+        """Three retrievals with the second of the first three keys
+        blacked out: each loop charges one ``fetch`` call per store call
+        that returned, never the abandoned gather or key."""
+        storage, batch = workload
+        first = ProgressiveSession(storage, batch).upcoming(3)[0]
+        chaos = chaos_stack(
+            storage.store, {"blackout_keys": [int(first[1])], "max_attempts": 1}
+        )
+        returned = []
+
+        class Returned:
+            def fetch(self, keys):
+                values = chaos.fetch(keys)
+                returned.append(len(keys))
+                return values
+
+            def __getattr__(self, name):
+                return getattr(chaos, name)
+
+        storage = storage.with_store(Returned())
+        if loop == "session":
+            session = ProgressiveSession(storage, batch)
+            assert session.advance(3, chunk=3) == 3
+            costs = session.costs
+        elif loop == "service":
+            service = ProgressiveQueryService(storage, chunk_size=3)
+            session_id = service.submit(batch)
+            assert service.advance(session_id, 3) == 3
+            costs = service._session(session_id).session.costs
+        else:
+            evaluator = BatchBiggestB(storage, batch)
+            assert len(list(itertools.islice(evaluator.steps(readahead=3), 3))) == 3
+            costs = evaluator.costs
+        assert costs.stage_totals()["fetch"]["calls"] == len(returned) == 3
+        assert costs.retrievals == sum(returned)
+
     def test_session_deliver_counts_delivery_not_retrieval(self, workload):
         storage, batch = workload
         session = ProgressiveSession(storage, batch)
@@ -232,23 +361,13 @@ class TestServiceCostReport:
         with pytest.raises(KeyError, match="unknown or cancelled"):
             service.cost_report("nope")
 
-    def test_submit_registers_in_global_ledger(self, workload):
-        storage, batch = workload
-        obs.LEDGER.reset()
-        service = ProgressiveQueryService(storage)
-        session_id = service.submit(batch)
-        account = obs.LEDGER.get(session_id)
-        assert account is not None
-        assert account is service._session(session_id)[0].costs
-
     @pytest.mark.parametrize("front", ["service", "router"])
     def test_cancel_unregisters_the_account(self, workload, tmp_path, front):
-        """Regression: the in-process ``cancel`` leaked every session's
-        account into the process-wide ledger; the router's did not."""
+        """A cancelled session's account leaves ``/costs.json`` (the
+        ``costs_json`` body) on both fronts."""
         from repro.cluster import build_cluster
 
         storage, batch = workload
-        obs.LEDGER.reset()
         if front == "service":
             service = ProgressiveQueryService(storage)
         else:
@@ -259,12 +378,34 @@ class TestServiceCostReport:
             for _ in range(3):
                 session_id = service.submit(batch)
                 service.advance(session_id, 4)
-                assert obs.LEDGER.names() == [session_id]
+                assert list(service.costs_json()) == [session_id]
                 service.cancel(session_id)
-            assert obs.LEDGER.names() == []
+            assert service.costs_json() == {}
         finally:
             if front == "router":
                 service.close()
+
+    def test_stages_add_up_to_the_advance(self, workload):
+        """One advance with one live session: its ``schedule``, ``fetch``
+        and ``apply`` are disjoint and sum to the advance's histogram
+        sample (``schedule`` used to include the stages nested in it)."""
+        storage, batch = workload
+        service = ProgressiveQueryService(storage, registry=MetricRegistry())
+        session_id = service.submit(batch)
+
+        def walls():
+            stages = service.cost_report(session_id)["stages"]
+            return sum(
+                stages.get(name, {}).get("wall_s", 0.0)
+                for name in ("schedule", "fetch", "apply")
+            )
+
+        before = walls()
+        assert service.advance(session_id, 8) == 8
+        sample = service._advance_seconds.sum()
+        assert service._advance_seconds.count() == 1
+        assert walls() - before == pytest.approx(sample, rel=1e-9, abs=1e-12)
+        assert walls() - before <= sample * (1 + 1e-9)
 
 
 class TestRetryAttribution:

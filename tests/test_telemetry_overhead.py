@@ -93,20 +93,25 @@ class TestTelemetryOverhead:
         assert per_span < 20e-6, f"disabled span costs {per_span * 1e9:.0f}ns"
 
     def test_disabled_ledger_ops_are_nanoseconds(self):
-        """Disabled cost-ledger charges are one boolean check each."""
+        """Disabled cost-ledger charges — a counter, and an ``obs.stage``
+        region with every sink — are one boolean check each."""
         account = obs.CostAccount(owner="test")
+        histogram = obs.MetricRegistry().histogram("repro_test_seconds")
         metrics_prev = obs.set_enabled(False)
+        tracing_prev = obs.set_tracing(False)
         try:
             n = 20_000
             t0 = time.perf_counter()
             for _ in range(n):
-                with account.stage("fetch"):
+                with obs.stage("fetch", account, histogram, span="noop", key=1):
                     pass
                 account.add(retrievals=1)
             per_op = (time.perf_counter() - t0) / n
             # Nothing was recorded while disabled.
             assert account.retrievals == 0
             assert account.stage_totals() == {}
+            assert histogram.count() == 0
         finally:
             obs.set_enabled(metrics_prev)
+            obs.set_tracing(tracing_prev)
         assert per_op < 20e-6, f"disabled ledger op costs {per_op * 1e9:.0f}ns"
