@@ -57,14 +57,15 @@ class CodecError(ValueError):
 
 
 def split_head(head) -> tuple[str, dict[str, str]]:
-    """An HTTP/1.1 message head as ``(start line, headers)``, header
-    names lower-cased — all the parsing either end of the edge does."""
+    """An HTTP/1.1 message head as ``(start line, headers)``, names lower-
+    cased, repeats joined by ``", "`` — all the parsing either end does."""
     start_line, *lines = head.decode("latin-1").split("\r\n")
     headers = {}
     for line in lines:
         name, colon, value = line.partition(":")
         if colon:
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
     return start_line, headers
 
 

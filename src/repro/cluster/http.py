@@ -330,8 +330,11 @@ class ClusterHttpServer:
         except ValueError:
             return self._reject(conn, 400, "malformed request line")
         method, path = method.upper(), target.split("?", 1)[0]
+        # RFC 9112 §6.1/§6.3: a body framed other than by one length can smuggle.
+        if "transfer-encoding" in headers:
+            return self._reject(conn, 501, "Transfer-Encoding not supported", method, path)
         try:
-            length = int(headers.get("content-length") or 0)
+            (length,) = {int(v) for v in (headers.get("content-length") or "0").split(",")}
             if length < 0:
                 raise ValueError(length)
         except ValueError:

@@ -110,6 +110,11 @@ class ClusterRouter(ProgressiveQueryService):
                 ("shard",),
             ),
             on_lost=self._shed_shard,
+            readahead=registry.counter(
+                "repro_cluster_readahead_keys_total",
+                "Keys sent to the shards ahead of the next advance, by outcome",
+                ("outcome",),
+            ),
         )
         self._shards = self.store.shards
         self._dead = self.store.dead
@@ -365,6 +370,7 @@ class ClusterRouter(ProgressiveQueryService):
             # Detach supervision first: a closed cluster must never be
             # "recovering", and a late tick must not respawn workers.
             self.supervisor = None
+            self.store.drop_ahead()
             for index, shard in self._shards.items():
                 if index not in self._dead:
                     shard.close()
@@ -424,6 +430,7 @@ class ClusterRouter(ProgressiveQueryService):
         if index in self._dead:
             return
         self._dead.add(index)
+        self.store.drop_ahead()
         self._publish_state(index)
         self._shards[index].abandon()
         self.scheduler.shed(lambda keys: self.partitioner.shard_of(keys) == index)

@@ -287,7 +287,3 @@ class BatchBiggestB:
         if denom <= 0:
             raise ValueError("domain too small for the sphere average")
         return remaining / denom
-
-    def importance_profile(self) -> np.ndarray:
-        """Sorted (descending) importance values of the master list."""
-        return self._sorted_importance.copy()

@@ -283,6 +283,10 @@ class SharedRetrievalScheduler:
                     if not picked.size:
                         break
                     self._serve_batch(picked)
+            # Send this session's next pick while this advance folds and replies.
+            read_ahead = None if self.chunk_size else getattr(self.store, "read_ahead", None)
+            if read_ahead and deadline is None and len(self._registrations) == 1:
+                read_ahead(lambda: self._uncached(self._pick(reg, k, limit)))
             return session.steps_taken - start
 
     # ------------------------------------------------------------------
@@ -350,6 +354,10 @@ class SharedRetrievalScheduler:
             limit -= block.size
             gains += int(gained[-1])
         return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+
+    def _uncached(self, picked: np.ndarray) -> np.ndarray:
+        keys = self._union[picked]
+        return keys[[key not in self._coefficients for key in keys.tolist()]]
 
     def _serve_batch(self, picked: np.ndarray) -> None:
         """Fetch and deliver one chunk of picked union indices, in serve

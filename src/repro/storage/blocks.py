@@ -82,10 +82,6 @@ class BlockedStore:
     def num_blocks(self) -> int:
         return -(-self.store.key_space_size // self.block_size)
 
-    def block_of(self, key: int) -> int:
-        """Block id containing ``key``."""
-        return int(key) // self.block_size
-
     def fetch(self, keys: np.ndarray) -> np.ndarray:
         """Fetch values, counting block I/Os through the buffer."""
         keys = np.asarray(keys, dtype=np.int64).ravel()

@@ -135,11 +135,6 @@ class FaultInjectingStore:
         self.fail_after = None
         self.latency = 0.0
 
-    @property
-    def faults_injected(self) -> int:
-        """Total injected failures across every kind."""
-        return self.injected_transient + self.injected_blackout + self.injected_outage
-
     # ------------------------------------------------------------------
     # Delegation (aggregates, stats, writes)
     # ------------------------------------------------------------------

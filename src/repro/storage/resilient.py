@@ -207,10 +207,6 @@ class CircuitBreaker:
             self._set_state(self.HALF_OPEN)
         return self._state
 
-    @property
-    def consecutive_failures(self) -> int:
-        return self._failures
-
     def allow(self) -> bool:
         """True when a fetch may proceed (closed, or a half-open probe)."""
         return self.state != self.OPEN

@@ -14,7 +14,7 @@ mass (:mod:`repro.wavelets.point`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,9 +27,6 @@ from repro.wavelets.point import point_tensor
 from repro.wavelets.query_transform import monomial_factors
 from repro.wavelets.sparse import SparseTensor
 from repro.wavelets.transform import wavedec_nd, waverec_nd
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.data.relation import Relation
 
 
 class WaveletStorage(LinearStorage):
@@ -88,18 +85,6 @@ class WaveletStorage(LinearStorage):
         coeffs = wavedec_nd(data, filters)
         store = CountingStore(coeffs.size, backend=backend, values=coeffs.ravel())
         return cls(shape=shape, store=store, wavelet=filters)
-
-    @classmethod
-    def from_relation(
-        cls,
-        relation: "Relation",
-        wavelet: WaveletFilter | str = "db2",
-        backend: str = "dense",
-    ) -> "WaveletStorage":
-        """Build from a :class:`~repro.data.relation.Relation`."""
-        return cls.build(
-            relation.frequency_distribution(), wavelet=wavelet, backend=backend
-        )
 
     @classmethod
     def empty(

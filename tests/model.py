@@ -8,6 +8,13 @@ every live session that lacks it.  A fetched key stays cached while any
 live session that ever had it pending — at submit or at a later
 re-queue — is still live.  ``chunk_size`` appears nowhere: it must not
 be observable.
+
+A front that reads ahead (process shards, no chunk cap) sends, at the
+end of an advance with one live session, the next ``k`` uncached keys
+of that session's order.  The next store touch uses it when it asks for
+exactly those keys and every one is served (none dark) — the first
+gather of an advance is the merged order up to the target's ``k``-th
+gain, less the cache — and drops it otherwise.
 """
 
 from __future__ import annotations
@@ -50,10 +57,43 @@ class ModelSession:
 
 
 class Model:
-    def __init__(self, storage):
+    def __init__(self, storage, reads_ahead=False):
         self.storage, self.k_const = storage, storage.total_l1()
         self.sessions, self.cache, self.blackout = {}, {}, set()
         self.retrievals = self.deliveries = self.cache_deliveries = self.skipped_keys = 0
+        #: The read-ahead outstanding (keys in fetch order), the keys used
+        #: and unused, and the read-aheads dropped since the last look.
+        self.reads_ahead, self.ahead = reads_ahead, None
+        self.used = self.unused = 0
+        self.dropped = []
+
+    def order(self):
+        """Keys pending anywhere, by (max pending importance desc, key)."""
+        best = {}
+        for s in self.sessions.values():
+            for key in s.pending():
+                best[key] = max(best.get(key, -np.inf), s.iota[key])
+        return sorted(best, key=lambda key: (-best[key], key))
+
+    def first_gather(self, sid, k):
+        """The uncached keys of the pick of ``advance(sid, k)``: the merged
+        order up to the key that brings the target its ``k``-th gain."""
+        target = self.sessions[sid]
+        lacks = target.keys - target.retrieved
+        need = k if target.skipped else min(k, len(lacks))
+        picked, gains = [], 0
+        for key in self.order():
+            if gains >= need:
+                break
+            picked.append(key)
+            gains += key in lacks
+        return [key for key in picked if key not in self.cache]
+
+    def drop(self):
+        if self.ahead:
+            self.unused += len(self.ahead)
+            self.dropped.append(self.ahead)
+        self.ahead = None
 
     def submit(self, sid, plan, penalty):
         self.sessions[sid] = ModelSession(plan, penalty, self.storage.store.peek(plan.keys))
@@ -77,6 +117,11 @@ class Model:
 
     def advance(self, sid, k):
         target, live = self.sessions[sid], self.sessions.values()
+        if self.ahead and (gather := self.first_gather(sid, k)):
+            if gather == self.ahead and not self.blackout & set(gather):
+                self.used += len(gather)
+                self.ahead = None
+            self.drop()
         start = len(target.retrieved)
         while len(target.retrieved) - start < k and target.retrieved != target.keys:
             heads = [(-s.iota[key], key) for s in live for key in s.pending()]
@@ -99,4 +144,9 @@ class Model:
                     s.records.append((len(s.retrieved), s.bound(self.k_const)))
                     self.deliveries += 1
                     self.cache_deliveries += hit
+        if self.reads_ahead and len(self.sessions) == 1:
+            keys = [key for key in self.order()[:k] if key not in self.cache]
+            if keys != self.ahead:
+                self.drop()
+                self.ahead = keys or None
         return len(target.retrieved) - start

@@ -422,6 +422,30 @@ class TestConnections:
         assert second.startswith(b"200 ") and b"X-Request-Id: second\r\n" in second
         assert second.endswith(b'{"sessions": []}')
 
+    @pytest.mark.parametrize(
+        "framing, status",
+        [
+            (b"Content-Length: %d\r\nContent-Length: 2\r\n", b"400 "),
+            (b"Transfer-Encoding: chunked\r\n", b"501 "),
+        ],
+        ids=["two-lengths", "chunked"],
+    )
+    def test_a_body_framed_two_ways_is_rejected_not_split(self, edge, framing, status):
+        """Request smuggling (RFC 9112 §6.1, §6.3): a body whose length
+        depends on which header a reader believes must not be split into
+        a second request.  The edge answers once and closes."""
+        server, _ = edge
+        body = b"{}GET /sessions HTTP/1.1\r\nX-Request-Id: smuggled\r\n\r\n"
+        if b"%d" in framing:
+            framing %= len(body)
+        reply = raw_exchange(
+            server.port,
+            b"POST /sessions/zz/retry HTTP/1.1\r\n" + framing + b"\r\n" + body,
+        )
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+        assert reply.startswith(b"HTTP/1.1 " + status) and b"Connection: close" in reply
+        assert b"smuggled" not in reply
+
     def test_concurrent_connections_keep_exact_books(self, edge):
         server, client = edge
         sid = client.submit(make_batch(47))

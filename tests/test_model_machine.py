@@ -12,6 +12,10 @@ The same machine runs on every front: the in-process
 shards (hash and range partitioners) whose workers all read the
 machine's one ``RecordingStore -> FaultInjectingStore -> ResilientStore``
 stack, so a blackout and the fetch record mean the same thing everywhere.
+The fifth front is the 2-shard hash router over inline shards that
+report themselves as process shards, so it reads ahead: the model
+predicts every read-ahead and whether the next store touch uses it, and
+the recorder sees the fresh keys plus the read-aheads dropped.
 
 The heal rule re-queues *every* live session, like
 ``ClusterRouter.reintegrate_shard``; a key skipped for the advancing
@@ -31,6 +35,7 @@ from hypothesis.stateful import (
     consumes,
     initialize,
     invariant,
+    precondition,
     rule,
 )
 
@@ -85,9 +90,17 @@ class RecordingStore:
 CHUNKS = [1, 7, 64, None]
 
 
-def make_front(shards, partitioner, chunk):
+class ProcessLikeShard(InlineShard):
+    """An inline shard the router takes for a process shard: it reads
+    ahead over it, and the command runs at ``recv``."""
+
+    is_process = True
+
+
+def make_front(shards, partitioner, chunk, shard_type=InlineShard):
     """``(service, fault injector, recorder)``: the in-process service, or
-    a router over ``shards`` inline shards, on one recorded store stack."""
+    a router over ``shards`` shards of ``shard_type``, on one recorded
+    store stack."""
     recorder = RecordingStore(STORAGE.store)
     faults = FaultInjectingStore(recorder)
     store = ResilientStore(
@@ -101,7 +114,7 @@ def make_front(shards, partitioner, chunk):
     if shards:
         service = ClusterRouter(
             storage,
-            [InlineShard(ShardWorker(store, i)) for i in range(shards)],
+            [shard_type(ShardWorker(store, i)) for i in range(shards)],
             make_partitioner(partitioner, shards, store.key_space_size),
             registry=MetricRegistry(),
             chunk_size=chunk,
@@ -119,16 +132,20 @@ class ServiceMachine(RuleBasedStateMachine):
 
     SHARDS = 0
     PARTITIONER = "hash"
+    SHARD_TYPE = InlineShard
     sessions = Bundle("sessions")
 
     @initialize(chunk=st.sampled_from(CHUNKS))
     def start(self, chunk):
+        if self.SHARD_TYPE.is_process:
+            chunk = None  # a chunk cap turns read-ahead off
         self.service, self.faults, self.recorder = make_front(
-            self.SHARDS, self.PARTITIONER, chunk
+            self.SHARDS, self.PARTITIONER, chunk, self.SHARD_TYPE
         )
-        self.model = Model(STORAGE)
+        self.model = Model(STORAGE, reads_ahead=self.SHARD_TYPE.is_process)
         self.last_bound = {}
         self.cancelled = False
+        self.last_advance = None
 
     @rule(target=sessions, which=st.integers(0, len(BATCHES) - 1), spec=PENALTIES)
     def submit(self, which, spec):
@@ -143,15 +160,32 @@ class ServiceMachine(RuleBasedStateMachine):
     def advance(self, sid, k):
         cached, seen = set(self.model.cache), len(self.recorder.fetched)
         assert self.service.advance(sid, k) == self.model.advance(sid, k)
-        fetched = self.recorder.fetched[seen:]
-        # Fetched once, and never while the cache already held the key.
-        # (Across shards a gather one owner abandoned is re-driven per
-        # key, so while keys are dark a healthy owner's slice of that
-        # chunk can reach the base store a second time.)
-        fresh = set(self.model.cache) - cached
-        assert set(fetched) == fresh
+        self.last_advance = (sid, k)
+        # Fetched once, and never while the cache already held the key,
+        # besides the read-aheads dropped.  (Across shards a gather one
+        # owner abandoned is re-driven per key, so while keys are dark a
+        # healthy owner's slice of that chunk can reach the base store a
+        # second time.)
+        self.fetched_since(seen, set(self.model.cache) - cached)
+
+    @precondition(lambda self: self.last_advance and self.last_advance[0] in self.model.sessions)
+    @rule()
+    def advance_again(self):
+        """A client's loop: the same session, the same ``k``."""
+        self.advance(*self.last_advance)
+
+    def fetched_since(self, seen, fresh):
+        """The recorder saw ``fresh`` and the dropped read-aheads' slices
+        that no dark key failed, since ``seen``."""
+        fetched, dropped = self.recorder.fetched[seen:], []
+        for keys in self.model.dropped:
+            for owned, *_ in self.service.partitioner.split(np.array(keys)):
+                if not self.model.blackout & set(owned.tolist()):
+                    dropped += owned.tolist()
+        self.model.dropped.clear()
+        assert set(fetched) == fresh | set(dropped)
         if self.SHARDS < 2 or not self.model.blackout:
-            assert len(fetched) == len(fresh)
+            assert len(fetched) == len(fresh) + len(dropped)
 
     @rule(sid=sessions)
     def poll(self, sid):
@@ -166,8 +200,10 @@ class ServiceMachine(RuleBasedStateMachine):
 
     @rule(sid=consumes(sessions))
     def cancel(self, sid):
+        seen = len(self.recorder.fetched)
         self.service.cancel(sid)
         self.model.cancel(sid)
+        self.fetched_since(seen, set())
         self.last_bound.pop(sid, None)
         self.cancelled = True
 
@@ -219,6 +255,11 @@ class ServiceMachine(RuleBasedStateMachine):
             "cache_deliveries": self.model.cache_deliveries,
             "skipped_keys": self.model.skipped_keys,
         }
+        if self.SHARDS:
+            readahead = self.service.store._readahead
+            assert (readahead.value(outcome="used"), readahead.value(outcome="unused")) == (
+                self.model.used, self.model.unused
+            )
         if not self.cancelled:
             # Observation 1 across sessions: the union is fetched once.
             assert m["retrievals"] <= len(union)
@@ -238,15 +279,24 @@ class RouterMachine2Range(ServiceMachine):
     SHARDS, PARTITIONER = 2, "range"
 
 
-#: The 40 examples the in-process machine used to run, split over the fronts.
-for _machine in (ServiceMachine, RouterMachine1, RouterMachine2Hash, RouterMachine2Range):
+class RouterMachine2ReadAhead(ServiceMachine):
+    SHARDS, SHARD_TYPE = 2, ProcessLikeShard
+
+
+#: The 40 examples the in-process machine used to run, split over the
+#: first four fronts; the front that reads ahead gets 40 of its own.
+for _machine, _examples in (
+    (ServiceMachine, 10), (RouterMachine1, 10), (RouterMachine2Hash, 10),
+    (RouterMachine2Range, 10), (RouterMachine2ReadAhead, 40),
+):
     _machine.TestCase.settings = settings(
-        max_examples=10, stateful_step_count=30, deadline=None, derandomize=True
+        max_examples=_examples, stateful_step_count=30, deadline=None, derandomize=True
     )
 TestServiceMachine = ServiceMachine.TestCase
 TestRouterMachine1 = RouterMachine1.TestCase
 TestRouterMachine2Hash = RouterMachine2Hash.TestCase
 TestRouterMachine2Range = RouterMachine2Range.TestCase
+TestRouterMachine2ReadAhead = RouterMachine2ReadAhead.TestCase
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)

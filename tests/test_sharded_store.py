@@ -71,6 +71,7 @@ def make_store(shards, kind="hash", on_lost=lambda index: None):
         make_partitioner(kind, len(shards), KEY_SPACE),
         roundtrips(registry),
         on_lost,
+        registry.counter("repro_cluster_readahead_keys_total", "test", ("outcome",)),
     )
     return store, registry
 
@@ -327,7 +328,8 @@ class TestFrames:
         finally:
             server.close()
         fetched_under = [attrs.get("request_id") for name, *_, attrs in spans if name == "shard.fetch"]
-        assert fetched_under == [request_id]
+        # The chunk, and the read-ahead of the next one sent before the reply.
+        assert fetched_under == [request_id, request_id]
 
     def test_a_short_values_frame_sheds_the_shard_and_the_edge_answers(
         self, small, tmp_path
@@ -368,6 +370,16 @@ class TestFrames:
         assert not liar.is_alive()
 
 
+def count_messages(send, log: list):
+    """``send``, logging each command's method first."""
+
+    def counted(method, *args):
+        log.append(method)
+        return send(method, *args)
+
+    return counted
+
+
 class TestRoundTripBudget:
     def test_advance_costs_a_few_overlapped_round_trips(self, tmp_path):
         data = np.random.default_rng(9).poisson(2.0, size=(64, 64)).astype(float)
@@ -378,23 +390,28 @@ class TestRoundTripBudget:
             storage, tmp_path / "budget.pages", 2, buffer_pages=16, registry=registry
         ) as router:
             histogram = roundtrips(registry)
-
-            def trips() -> int:
-                return sum(histogram.count(shard=str(i)) for i in range(2))
+            messages = []
+            for shard in router._shards.values():
+                shard.send = count_messages(shard.send, messages)
 
             sid = router.submit(batch)
             total_trips = total_keys = 0
             while router.poll(sid).remaining >= 128:
-                before = trips()
+                before = len(messages)
                 assert router.advance(sid, 128) == 128
-                spent = trips() - before
-                # One chunk per advance: one overlapped message per shard.
-                assert spent == 2
-                total_trips += spent
+                spent = len(messages) - before
+                # One chunk per advance: one overlapped message per shard,
+                # sent as the previous advance's read-ahead; the first
+                # advance also sends its own.
+                assert spent == (4 if total_keys == 0 else 2)
+                total_trips += 2
                 total_keys += 128
             assert total_keys >= 512, "fixture too small to exercise the gate"
             assert total_keys / total_trips >= 60
             assert router.scheduler.counts()["retrievals"] == total_keys
+            # Only the first chunk waited a round trip; the rest was read ahead.
+            assert sum(histogram.count(shard=str(i)) for i in range(2)) == 2
+            assert router.store._readahead.value(outcome="used") == total_keys - 128
 
     def test_eight_sessions_one_gather_per_advance(self, tmp_path):
         """The pick sizes itself: however the other sessions' entries
