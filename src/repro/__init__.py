@@ -66,7 +66,6 @@ from repro.core.penalties import (
     WeightedSsePenalty,
 )
 from repro.core.session import ProgressiveSession
-from repro.core.synopsis import DataSynopsis
 from repro.core.topk import ProgressiveRanker
 from repro.data.relation import Relation, Schema
 from repro.data.synthetic import (
@@ -90,8 +89,6 @@ from repro.service.scheduler import SharedRetrievalScheduler
 from repro.service.server import ProgressiveQueryService, SessionSnapshot
 from repro.storage.counter import CountingStore, IOStatistics
 from repro.storage.identity import IdentityStorage
-from repro.storage.local_prefix_sum import LocalPrefixSumStorage
-from repro.storage.nonstandard_store import NonstandardWaveletStorage
 from repro.storage.paged import PagedCoefficientStore
 from repro.storage.prefix_sum import PrefixSumStorage
 from repro.storage.wavelet_store import WaveletStorage
@@ -132,16 +129,13 @@ __all__ = [
     "CountingStore",
     "IOStatistics",
     "IdentityStorage",
-    "LocalPrefixSumStorage",
     "PagedCoefficientStore",
     "ProgressiveQueryService",
     "ProgressiveSession",
     "SessionSnapshot",
     "SharedRetrievalScheduler",
     "ProgressiveRanker",
-    "DataSynopsis",
     "DerivedBatch",
-    "NonstandardWaveletStorage",
     "explain",
     "PrefixSumStorage",
     "WaveletStorage",

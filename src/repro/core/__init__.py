@@ -28,7 +28,6 @@ from repro.core.penalties import (
 )
 from repro.core.plan import QueryPlan
 from repro.core.session import ProgressiveSession
-from repro.core.synopsis import DataSynopsis
 from repro.core.topk import ProgressiveRanker
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "DifferencePenalty",
     "ProgressiveSession",
     "ProgressiveRanker",
-    "DataSynopsis",
 ]

@@ -19,18 +19,14 @@ retrieval (:class:`~repro.storage.counter.CountingStore`).
 """
 
 from repro.storage.base import KeyedVector, LinearStorage
-from repro.storage.blocks import BlockedStore, LruBuffer
 from repro.storage.counter import CountingStore, IOStatistics
 from repro.storage.faults import FaultInjectingStore, InjectedFault, chaos_stack
 from repro.storage.identity import IdentityStorage
-from repro.storage.layout import LAYOUTS, layout_cost_table
-from repro.storage.local_prefix_sum import LocalPrefixSumStorage
 from repro.storage.paged import (
     PageCacheStats,
     PagedCoefficientStore,
     write_paged_file,
 )
-from repro.storage.nonstandard_store import NonstandardWaveletStorage
 from repro.storage.prefix_sum import PrefixSumStorage
 from repro.storage.resilient import (
     CircuitBreaker,
@@ -44,8 +40,6 @@ from repro.storage.wavelet_store import WaveletStorage
 __all__ = [
     "KeyedVector",
     "LinearStorage",
-    "BlockedStore",
-    "LruBuffer",
     "CircuitBreaker",
     "CircuitOpenError",
     "CountingStore",
@@ -53,10 +47,6 @@ __all__ = [
     "InjectedFault",
     "IOStatistics",
     "IdentityStorage",
-    "LAYOUTS",
-    "layout_cost_table",
-    "LocalPrefixSumStorage",
-    "NonstandardWaveletStorage",
     "PageCacheStats",
     "PagedCoefficientStore",
     "PrefixSumStorage",

@@ -3,8 +3,8 @@
 "We assume that the values of Delta-hat are held in either array-based or
 hash-based storage that allows constant-time access to any single value"
 (Section 1.3).  The cost of a query evaluation is the number of values
-retrieved; block effects and buffering are deliberately ignored (the block
-extension in :mod:`repro.storage.blocks` revisits that).
+retrieved; block effects and buffering are deliberately ignored (the paged
+tier in :mod:`repro.storage.paged` revisits that).
 """
 
 from __future__ import annotations

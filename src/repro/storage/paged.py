@@ -2,8 +2,7 @@
 
 The paper's cost model treats the coefficient store as constant-time keyed
 storage; its conclusion asks what happens when the coefficients live on
-disk in blocks behind a buffer.  :mod:`repro.storage.blocks` *simulates*
-that question; this module *implements* it: a
+disk in blocks behind a buffer.  This module implements that: a
 :class:`PagedCoefficientStore` serializes any
 :class:`~repro.storage.counter.CountingStore` into fixed-size pages in a
 single flat file (plain ``struct`` header + raw little-endian float64

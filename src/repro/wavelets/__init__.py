@@ -45,12 +45,6 @@ from repro.wavelets.query_transform import (
     vector_coefficients_1d,
 )
 from repro.wavelets.point import point_tensor, point_coefficients_1d
-from repro.wavelets.nonstandard import (
-    NonstandardKeySpace,
-    ns_query_vector,
-    ns_wavedec,
-    ns_waverec,
-)
 
 __all__ = [
     "WaveletFilter",
@@ -72,8 +66,4 @@ __all__ = [
     "vector_coefficients_1d",
     "point_tensor",
     "point_coefficients_1d",
-    "NonstandardKeySpace",
-    "ns_query_vector",
-    "ns_wavedec",
-    "ns_waverec",
 ]

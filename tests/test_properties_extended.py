@@ -1,8 +1,8 @@
 """Property-based tests for the extension substrates.
 
 Covers the invariants of the modules added beyond the paper's core:
-nonstandard decomposition, blocked prefix sums, derived batches, the
-progressive session, and certified intervals.
+derived batches, the progressive session, certified intervals, and the
+agreement of the three linear storage strategies.
 """
 
 from __future__ import annotations
@@ -13,15 +13,11 @@ from hypothesis import strategies as st
 
 from repro.core.batch import BatchBiggestB
 from repro.core.session import ProgressiveSession
-from repro.core.synopsis import DataSynopsis
 from repro.core.topk import ProgressiveRanker
 from repro.queries.derived import DerivedBatch
 from repro.queries.range import HyperRect
 from repro.queries.vector_query import QueryBatch, VectorQuery
-from repro.storage.local_prefix_sum import LocalPrefixSumStorage
-from repro.storage.nonstandard_store import NonstandardWaveletStorage
 from repro.storage.wavelet_store import WaveletStorage
-from repro.wavelets.nonstandard import ns_wavedec, ns_waverec
 
 
 @st.composite
@@ -38,41 +34,6 @@ def rect_in(draw, n: int):
     lo1 = draw(st.integers(0, n - 1))
     hi1 = draw(st.integers(lo1, n - 1))
     return HyperRect.from_bounds([(lo0, hi0), (lo1, hi1)])
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_nonstandard_roundtrip_and_parseval(data):
-    arr = data.draw(square_data())
-    filt = data.draw(st.sampled_from(["haar", "db2"]))
-    coeffs = ns_wavedec(arr, filt)
-    np.testing.assert_allclose(ns_waverec(coeffs, arr.shape, filt), arr, atol=1e-9)
-    np.testing.assert_allclose(
-        float(np.sum(coeffs**2)), float(np.sum(arr**2)), rtol=1e-9
-    )
-
-
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_nonstandard_storage_exact(data):
-    arr = data.draw(square_data(sizes=(8, 16)))
-    n = arr.shape[0]
-    rect = data.draw(rect_in(n))
-    store = NonstandardWaveletStorage.build(arr, wavelet="haar")
-    q = VectorQuery.count(rect)
-    assert abs(store.answer(q, counted=False) - q.evaluate_dense(arr)) < 1e-7
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_local_prefix_sum_exact_for_any_block(data):
-    arr = data.draw(square_data(sizes=(8, 16)))
-    n = arr.shape[0]
-    block = data.draw(st.integers(1, n))
-    rect = data.draw(rect_in(n))
-    store = LocalPrefixSumStorage.build(arr, block_size=block)
-    q = VectorQuery.count(rect)
-    assert abs(store.answer(q, counted=False) - q.evaluate_dense(arr)) < 1e-8
 
 
 @settings(max_examples=20, deadline=None)
@@ -135,21 +96,8 @@ def test_certified_intervals_contain_truth_at_random_depths(data):
 
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-def test_synopsis_error_vanishes_at_full_budget(data):
-    arr = data.draw(square_data(sizes=(8,)))
-    rects = [data.draw(rect_in(8)) for _ in range(2)]
-    batch = QueryBatch([VectorQuery.count(r) for r in rects])
-    storage = WaveletStorage.build(arr, wavelet="haar")
-    synopsis = DataSynopsis(storage, budget=arr.size)
-    np.testing.assert_allclose(
-        synopsis.answer_batch(batch), batch.exact_dense(arr), atol=1e-8
-    )
-
-
-@settings(max_examples=15, deadline=None)
-@given(data=st.data())
 def test_all_strategies_agree(data):
-    """Five linear strategies, one answer."""
+    """The three linear strategies, one answer."""
     arr = data.draw(square_data(sizes=(8,)))
     rect = data.draw(rect_in(8))
     q = VectorQuery.count(rect)
@@ -159,9 +107,7 @@ def test_all_strategies_agree(data):
 
     strategies = [
         WaveletStorage.build(arr, wavelet="db2"),
-        NonstandardWaveletStorage.build(arr, wavelet="db2"),
         PrefixSumStorage.build(arr),
-        LocalPrefixSumStorage.build(arr, block_size=4),
         IdentityStorage.build(arr),
     ]
     for storage in strategies:
