@@ -8,8 +8,8 @@ a single coefficient is retrieved — along two axes:
    ``N = 2**10 .. 2**22``: the cascade engine should be ~flat per doubling
    (``O(L**2 log N)``) while the dense oracle grows ~linearly (``O(N)``).
 2. **Batch size.**  Full 2-D batch rewrites through
-   ``LinearStorage.rewrite_batch``, showing the shared-factor memo (and,
-   optionally, the process-pool front end) amortizing the per-query cost.
+   ``LinearStorage.rewrite_batch``, showing the shared-factor memo
+   amortizing the per-query cost.
 
 Every timing clears the rewrite memos first (``query_transform.clear_cache``)
 so each trial pays the real cost, and takes the best of ``--repeats`` runs.
@@ -104,9 +104,7 @@ def time_single_factors(
     return rows
 
 
-def time_batch_rewrites(
-    batch_sizes: list[int], n: int, repeats: int, workers: int | None
-) -> list[dict]:
+def time_batch_rewrites(batch_sizes: list[int], n: int, repeats: int) -> list[dict]:
     shape = (n, n)
     # Rewrite cost is data-independent: an all-zero store is enough.
     storage = WaveletStorage(
@@ -123,26 +121,17 @@ def time_batch_rewrites(
             queries.append(VectorQuery.sum(HyperRect(((lo0, hi0), (lo1, hi1))), 0))
         batch = QueryBatch(queries)
         seconds = _best_of(lambda: storage.rewrite_batch(batch), repeats)
-        row = {
-            "batch_size": size,
-            "n_per_dim": n,
-            "seconds": seconds,
-            "per_query_s": seconds / size,
-        }
-        if workers and workers > 1:
-            row["seconds_workers"] = _best_of(
-                lambda: storage.rewrite_batch(batch, workers=workers), repeats
-            )
-            row["workers"] = workers
-        rows.append(row)
+        rows.append(
+            {
+                "batch_size": size,
+                "n_per_dim": n,
+                "seconds": seconds,
+                "per_query_s": seconds / size,
+            }
+        )
         print(
             f"  batch={size:<4} rewrite {seconds * 1e3:9.3f} ms"
             f"  ({seconds / size * 1e3:7.3f} ms/query)"
-            + (
-                f"   pool({workers}) {row['seconds_workers'] * 1e3:9.3f} ms"
-                if "seconds_workers" in row
-                else ""
-            )
         )
     return rows
 
@@ -162,12 +151,6 @@ def main(argv: list[str] | None = None) -> int:
         help="output JSON path (default: BENCH_rewrite.json at the repo root)",
     )
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="also time rewrite_batch on a process pool of this size",
-    )
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -184,9 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         exponents, ["db2", GATE_FILTER], degree=1, dense_cap=dense_cap, repeats=args.repeats
     )
     print("== batch rewrite scaling (2-D db2 SUM queries, 1024 x 1024) ==")
-    batches = time_batch_rewrites(
-        batch_sizes, n=1024, repeats=args.repeats, workers=args.workers
-    )
+    batches = time_batch_rewrites(batch_sizes, n=1024, repeats=args.repeats)
 
     gate = next(
         (r for r in single if r["filter"] == GATE_FILTER and r["n"] == GATE_N), None

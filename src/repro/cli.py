@@ -233,9 +233,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     storage = WaveletStorage.build(delta, wavelet=args.wavelet)
     batch = _build_batch(relation, args)
     penalty = _build_penalty(args.penalty, batch.size)
-    evaluator = BatchBiggestB(
-        storage, batch, penalty=penalty, workers=args.workers
-    )
+    evaluator = BatchBiggestB(storage, batch, penalty=penalty)
     exact = batch.exact_dense(delta)
     master = evaluator.master_list_size
     budgets = sorted({min(args.budget, master), master})
@@ -434,9 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="progressive checkpoint (retrievals)")
     p_run.add_argument("--trace-out", default=None, dest="trace_out",
                        help="write a chrome://tracing span trace to this path")
-    p_run.add_argument("--workers", type=_positive_int, default=None,
-                       help="compute distinct rewrite factors on a process "
-                       "pool of this size (>1 to parallelize)")
     _add_profile_args(p_run)
     p_run.set_defaults(func=cmd_run)
 

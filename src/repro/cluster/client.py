@@ -210,20 +210,13 @@ class ClusterClient:
 
     # -- the session API -----------------------------------------------
 
-    def submit(
-        self,
-        batch: QueryBatch | dict,
-        penalty: dict | None = None,
-        workers: int | None = None,
-    ) -> str:
+    def submit(self, batch: QueryBatch | dict, penalty: dict | None = None) -> str:
         """Open a session; accepts a :class:`QueryBatch` or raw wire dict."""
         payload = dict(
             encode_batch(batch) if isinstance(batch, QueryBatch) else batch
         )
         if penalty is not None:
             payload["penalty"] = penalty
-        if workers is not None:
-            payload["workers"] = workers
         return self._request("POST", "/sessions", payload)["session_id"]
 
     def advance(

@@ -537,10 +537,7 @@ class ClusterHttpServer:
         payload = self._json(body)
         batch = decode_batch(payload)
         penalty = decode_penalty(payload.get("penalty"), batch.size)
-        workers = payload.get("workers")
-        session_id = self.router.submit(
-            batch, penalty=penalty, workers=int(workers) if workers is not None else None
-        )
+        session_id = self.router.submit(batch, penalty=penalty)
         snapshot = self.router.poll(session_id)
         return 201, *self._snapshot(frame, snapshot, session_id=session_id)
 

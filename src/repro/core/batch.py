@@ -79,14 +79,11 @@ class BatchBiggestB:
         penalty: Penalty | None = None,
         rewrites: list | None = None,
         plan: QueryPlan | None = None,
-        workers: int | None = None,
     ) -> None:
-        # Steps 1-3 of Figure 1 (QueryPlan.from_batch; ``workers > 1``
-        # computes the batch's distinct per-dimension rewrite factors on a
-        # process pool).  Callers evaluating one batch under several
-        # penalties can pass the plan (or the rewrites) of a previous
-        # evaluator to skip this work — only the ranking depends on the
-        # penalty — and the skipped stages then cost this account nothing.
+        # Steps 1-3 of Figure 1 (QueryPlan.from_batch).  Callers evaluating
+        # one batch under several penalties can pass the plan (or rewrites)
+        # of a previous evaluator to skip this work — only the ranking
+        # depends on the penalty — and skipped stages cost this account nothing.
         if rewrites is not None and len(rewrites) != batch.size:
             raise ValueError("rewrites must match the batch size")
         if plan is None and rewrites is not None:
@@ -95,7 +92,7 @@ class BatchBiggestB:
         self.batch = batch
         self._rewrites = rewrites
         # Step 4's ranking is the session's: computed once, read off it.
-        ranked = ProgressiveSession(storage, batch, penalty, workers=workers, plan=plan)
+        ranked = ProgressiveSession(storage, batch, penalty, plan=plan)
         self.plan, self.penalty = ranked.plan, ranked.penalty
         #: Per-evaluation cost attribution (stage timings + counters),
         #: shared by every session this evaluator drives.

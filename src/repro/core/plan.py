@@ -240,15 +240,15 @@ class QueryPlan:
             return plan
 
     @classmethod
-    def from_batch(cls, storage, batch, workers: int | None = None) -> "QueryPlan":
+    def from_batch(cls, storage, batch) -> "QueryPlan":
         """Plan ``batch`` over ``storage``: the front door of every evaluator.
 
         A grid batch of one-monomial queries over a storage with
         separable rewrites (:meth:`~repro.storage.base.LinearStorage.rewrite_factors`)
         is planned from its per-dimension factors and builds columns
         lazily; anything else is rewritten
-        (:meth:`~repro.storage.base.LinearStorage.rewrite_batch`, on a
-        ``workers``-wide pool if asked) and goes through
+        (:meth:`~repro.storage.base.LinearStorage.rewrite_batch`) and
+        goes through
         :meth:`from_rewrites`.  Which of the two is read off the input.
         Charges the thread's active cost account: factor tables or
         rewrites under ``rewrite``, the master list under ``plan``.
@@ -256,12 +256,10 @@ class QueryPlan:
         queries = list(batch)
         with span("plan.from_batch", queries=len(queries)):
             with stage("rewrite"):
-                factors = storage.rewrite_batch_factors(queries, workers=workers)
+                factors = storage.rewrite_batch_factors(queries)
                 grid = None if factors is None else _GridFactors.of(factors)
                 if grid is None:
-                    rewrites = storage.rewrite_batch(
-                        queries, workers=workers if factors is None else None
-                    )
+                    rewrites = storage.rewrite_batch(queries)
             with stage("plan"):
                 if grid is None:
                     return cls.from_rewrites(rewrites)

@@ -88,7 +88,6 @@ class ProgressiveSession:
         storage: LinearStorage,
         batch: QueryBatch,
         penalty: Penalty | None = None,
-        workers: int | None = None,
         convergence_capacity: int = 1024,
         plan: QueryPlan | None = None,
     ) -> None:
@@ -98,13 +97,11 @@ class ProgressiveSession:
         #: Per-session cost attribution: stage timings plus resource
         #: counters, itemized in ``docs/OBSERVABILITY.md``.
         self.costs = CostAccount(owner="session", queries=batch.size)
-        # ``workers > 1`` parallelizes the rewrite front end (the distinct
-        # per-dimension factors) without changing the resulting plan.  A
-        # prebuilt ``plan`` (only the ranking depends on the penalty)
-        # skips that work and costs this account nothing.
+        # A prebuilt ``plan`` (only the ranking depends on the penalty)
+        # skips the rewrite front end and costs this account nothing.
         if plan is None:
             with _charge_to(self.costs):
-                plan = QueryPlan.from_batch(storage, batch, workers=workers)
+                plan = QueryPlan.from_batch(storage, batch)
         elif plan.batch_size != batch.size:
             raise ValueError("plan must match the batch size")
         self.plan = plan

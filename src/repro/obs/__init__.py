@@ -10,7 +10,7 @@ progressive pipeline:
   cluster edge, :mod:`repro.cluster.http`;
 * :mod:`repro.obs.trace` — nested wall-clock :func:`span`\\ s recorded
   into a bounded ring, exported as Chrome ``chrome://tracing`` JSON, with
-  cross-process collection from pool workers (portable span shipping);
+  cross-process collection from process shards (portable span shipping);
 * :mod:`repro.obs.ledger` — the per-query/per-session cost ledger:
   wall/CPU time per pipeline stage plus retrievals, bytes, cache hits,
   retries and skipped keys, attributed to the session that spent them;

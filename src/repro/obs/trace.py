@@ -11,18 +11,15 @@ captured run drops straight into ``chrome://tracing`` / Perfetto:
 nested spans on one thread render as a flame graph, concurrent service
 threads render as parallel tracks.
 
-Cross-process collection: spans recorded inside process-pool workers
-(cascade rewrites, factor precompute) would die in the worker's own ring.
-Workers therefore ship their spans back through the pool future results
-as portable tuples (:func:`export_portable`, timestamps re-anchored to
-the wall-clock epoch) and the parent merges them with
-:func:`absorb_portable` — they keep the worker's pid, so a ``workers>1``
-trace shows the pool as separate process tracks.  Long-lived shard
-workers use :func:`drain_portable` instead (export + clear in one lock
-hold), so periodic telemetry pulls never ship a span twice, and the
-absorbing side can name the foreign lane with
-:meth:`TraceRecorder.set_process_name` (``repro-shard-0`` instead of the
-anonymous ``repro-worker-<pid>``).
+Cross-process collection (shard federation): spans recorded inside a
+process shard would die in the shard's own ring.  Each telemetry pull
+therefore ships them as portable tuples (:func:`drain_portable`: an
+:func:`export_portable` and a clear, so no span travels twice;
+timestamps re-anchored to the wall-clock epoch), and the router merges
+them with :func:`absorb_portable`.  They keep the shard's pid, so one
+trace shows every shard as its own process track, named with
+:meth:`TraceRecorder.set_process_name` (``repro-shard-0`` instead of
+the anonymous ``repro-worker-<pid>``).
 
 Cross-process *request* correlation: :class:`trace_context` binds a
 request id to the current thread; every span completed while a context
@@ -58,7 +55,7 @@ class SpanRecord:
     """One completed span: name, microsecond start/duration, thread, attrs.
 
     ``pid`` is None for spans recorded in this process; spans absorbed
-    from pool workers carry the worker's pid.
+    from process shards carry the shard's pid.
     """
 
     __slots__ = ("name", "ts_us", "dur_us", "tid", "attrs", "pid")
@@ -327,8 +324,8 @@ def export_portable() -> list[tuple]:
 
     Each tuple is ``(name, epoch_ts_us, dur_us, pid, tid, attrs)`` —
     timestamps re-anchored to the wall-clock epoch so the parent can
-    place them on its own timeline.  Pool workers call this after a
-    traced task and return the result through the future.
+    place them on its own timeline.  :func:`drain_portable` is its
+    federation form.
     """
     anchor = _anchor_us()
     pid = os.getpid()
@@ -356,8 +353,8 @@ def absorb_portable(spans) -> int:
 
     Timestamps are re-anchored from the epoch back to this process's
     span origin, so worker spans line up with the parent's own spans in
-    one Chrome trace; the worker's pid is kept, so the pool renders as
-    separate process tracks.  Returns the number of spans absorbed.
+    one Chrome trace; the worker's pid is kept, so each shard renders as
+    a separate process track.  Returns the number of spans absorbed.
     """
     anchor = _anchor_us()
     count = 0

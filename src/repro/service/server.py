@@ -140,24 +140,15 @@ class ProgressiveQueryService:
     # Client surface
     # ------------------------------------------------------------------
 
-    def submit(
-        self,
-        batch: QueryBatch,
-        penalty: Penalty | None = None,
-        workers: int | None = None,
-    ) -> str:
+    def submit(self, batch: QueryBatch, penalty: Penalty | None = None) -> str:
         """Open a progressive session for ``batch``; returns its id.
 
         The session's master list immediately joins the shared schedule:
         keys another live session already fetched are served from the
         coefficient cache as the schedule reaches them.  Query ranges are
         validated against the store's domain up front — an out-of-bounds
-        batch raises ``ValueError`` here, not deep in the rewrite.
-        ``workers > 1``
-        computes the batch's distinct rewrite factors on a process pool
-        before assembly — worthwhile for cold caches on large domains, since
-        submit latency is dominated by the rewrite front end.  Keys that
-        are :meth:`_unavailable` already are skipped from birth, so the
+        batch raises ``ValueError`` here, not deep in the rewrite.  Keys
+        that are :meth:`_unavailable` already are skipped from birth, so the
         session starts degraded-but-bounded.
         """
         batch.validate_for(self.storage.shape)
@@ -165,9 +156,7 @@ class ProgressiveQueryService:
             histogram=self._submit_seconds, span=f"{self.FRONT}.submit",
             queries=batch.size,
         ):
-            session = ProgressiveSession(
-                self.storage, batch, penalty=penalty, workers=workers
-            )
+            session = ProgressiveSession(self.storage, batch, penalty=penalty)
             keys = session.plan.keys
             session.skip_many(keys[self._unavailable(keys)])
             session_id = f"s{next(self._ids)}"

@@ -25,20 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs import REGISTRY, absorb_portable, span, tracing_enabled
+from repro.obs import span
 from repro.queries.vector_query import VectorQuery
 from repro.storage.counter import CountingStore
-
-#: Per-future wall-clock budget for pooled factor computation; a worker
-#: that hangs past this degrades to in-process computation, not a stall.
-FACTOR_FUTURE_TIMEOUT = 120.0
-
-_POOL_FALLBACKS = REGISTRY.counter(
-    "repro_rewrite_pool_fallbacks_total",
-    "Rewrite batches that fell back to sequential factor computation, "
-    "by reason (spawn | broken | timeout | error)",
-    ("reason",),
-)
 
 
 @dataclass(frozen=True)
@@ -94,34 +83,17 @@ class LinearStorage(ABC):
         ``sum(values * store[indices])``.
         """
 
-    def rewrite_batch(self, queries, workers: int | None = None) -> list:
-        """Rewrite a whole batch, optionally on a process pool.
+    def rewrite_batch(self, queries) -> list:
+        """``[self.rewrite(q) for q in queries]`` under one span.
 
-        With ``workers`` in ``(None, 0, 1)`` this is exactly
-        ``[self.rewrite(q) for q in queries]``.  With ``workers > 1`` the
-        strategy first asks :meth:`_rewrite_factor_specs` for the batch's
-        per-dimension factor tasks, dedups them (batch queries share most
-        factors — that sharing is where the paper's I/O savings come from,
-        and it applies to rewrite CPU just the same), computes the distinct
-        ones on a ``concurrent.futures`` process pool, and seeds the results
-        into the shared factor memo — after which the per-query assembly is
-        pure memo hits.  Strategies without separable factors (the hook
-        returns ``None``) simply rewrite sequentially.
-
-        The pool is an optimization, never a semantic switch: if worker
-        processes cannot be spawned (restricted sandboxes), crash mid-run
-        (``BrokenProcessPool``), or hang past the per-future timeout, the
-        batch falls back to sequential computation — mid-run, keeping any
-        factors already computed — and produces identical rewrites.  Every
-        fallback increments the ``repro_rewrite_pool_fallbacks_total``
-        warning counter.
+        Batch queries share most per-dimension factors (that sharing is
+        where the paper's I/O savings come from, and it applies to rewrite
+        CPU just the same); the factor memo makes every repeat a hit.
         """
         queries = list(queries)
         with span(
             "rewrite.batch", queries=len(queries), strategy=self.strategy_name
         ):
-            if workers is not None and workers > 1 and len(queries) > 0:
-                self._precompute_factors(queries, workers)
             return [self.rewrite(q) for q in queries]
 
     def rewrite_factors(self, query: VectorQuery) -> "list | None":
@@ -136,11 +108,10 @@ class LinearStorage(ABC):
         """
         return None
 
-    def rewrite_batch_factors(self, queries, workers: int | None = None) -> "list | None":
+    def rewrite_batch_factors(self, queries) -> "list | None":
         """:meth:`rewrite_factors` of every query, or None as soon as one
-        has none.  ``workers`` as in :meth:`rewrite_batch`; the factors
-        are memoized, so falling back to :meth:`rewrite_batch` after a
-        non-None answer needs no pool."""
+        has none.  The factors are memoized, so falling back to
+        :meth:`rewrite_batch` after a non-None answer recomputes none."""
         queries = list(queries)
         if not queries or self.rewrite_factors(queries[0]) is None:
             return None
@@ -148,97 +119,8 @@ class LinearStorage(ABC):
             "rewrite.batch", queries=len(queries), strategy=self.strategy_name,
             form="factors",
         ):
-            if workers is not None and workers > 1:
-                self._precompute_factors(queries, workers)
             factors = [self.rewrite_factors(query) for query in queries]
             return None if any(f is None for f in factors) else factors
-
-    def _rewrite_factor_specs(self, queries) -> "list[tuple] | None":
-        """Hashable per-dimension factor tasks for ``queries``, or None.
-
-        Strategies whose rewrites decompose into shared, independently
-        computable factors (see
-        :func:`repro.wavelets.query_transform.factor_spec`) override this to
-        enable the parallel front end of :meth:`rewrite_batch`.
-        """
-        return None
-
-    def _precompute_factors(
-        self, queries, workers: int, future_timeout: float | None = None
-    ) -> None:
-        from repro.wavelets import query_transform as _qt
-
-        specs = self._rewrite_factor_specs(queries)
-        if not specs:
-            return
-        distinct = list(dict.fromkeys(specs))
-        if len(distinct) < 2:
-            return
-        import concurrent.futures
-        from concurrent.futures.process import BrokenProcessPool
-
-        timeout = FACTOR_FUTURE_TIMEOUT if future_timeout is None else future_timeout
-        # When the parent is tracing, send the traced worker entry so each
-        # worker ships its rewrite spans back with the factor result; the
-        # mid-run sequential fallback still uses the plain entry (its spans
-        # land in the parent recorder directly).  Traced results are
-        # 3-tuples (spec, sv, spans); plain ones are 2-tuples.
-        worker_fn = (
-            _qt.compute_factor_traced if tracing_enabled() else _qt.compute_factor
-        )
-        with span(
-            "rewrite.precompute_factors", distinct=len(distinct), workers=workers
-        ):
-            try:
-                pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-            except (OSError, PermissionError, RuntimeError):
-                # No subprocesses available here; the sequential path below
-                # computes (and memoizes) every factor with identical results.
-                _POOL_FALLBACKS.inc(reason="spawn")
-                return
-            results: list[tuple] = []
-            try:
-                try:
-                    futures = [pool.submit(worker_fn, spec) for spec in distinct]
-                except (OSError, PermissionError, RuntimeError):
-                    _POOL_FALLBACKS.inc(reason="spawn")
-                    return
-                # Collect per-future with a timeout: a crashed pool
-                # (BrokenProcessPool) or a hung worker degrades to
-                # computing the *remaining* factors in-process mid-run —
-                # completed results are kept, the rewrites are identical
-                # either way.
-                remaining: list[tuple] | None = None
-                for i, future in enumerate(futures):
-                    try:
-                        results.append(future.result(timeout=timeout))
-                    except BrokenProcessPool:
-                        _POOL_FALLBACKS.inc(reason="broken")
-                        remaining = distinct[i:]
-                        break
-                    except concurrent.futures.TimeoutError:
-                        _POOL_FALLBACKS.inc(reason="timeout")
-                        remaining = distinct[i:]
-                        break
-                    except OSError:
-                        _POOL_FALLBACKS.inc(reason="error")
-                        remaining = distinct[i:]
-                        break
-                if remaining is not None:
-                    for future in futures:
-                        future.cancel()
-                    results.extend(_qt.compute_factor(spec) for spec in remaining)
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-            seeds = []
-            for result in results:
-                if len(result) == 3:
-                    spec, sv, spans = result
-                    absorb_portable(spans)
-                    seeds.append((spec, sv))
-                else:
-                    seeds.append(result)
-            _qt.seed_factors(seeds)
 
     # ------------------------------------------------------------------
     # Conveniences shared by all strategies.

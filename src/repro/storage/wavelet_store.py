@@ -121,26 +121,6 @@ class WaveletStorage(LinearStorage):
             self.filters, self.shape, query.rect.bounds, exponents, coefficient
         )
 
-    def _rewrite_factor_specs(self, queries) -> list[tuple]:
-        """Per-dimension factor tasks for :meth:`LinearStorage.rewrite_batch`.
-
-        One task per (query, monomial, axis); duplicates are fine — the
-        batch front end dedups them before farming out work.
-        """
-        from repro.wavelets.query_transform import factor_spec
-
-        specs: list[tuple] = []
-        for q in queries:
-            bounds = q.rect.bounds
-            for exps, _coeff in q.polynomial.monomials():
-                specs.extend(
-                    factor_spec(f, n, lo, hi, degree=e)
-                    for f, n, (lo, hi), e in zip(
-                        self.filters, self.shape, bounds, exps
-                    )
-                )
-        return specs
-
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------

@@ -38,10 +38,8 @@ from repro.wavelets.transform import (
 )
 from repro.wavelets.cascade import cascade_coefficients_1d
 from repro.wavelets.query_transform import (
-    get_default_method,
     haar_indicator_coefficients,
     query_tensor,
-    set_default_method,
     vector_coefficients_1d,
 )
 from repro.wavelets.point import point_tensor, point_coefficients_1d
@@ -59,10 +57,8 @@ __all__ = [
     "waverec",
     "waverec_nd",
     "cascade_coefficients_1d",
-    "get_default_method",
     "haar_indicator_coefficients",
     "query_tensor",
-    "set_default_method",
     "vector_coefficients_1d",
     "point_tensor",
     "point_coefficients_1d",

@@ -40,17 +40,16 @@ by level:
 
 Total: ``O(L**2 log N)`` time and memory per factor, independent of ``N``,
 for every registered Daubechies filter and every monomial degree.  Results
-are memoized in a lock-guarded table that worker processes can be seeded
-from / drained into (see :func:`seed_cache`), which is what makes the
-parallel batch-rewrite front end (:meth:`LinearStorage.rewrite_batch`)
-safe and cheap.
+are memoized in one lock-guarded table shared by every thread, so a batch
+rewrite (:meth:`LinearStorage.rewrite_batch`) computes each distinct factor
+once.
 """
 
 from __future__ import annotations
 
 import threading
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,8 +61,6 @@ from repro.wavelets.transform import wavedec
 __all__ = [
     "cascade_coefficients_1d",
     "clear_cache",
-    "seed_cache",
-    "cache_items",
     "cache_size",
 ]
 
@@ -257,8 +254,7 @@ def cascade_coefficients_1d(
     Produces the same packed-layout coefficients as the dense
     ``wavedec``-then-sparsify oracle (to roundoff; the suite checks 1e-10
     relative) in ``O(filter_length**2 * log n)`` time, independent of
-    ``n``.  Results are memoized; the memo is shared with the parallel
-    batch-rewrite front end via :func:`seed_cache`.
+    ``n``.  Results are memoized.
     """
     filt = get_filter(filt)
     check_power_of_two(n, what="dimension size")
@@ -274,23 +270,6 @@ def cascade_coefficients_1d(
     result = _cascade(filt, n, lo, hi, degree, rtol)
     with _memo_lock:
         return _memo.setdefault(key, result)
-
-
-def seed_cache(entries: Iterable[tuple[tuple, SparseVector]]) -> None:
-    """Merge precomputed factors (e.g. from worker processes) into the memo.
-
-    Existing entries win, so concurrent seeding keeps the identity-caching
-    guarantee (two equal calls return the same object).
-    """
-    with _memo_lock:
-        for key, value in entries:
-            _memo.setdefault(key, value)
-
-
-def cache_items() -> list[tuple[tuple, SparseVector]]:
-    """A snapshot of the memo (used to ship results out of workers)."""
-    with _memo_lock:
-        return list(_memo.items())
 
 
 def cache_size() -> int:

@@ -23,15 +23,15 @@ interchangeable 1-D factor engines are provided:
 
 ``"dense"`` (the oracle)
     A dense length-``N`` :func:`~repro.wavelets.transform.wavedec` followed
-    by exact sparsification — ``O(N)`` per factor.  Retained behind the
-    ``method`` flag as the independent cross-check the cascade is verified
-    against, and for experiments that want the naive baseline.
+    by exact sparsification — ``O(N)`` per factor.  Reachable only as
+    ``vector_coefficients_1d(..., method="dense")``: the independent
+    cross-check the cascade is verified against, and the naive baseline
+    of the rewrite bench.  Every tensor and plan uses the cascade.
 
-Both engines memoize per-dimension factors (batch queries share many of
-them — that sharing is where the paper's I/O savings come from), in
-lock-guarded tables that the parallel batch-rewrite front end
-(:meth:`repro.storage.base.LinearStorage.rewrite_batch`) can seed with
-worker-process results.  A closed-form ``O(log N)`` Haar path for indicator
+Both engines memoize per-dimension factors in lock-guarded tables (batch
+queries share many of them — that sharing is where the paper's I/O savings
+come from), so a batch rewritten in process computes each distinct factor
+once.  A closed-form ``O(log N)`` Haar path for indicator
 functions doubles as a second independent correctness check.
 """
 
@@ -54,29 +54,6 @@ from repro.wavelets.transform import wavedec
 #: The factor engines selectable via ``method=``.
 METHODS = ("cascade", "dense")
 
-_default_method = "cascade"
-_default_method_lock = threading.Lock()
-
-
-def set_default_method(method: str) -> str:
-    """Set the module-wide default factor engine; returns the previous one.
-
-    ``"cascade"`` is the production default; ``"dense"`` switches every
-    rewrite back to the ``O(N)`` oracle (benchmark baselines, debugging).
-    """
-    global _default_method
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    with _default_method_lock:
-        previous = _default_method
-        _default_method = method
-    return previous
-
-
-def get_default_method() -> str:
-    """The factor engine used when ``method`` is not passed explicitly."""
-    return _default_method
-
 
 def _validate_range(n: int, lo: int, hi: int) -> None:
     check_power_of_two(n, what="dimension size")
@@ -85,7 +62,7 @@ def _validate_range(n: int, lo: int, hi: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# The dense oracle (memoized like the cascade, so both can be seeded)
+# The dense oracle (memoized like the cascade)
 # ----------------------------------------------------------------------
 
 _dense_memo: dict[tuple, SparseVector] = {}
@@ -110,7 +87,7 @@ def _dense_coefficients(
 
 
 # ----------------------------------------------------------------------
-# Factor computation: the 1-D front door and its process-pool plumbing
+# Factor computation: the 1-D front door
 # ----------------------------------------------------------------------
 
 
@@ -121,7 +98,7 @@ def vector_coefficients_1d(
     hi: int,
     degree: int = 0,
     rtol: float = DEFAULT_RTOL,
-    method: str | None = None,
+    method: str = "cascade",
 ) -> SparseVector:
     """Sparse wavelet transform of the 1-D vector ``x**degree * chi_[lo, hi]``.
 
@@ -140,8 +117,7 @@ def vector_coefficients_1d(
         Relative sparsification tolerance.
     method:
         Factor engine: ``"cascade"`` (sparse, ``O(log n)``, the default) or
-        ``"dense"`` (the ``O(n)`` oracle).  ``None`` uses
-        :func:`get_default_method`.
+        ``"dense"`` (the ``O(n)`` oracle).
 
     Returns
     -------
@@ -153,8 +129,6 @@ def vector_coefficients_1d(
     _validate_range(n, lo, hi)
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
-    if method is None:
-        method = _default_method
     if method == "cascade":
         with _span("rewrite.cascade", filter=filt.name, n=n, lo=lo, hi=hi,
                    degree=degree):
@@ -164,77 +138,6 @@ def vector_coefficients_1d(
                    degree=degree):
             return _dense_coefficients(filt.name, n, lo, hi, degree, rtol)
     raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-
-
-def factor_spec(
-    filt: WaveletFilter | str,
-    n: int,
-    lo: int,
-    hi: int,
-    degree: int = 0,
-    rtol: float = DEFAULT_RTOL,
-    method: str | None = None,
-) -> tuple:
-    """The hashable task descriptor for one 1-D factor.
-
-    ``rewrite_batch`` dedups these across a whole query batch, farms the
-    distinct ones to worker processes via :func:`compute_factor`, and seeds
-    the results back with :func:`seed_factors` — after which the per-query
-    assembly hits the memo for every factor.
-    """
-    filt = get_filter(filt)
-    if method is None:
-        method = _default_method
-    return (method, filt.name, int(n), int(lo), int(hi), int(degree), float(rtol))
-
-
-def compute_factor(spec: tuple) -> tuple[tuple, SparseVector]:
-    """Compute one :func:`factor_spec` task (process-pool worker entry)."""
-    method, name, n, lo, hi, degree, rtol = spec
-    sv = vector_coefficients_1d(name, n, lo, hi, degree=degree, rtol=rtol, method=method)
-    return spec, sv
-
-
-def compute_factor_traced(spec: tuple) -> tuple[tuple, SparseVector, list]:
-    """:func:`compute_factor` with span capture (traced-pool worker entry).
-
-    Enables tracing inside the worker process around the computation and
-    ships the recorded spans back as portable tuples
-    (:func:`repro.obs.trace.export_portable`), so the parent can merge
-    them into its own recorder — worker rewrite spans then show up in
-    ``--trace-out`` Chrome traces under the worker's pid instead of
-    dying in the worker-local ring.
-
-    The worker ring is cleared first: under the ``fork`` start method the
-    child inherits the parent's recorder contents, and a reused worker
-    still holds the spans it already shipped for its previous task.
-    """
-    from repro.obs import trace as _trace
-
-    recorder = _trace.get_recorder()
-    recorder.clear()
-    previous = _trace.set_tracing(True)
-    try:
-        spec, sv = compute_factor(spec)
-    finally:
-        _trace.set_tracing(previous)
-    spans = _trace.export_portable()
-    recorder.clear()
-    return spec, sv, spans
-
-
-def seed_factors(entries: Sequence[tuple[tuple, SparseVector]]) -> None:
-    """Merge ``(spec, factor)`` results into the matching engine memo."""
-    cascade_entries = []
-    with _dense_memo_lock:
-        for spec, sv in entries:
-            method, name, n, lo, hi, degree, rtol = spec
-            key = (name, n, lo, hi, degree, rtol)
-            if method == "dense":
-                _dense_memo.setdefault(key, sv)
-            else:
-                cascade_entries.append((key, sv))
-    _cascade_mod.seed_cache(cascade_entries)
 
 
 def clear_cache() -> None:
@@ -296,7 +199,6 @@ def monomial_factors(
     exponents: Sequence[int],
     coefficient: float = 1.0,
     rtol: float = DEFAULT_RTOL,
-    method: str | None = None,
 ) -> list[SparseVector]:
     """Per-axis 1-D factors of ``coefficient * prod_i x_i**e_i * chi_R``.
 
@@ -313,7 +215,7 @@ def monomial_factors(
     if not (len(shape) == len(bounds) == len(exponents)):
         raise ValueError("shape, bounds and exponents must have equal lengths")
     factors = [
-        vector_coefficients_1d(f, n, lo, hi, degree=e, rtol=rtol, method=method)
+        vector_coefficients_1d(f, n, lo, hi, degree=e, rtol=rtol)
         for f, n, (lo, hi), e in zip(filters, shape, bounds, exponents)
     ]
     if coefficient != 1.0:
@@ -328,12 +230,11 @@ def monomial_tensor(
     exponents: Sequence[int],
     coefficient: float = 1.0,
     rtol: float = DEFAULT_RTOL,
-    method: str | None = None,
 ) -> SparseTensor:
     """Sparse transform of ``coefficient * prod_i x_i**e_i * chi_R``: the
     outer product of its :func:`monomial_factors`."""
     return SparseTensor.from_outer(
-        monomial_factors(filt, shape, bounds, exponents, coefficient, rtol, method)
+        monomial_factors(filt, shape, bounds, exponents, coefficient, rtol)
     )
 
 
@@ -343,7 +244,6 @@ def query_tensor(
     bounds: Sequence[tuple[int, int]],
     monomials: Sequence[tuple[tuple[int, ...], float]],
     rtol: float = DEFAULT_RTOL,
-    method: str | None = None,
 ) -> SparseTensor:
     """Sparse transform of a full polynomial range-sum query vector.
 
@@ -354,7 +254,7 @@ def query_tensor(
     if not monomials:
         raise ValueError("polynomial must have at least one monomial")
     tensors = [
-        monomial_tensor(filt, shape, bounds, exps, coeff, rtol=rtol, method=method)
+        monomial_tensor(filt, shape, bounds, exps, coeff, rtol=rtol)
         for exps, coeff in monomials
     ]
     return SparseTensor.sum_of(tensors, rtol=rtol)

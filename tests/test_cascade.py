@@ -1,5 +1,5 @@
-"""The sparse cascade engine vs the dense oracle, and the parallel
-batch-rewrite front end built on top of it."""
+"""The sparse cascade engine vs the dense oracle, and the batch-rewrite
+front end built on top of it."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ from repro.core.plan import QueryPlan
 from repro.queries.range import HyperRect
 from repro.queries.vector_query import QueryBatch, VectorQuery
 from repro.queries.workload import random_rectangles
-from repro.storage.counter import CountingStore
-from repro.storage.prefix_sum import PrefixSumStorage
 from repro.storage.wavelet_store import WaveletStorage
 from repro.util import log2_int
 from repro.wavelets import cascade
@@ -20,12 +18,7 @@ from repro.wavelets.filters import get_filter
 from repro.wavelets.query_transform import (
     METHODS,
     clear_cache,
-    compute_factor,
-    factor_spec,
-    get_default_method,
     haar_indicator_coefficients,
-    seed_factors,
-    set_default_method,
     vector_coefficients_1d,
 )
 from repro.wavelets.transform import wavedec
@@ -159,29 +152,15 @@ class TestDiscreteMoments:
 
 
 class TestMethodFlag:
-    def test_default_is_cascade(self):
-        assert get_default_method() == "cascade"
-
     def test_methods_agree(self):
         a = vector_coefficients_1d("db2", 256, 17, 200, degree=1, method="cascade")
         b = vector_coefficients_1d("db2", 256, 17, 200, degree=1, method="dense")
         scale = float(np.max(np.abs(b.to_dense())))
         np.testing.assert_allclose(a.to_dense(), b.to_dense(), atol=1e-10 * scale)
 
-    def test_set_default_method_roundtrip(self):
-        previous = set_default_method("dense")
-        try:
-            assert previous == "cascade"
-            assert get_default_method() == "dense"
-        finally:
-            set_default_method(previous)
-        assert get_default_method() == "cascade"
-
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             vector_coefficients_1d("haar", 16, 0, 3, method="magic")
-        with pytest.raises(ValueError):
-            set_default_method("magic")
         assert "cascade" in METHODS and "dense" in METHODS
 
     def test_clear_cache_clears_every_engine(self):
@@ -194,23 +173,6 @@ class TestMethodFlag:
         assert cascade.cache_size() == 0
         assert vector_coefficients_1d("db2", 32, 3, 20, method="cascade") is not a_cascade
         assert vector_coefficients_1d("db2", 32, 3, 20, method="dense") is not a_dense
-
-
-class TestFactorPlumbing:
-    def test_compute_factor_roundtrip(self):
-        spec = factor_spec("db3", 128, 10, 90, degree=1)
-        spec2, sv = compute_factor(spec)
-        assert spec2 == spec
-        ref = vector_coefficients_1d("db3", 128, 10, 90, degree=1)
-        np.testing.assert_array_equal(sv.indices, ref.indices)
-        np.testing.assert_array_equal(sv.values, ref.values)
-
-    def test_seed_factors_populates_memo(self):
-        spec = factor_spec("db2", 64, 4, 44, degree=0)
-        _, sv = compute_factor(spec)
-        clear_cache()
-        seed_factors([(spec, sv)])
-        assert vector_coefficients_1d("db2", 64, 4, 44, degree=0) is sv
 
 
 class TestRewriteBatch:
@@ -226,45 +188,12 @@ class TestRewriteBatch:
             np.testing.assert_array_equal(got.indices, want.indices)
             np.testing.assert_array_equal(got.values, want.values)
 
-    def test_parallel_identical_to_sequential(self, rng):
-        storage = WaveletStorage(
-            (32, 32), CountingStore(1024, backend="hash"), wavelet="db2"
-        )
-        batch = self._batch(rng)
-        sequential = storage.rewrite_batch(batch)
-        clear_cache()
-        parallel = storage.rewrite_batch(batch, workers=2)
-        for a, b in zip(sequential, parallel):
-            np.testing.assert_array_equal(a.indices, b.indices)
-            np.testing.assert_array_equal(a.values, b.values)
-
-    def test_factor_specs_cover_batch(self, rng):
-        storage = WaveletStorage(
-            (32, 32), CountingStore(1024, backend="hash"), wavelet="db2"
-        )
-        batch = self._batch(rng, count=5)
-        specs = storage._rewrite_factor_specs(batch)
-        # One spec per (query, monomial, axis); SUM queries have 1 monomial.
-        assert len(specs) == 5 * 2
-        # Dedup leaves at most that many distinct tasks.
-        assert 1 <= len(dict.fromkeys(specs)) <= len(specs)
-
-    def test_non_separable_storage_has_no_specs(self, rng, data_2d):
-        storage = PrefixSumStorage.build(data_2d)
-        batch = QueryBatch(
-            [VectorQuery.count(r) for r in random_rectangles((16, 16), 4, rng=rng)]
-        )
-        assert storage._rewrite_factor_specs(batch) is None
-        # rewrite_batch with workers still works via the sequential path.
-        got = storage.rewrite_batch(batch, workers=2)
-        assert len(got) == batch.size
-
     def test_query_plan_from_batch(self, rng, data_2d):
         storage = WaveletStorage.build(data_2d, wavelet="db2")
         batch = QueryBatch(
             [VectorQuery.count(r) for r in random_rectangles((16, 16), 6, rng=rng)]
         )
-        plan = QueryPlan.from_batch(storage, batch, workers=2)
+        plan = QueryPlan.from_batch(storage, batch)
         ref = QueryPlan.from_rewrites([storage.rewrite(q) for q in batch])
         np.testing.assert_array_equal(plan.keys, ref.keys)
         np.testing.assert_array_equal(plan.entry_val, ref.entry_val)

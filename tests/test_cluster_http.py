@@ -20,6 +20,7 @@ from repro.cluster import (
     build_cluster,
 )
 from repro.cluster import http as http_module
+from repro.cluster.codec import encode_batch
 from repro.cluster.http import RETRY_AFTER_S
 from repro.queries.workload import partition_count_batch
 from repro.storage.wavelet_store import WaveletStorage
@@ -120,6 +121,41 @@ class TestSessionApi:
         with pytest.raises(ClusterApiError) as err:
             client.submit(payload)
         assert err.value.status == 400
+
+    def test_a_workers_field_starts_no_process(self, edge, monkeypatch):
+        """A request body cannot choose how many processes the edge
+        forks: ``"workers"`` is an unknown key, ignored like any other."""
+        import concurrent.futures
+        import http.client
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a request started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        server, _ = edge
+        # A 3x3 grid: three distinct factors per axis.
+        payload = encode_batch(make_batch(17))
+
+        def post(body: dict) -> tuple[int, dict]:
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=30
+            )
+            conn.request(
+                "POST", "/sessions", body=json.dumps(body).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            reply = json.loads(response.read())
+            conn.close()
+            return response.status, reply
+
+        status, with_field = post({**payload, "workers": 64})
+        assert status == 201
+        status, without = post(payload)
+        assert status == 201
+        for reply in (with_field, without):
+            del reply["session_id"], reply["snapshot"]["session_id"]
+        assert with_field == without
 
     def test_unknown_routes_and_methods(self, edge):
         _, client = edge

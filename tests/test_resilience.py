@@ -14,9 +14,6 @@ The two CI-enforced invariants (ISSUE 4):
 
 from __future__ import annotations
 
-import concurrent.futures
-from concurrent.futures.process import BrokenProcessPool
-
 import numpy as np
 import pytest
 
@@ -516,7 +513,7 @@ class TestSessionDegradation:
 
 
 # ----------------------------------------------------------------------
-# Degraded BatchBiggestB.steps and the pool fallback
+# Degraded BatchBiggestB.steps
 # ----------------------------------------------------------------------
 
 
@@ -533,73 +530,3 @@ class TestStepsDegradation:
         degraded = BatchBiggestB(storage.with_store(resilient), batch)
         served = [step.key for step in degraded.steps(readahead=8)]
         assert set(served) == set(keys.tolist()) - blackout
-
-
-class TestPoolFallback:
-    def test_broken_pool_midrun_falls_back_sequentially(
-        self, setup, monkeypatch
-    ):
-        from repro.storage.base import _POOL_FALLBACKS
-        from repro.wavelets import query_transform
-
-        class BrokenFuture:
-            def result(self, timeout=None):
-                raise BrokenProcessPool("worker died")
-
-            def cancel(self):
-                return True
-
-        class BrokenPool:
-            def __init__(self, max_workers=None):
-                pass
-
-            def submit(self, fn, *args):
-                return BrokenFuture()
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", BrokenPool
-        )
-        storage, batch, _ = setup
-        query_transform.clear_cache()
-        before = _POOL_FALLBACKS.value(reason="broken")
-        pooled = storage.rewrite_batch(batch, workers=4)
-        assert _POOL_FALLBACKS.value(reason="broken") == before + 1
-        query_transform.clear_cache()
-        sequential = storage.rewrite_batch(batch)
-        for a, b in zip(pooled, sequential):
-            np.testing.assert_array_equal(a.indices, b.indices)
-            np.testing.assert_allclose(a.values, b.values, rtol=0, atol=0)
-
-    def test_hung_worker_times_out_and_falls_back(self, setup, monkeypatch):
-        from repro.storage.base import _POOL_FALLBACKS
-        from repro.wavelets import query_transform
-
-        class HungFuture:
-            def result(self, timeout=None):
-                raise concurrent.futures.TimeoutError()
-
-            def cancel(self):
-                return True
-
-        class HungPool:
-            def __init__(self, max_workers=None):
-                pass
-
-            def submit(self, fn, *args):
-                return HungFuture()
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", HungPool)
-        storage, batch, _ = setup
-        query_transform.clear_cache()
-        before = _POOL_FALLBACKS.value(reason="timeout")
-        storage._precompute_factors(list(batch), workers=2, future_timeout=0.01)
-        assert _POOL_FALLBACKS.value(reason="timeout") == before + 1
-        # The fallback seeded every factor: assembly is pure memo hits.
-        rewrites = storage.rewrite_batch(batch)
-        assert len(rewrites) == batch.size

@@ -257,20 +257,3 @@ class TestTelemetry:
         # Latency histograms saw the traffic.
         assert registry.get("repro_service_submit_seconds").count() >= 1
         assert registry.get("repro_scheduler_fetch_seconds").count() > 0
-
-
-class TestParallelSubmit:
-    def test_submit_with_workers_matches_sequential(self, storage, batches):
-        from repro.wavelets.query_transform import clear_cache
-
-        svc_seq = ProgressiveQueryService(storage)
-        sid_seq = svc_seq.submit(batches[0])
-        clear_cache()
-        svc_par = ProgressiveQueryService(storage)
-        sid_par = svc_par.submit(batches[0], workers=2)
-        for svc, sid in ((svc_seq, sid_seq), (svc_par, sid_par)):
-            while svc.advance(sid, 64):
-                pass
-        np.testing.assert_array_equal(
-            svc_seq.poll(sid_seq).estimates, svc_par.poll(sid_par).estimates
-        )
