@@ -99,13 +99,14 @@ def test_paged_backend_equivalence(report, tmp_path):
     mem, disk = service_mem.scheduler.counts(), service_disk.scheduler.counts()
     assert disk["retrievals"] == mem["retrievals"]
     assert disk["deliveries"] == mem["deliveries"]
-    pc = paged.store.cache
+    pages = paged.store.page_counts()
+    requests = pages["hits"] + pages["misses"]
     report(
         "Paged backend under the shared schedule",
         [
             f"retrievals: {disk['retrievals']:,} (same as in-memory)",
-            f"page requests: {pc.requests:,} "
-            f"({pc.hit_ratio:.1%} buffer hits, {pc.evictions:,} evictions)",
+            f"page requests: {requests:,} ({pages['hits'] / requests:.1%} "
+            f"buffer hits, {pages['evictions']:,} evictions)",
         ],
     )
     paged.store.close()

@@ -78,9 +78,9 @@ def main() -> None:
               f"({independent / retrievals:.2f}x saving)")
         print(f"deliveries             : {deliveries:>8,} "
               f"({1 - retrievals / deliveries:.1%} free rides)")
-        pc = paged.store.cache
-        print(f"page buffer pool       : {pc.hits:,} hits, {pc.misses:,} "
-              f"misses, {pc.evictions:,} evictions")
+        pages = paged.store.page_counts()
+        print(f"page buffer pool       : {pages['hits']:,} hits, "
+              f"{pages['misses']:,} misses, {pages['evictions']:,} evictions")
 
         for i in range(n_dashboards):
             assert np.allclose(answers[i], exact[i], rtol=1e-7, atol=1e-6)

@@ -70,8 +70,7 @@ _SCRAPE_MAX_AGE = 1.0
 #: or past the connection cap).
 RETRY_AFTER_S = 1.0
 _RETRY_AFTER = (("Retry-After", f"{RETRY_AFTER_S:g}"),)
-#: Requests at least this slow (seconds) are counted and flagged in the
-#: access log.
+#: Requests at least this slow (seconds) are flagged in the access log.
 SLOW_REQUEST_S = 1.0
 #: Open connections, one thread each (refused ones while they close).
 MAX_CONNECTIONS = 128
@@ -151,11 +150,6 @@ class ClusterHttpServer:
             "repro_edge_requests_total",
             "Edge requests served, by route template and status code",
             ("route", "status"),
-        )
-        self._slow_requests = router.registry.counter(
-            "repro_edge_slow_requests_total",
-            "Edge requests slower than the slow-request threshold",
-            ("route",),
         )
         self._shed_requests = router.registry.counter(
             "repro_edge_shed_total",
@@ -425,9 +419,6 @@ class ClusterHttpServer:
         self._request_seconds.observe(duration, route=route)
         self._response_bytes.observe(size, route=route)
         self._route_requests.inc(route=route, status=str(status))
-        slow = duration >= SLOW_REQUEST_S
-        if slow:
-            self._slow_requests.inc(route=route)
         if self._access_log is None:
             return
         line = json.dumps(
@@ -440,7 +431,7 @@ class ClusterHttpServer:
                 "status": status,
                 "duration_ms": round(duration * 1e3, 3),
                 "bytes": size,
-                "slow": slow,
+                "slow": duration >= SLOW_REQUEST_S,
             },
             sort_keys=True,
         )

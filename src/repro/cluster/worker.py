@@ -76,16 +76,12 @@ class ShardWorker:
     def __init__(self, store, shard: int = 0) -> None:
         self.store = store
         self.shard = int(shard)
-        #: Keys this shard fetched successfully.
-        self.retrievals = 0
 
     def fetch(self, keys: np.ndarray) -> np.ndarray:
         """The data plane: one gather against the shard's store stack
         (a :class:`~repro.storage.resilient.RetrievalError` reaches the
         router's scheduler unchanged through either handle)."""
-        values = self.store.fetch(keys)
-        self.retrievals += int(len(keys))
-        return values
+        return self.store.fetch(keys)
 
     # -- observability ---------------------------------------------------
 
@@ -96,24 +92,22 @@ class ShardWorker:
     def telemetry(self, portable: bool = True) -> dict:
         """One federation pull: health plus portable telemetry payloads.
 
-        Always reports shard identity, keys fetched, page-cache and
-        breaker state.  With ``portable`` (the process-worker case) it
-        also snapshots this process's metric registry and *drains* the
-        trace ring, so repeated pulls ship each span exactly once.
-        Inline shards are pulled with ``portable=False``: they share the
-        router process's registry and ring, and re-shipping those would
+        Always reports shard identity, the keys its store fetched
+        (``store.stats.retrievals``) and breaker state.  With
+        ``portable`` (the process-worker case) it also snapshots this
+        process's metric registry — the paged store's
+        ``repro_paged_page_*`` series among it — and *drains* the trace
+        ring, so repeated pulls ship each span exactly once.  Inline
+        shards are pulled with ``portable=False``: they share the router
+        process's registry and ring, and re-shipping those would
         double-count.
         """
-        paged = _find(self.store, "cache")
         breaker = _find(self.store, "breaker_state")
         payload = {
             "shard": self.shard,
             "pid": os.getpid(),
             "time": time.time(),
-            "retrievals": self.retrievals,
-            "page_cache": None
-            if paged is None
-            else {**paged.cache.snapshot(), "buffered_pages": paged.buffered_pages},
+            "retrievals": self.store.stats.retrievals,
             "breaker": None if breaker is None else breaker.breaker_state,
         }
         if portable:

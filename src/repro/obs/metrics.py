@@ -4,7 +4,7 @@ One :class:`MetricRegistry` is the single source of truth for every
 operational counter in the repository, so one ``render_prometheus()``
 call (or the edge's ``/metrics`` endpoint) sees the whole pipeline at
 once.  Nothing else holds a count: the scheduler's ``counts()`` and the
-paged store's ``PageCacheStats`` read registry series back.
+paged store's ``page_counts()`` read registry series back.
 
 Design constraints, in order:
 
@@ -132,9 +132,9 @@ class _Metric:
     def remove(self, **labels: object) -> None:
         """Drop one labelset's sample (its value reads as zero again).
 
-        This is the reset hook for read-back views like the paged
-        store's ``PageCacheStats.reset``; Prometheus-facing code should
-        normally let counters grow monotonically.
+        This is the reset hook of the paged store's ``reset_stats``;
+        Prometheus-facing code should normally let counters grow
+        monotonically.
         """
         key = self._key(labels)
         with self._lock:
@@ -169,17 +169,6 @@ class Counter(_Metric):
         """Sum across every labelset."""
         with self._lock:
             return sum(self._samples.values()) if self._samples else 0
-
-    def _render(self, lines: list[str]) -> None:
-        with self._lock:
-            items = sorted(self._samples.items())
-        if not items:
-            items = [((), 0)] if not self.labelnames else []
-        for key, value in items:
-            lines.append(
-                f"{self.name}{_render_labels(self._labels_dict(key))} "
-                f"{_format_value(value)}"
-            )
 
     def _to_json(self) -> list[dict]:
         with self._lock:
@@ -220,7 +209,6 @@ class Gauge(_Metric):
         with self._lock:
             return sum(self._samples.values()) if self._samples else 0
 
-    _render = Counter._render
     _to_json = Counter._to_json
 
 
@@ -280,28 +268,6 @@ class Histogram(_Metric):
         with self._lock:
             sample = self._samples.get(key)
             return tuple(sample[0]) if sample else (0,) * (len(self.buckets) + 1)
-
-    def _render(self, lines: list[str]) -> None:
-        with self._lock:
-            items = sorted(
-                (key, (list(counts), count, total))
-                for key, (counts, count, total) in self._samples.items()
-            )
-        for key, (counts, count, total) in items:
-            labels = self._labels_dict(key)
-            cumulative = 0
-            for bound, n in zip(self.buckets, counts):
-                cumulative += n
-                le = dict(labels, le=_format_value(bound))
-                lines.append(
-                    f"{self.name}_bucket{_render_labels(le)} {cumulative}"
-                )
-            le = dict(labels, le="+Inf")
-            lines.append(f"{self.name}_bucket{_render_labels(le)} {count}")
-            lines.append(
-                f"{self.name}_sum{_render_labels(labels)} {_format_value(total)}"
-            )
-            lines.append(f"{self.name}_count{_render_labels(labels)} {count}")
 
     def _to_json(self) -> list[dict]:
         with self._lock:
@@ -403,14 +369,11 @@ class MetricRegistry:
     # -- exposition ----------------------------------------------------
 
     def render_prometheus(self) -> str:
-        """Prometheus text exposition format (version 0.0.4)."""
-        lines: list[str] = []
-        for metric in self.metrics():
-            if metric.help:
-                lines.append(f"# HELP {metric.name} {metric.help}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            metric._render(lines)
-        return "\n".join(lines) + "\n"
+        """Prometheus text exposition format (version 0.0.4): this
+        registry's :meth:`to_json` snapshot through
+        :func:`snapshot_to_prometheus`, the one renderer ``/metrics``
+        uses too."""
+        return snapshot_to_prometheus(self.to_json())
 
     def to_json(self) -> dict:
         """A JSON-serializable snapshot of every metric."""
@@ -492,10 +455,11 @@ def merge_registry_snapshots(base: dict, tagged: Iterable[tuple[dict, Mapping[st
 def snapshot_to_prometheus(snapshot: dict) -> str:
     """Render a ``to_json()``-shaped snapshot as 0.0.4 exposition text.
 
-    Mirrors :meth:`MetricRegistry.render_prometheus` sample for sample —
-    including the implicit ``0`` for an unlabeled counter/gauge that has
-    never been touched — so a federated cluster scrape and a
-    single-process scrape validate against the same strict linter
+    The one renderer: :meth:`MetricRegistry.render_prometheus` is this
+    over the registry's own snapshot, so a federated cluster scrape and a
+    single-process scrape match sample for sample — including the
+    implicit ``0`` for an unlabeled counter/gauge that has never been
+    touched — and validate against the same strict linter
     (``tests/promparse.py::validate_exposition``).
     """
     lines: list[str] = []

@@ -19,14 +19,10 @@ retrieval (:class:`~repro.storage.counter.CountingStore`).
 """
 
 from repro.storage.base import KeyedVector, LinearStorage
-from repro.storage.counter import CountingStore, IOStatistics
+from repro.storage.counter import CountingStore, IOStatistics, StoreWrapper
 from repro.storage.faults import FaultInjectingStore, InjectedFault, chaos_stack
 from repro.storage.identity import IdentityStorage
-from repro.storage.paged import (
-    PageCacheStats,
-    PagedCoefficientStore,
-    write_paged_file,
-)
+from repro.storage.paged import PagedCoefficientStore, write_paged_file
 from repro.storage.prefix_sum import PrefixSumStorage
 from repro.storage.resilient import (
     CircuitBreaker,
@@ -47,12 +43,12 @@ __all__ = [
     "InjectedFault",
     "IOStatistics",
     "IdentityStorage",
-    "PageCacheStats",
     "PagedCoefficientStore",
     "PrefixSumStorage",
     "ResilientStore",
     "RetrievalError",
     "RetryPolicy",
+    "StoreWrapper",
     "WaveletStorage",
     "chaos_stack",
     "write_paged_file",

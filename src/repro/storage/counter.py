@@ -4,50 +4,32 @@
 hash-based storage that allows constant-time access to any single value"
 (Section 1.3).  The cost of a query evaluation is the number of values
 retrieved; block effects and buffering are deliberately ignored (the paged
-tier in :mod:`repro.storage.paged` revisits that).
+tier in :mod:`repro.storage.paged` revisits that).  :class:`StoreWrapper`
+forwards this duck type; the fault and retry layers override its ``fetch``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class IOStatistics:
-    """Counters for retrievals against a coefficient store.
-
-    Attributes
-    ----------
-    retrievals:
-        Total number of values fetched (duplicates included) — the paper's
-        headline metric.
-    nonzero_retrievals:
-        Fetches that returned a nonzero value.
-    unique_keys:
-        Number of distinct keys fetched since the last reset.
-    """
+    """The retrieval counter of a coefficient store: ``retrievals`` is the
+    number of values fetched (duplicates included) — the paper's headline
+    metric, and the only book a store keeps per fetch."""
 
     retrievals: int = 0
-    nonzero_retrievals: int = 0
-    _seen: set[int] = field(default_factory=set, repr=False)
 
-    @property
-    def unique_keys(self) -> int:
-        return len(self._seen)
-
-    def record(self, keys: np.ndarray, values: np.ndarray) -> None:
+    def record(self, keys: np.ndarray) -> None:
         """Record a batch of fetches."""
         self.retrievals += int(keys.size)
-        self.nonzero_retrievals += int(np.count_nonzero(values))
-        self._seen.update(keys.tolist())
 
     def reset(self) -> None:
-        """Zero all counters."""
+        """Zero the counter."""
         self.retrievals = 0
-        self.nonzero_retrievals = 0
-        self._seen.clear()
 
 
 class CountingStore:
@@ -109,7 +91,7 @@ class CountingStore:
         """Retrieve values for ``keys`` (counted)."""
         keys = np.asarray(keys, dtype=np.int64).ravel()
         values = self.peek(keys)
-        self.stats.record(keys, values)
+        self.stats.record(keys)
         return values
 
     def peek(self, keys: np.ndarray) -> np.ndarray:
@@ -184,3 +166,58 @@ class CountingStore:
     def reset_stats(self) -> None:
         """Zero the retrieval counters."""
         self.stats.reset()
+
+
+class StoreWrapper:
+    """Forwards the :class:`CountingStore` duck type to ``inner``.
+
+    The base of the store wrappers (fault injection, retries): a subclass
+    overrides ``fetch`` and inherits the uncounted ``peek``, the
+    aggregates, the stats, writes and ``close``.
+    """
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    def fetch(self, keys: np.ndarray) -> np.ndarray:
+        return self.inner.fetch(keys)
+
+    def peek(self, keys: np.ndarray) -> np.ndarray:
+        """Uncounted read, passed straight through (the oracle path)."""
+        return self.inner.peek(keys)
+
+    @property
+    def key_space_size(self) -> int:
+        return self.inner.key_space_size
+
+    @property
+    def stats(self) -> IOStatistics:
+        return self.inner.stats
+
+    @property
+    def version(self):
+        return getattr(self.inner, "version", None)
+
+    def add(self, keys, deltas) -> None:
+        self.inner.add(keys, deltas)
+
+    def total_l1(self) -> float:
+        return self.inner.total_l1()
+
+    def total_l2_squared(self) -> float:
+        return self.inner.total_l2_squared()
+
+    def nonzero_count(self) -> int:
+        return self.inner.nonzero_count()
+
+    def as_dense(self) -> np.ndarray:
+        return self.inner.as_dense()
+
+    def reset_stats(self) -> None:
+        self.inner.reset_stats()
+
+    def close(self) -> None:
+        """Close the wrapped store, through every wrapper beneath."""
+        close = getattr(self.inner, "close", None)
+        if close is not None:
+            close()

@@ -34,6 +34,7 @@ import time
 
 import numpy as np
 
+from repro.storage.counter import StoreWrapper
 from repro.storage.resilient import CircuitBreaker, ResilientStore, RetryPolicy
 
 
@@ -41,7 +42,7 @@ class InjectedFault(OSError):
     """A failure injected by :class:`FaultInjectingStore`."""
 
 
-class FaultInjectingStore:
+class FaultInjectingStore(StoreWrapper):
     """A :class:`CountingStore` wrapper that injects read failures.
 
     Parameters
@@ -77,7 +78,7 @@ class FaultInjectingStore:
             raise ValueError(f"transient_rate must be in [0, 1), got {transient_rate}")
         if latency < 0.0:
             raise ValueError("latency must be non-negative")
-        self.inner = inner
+        super().__init__(inner)
         self.transient_rate = float(transient_rate)
         self.blackout_keys = {int(k) for k in blackout_keys}
         self.latency = float(latency)
@@ -89,10 +90,6 @@ class FaultInjectingStore:
         self.injected_transient = 0
         self.injected_blackout = 0
         self.injected_outage = 0
-
-    # ------------------------------------------------------------------
-    # Reads (the CountingStore duck type)
-    # ------------------------------------------------------------------
 
     def fetch(self, keys: np.ndarray) -> np.ndarray:
         """Retrieve ``keys`` through the fault gauntlet."""
@@ -115,10 +112,6 @@ class FaultInjectingStore:
             raise InjectedFault("injected transient fault")
         return self.inner.fetch(keys)
 
-    def peek(self, keys: np.ndarray) -> np.ndarray:
-        """Fault-free read (the tests' ground-truth oracle path)."""
-        return self.inner.peek(keys)
-
     # ------------------------------------------------------------------
     # Fault control
     # ------------------------------------------------------------------
@@ -134,40 +127,6 @@ class FaultInjectingStore:
         self.blackout_keys.clear()
         self.fail_after = None
         self.latency = 0.0
-
-    # ------------------------------------------------------------------
-    # Delegation (aggregates, stats, writes)
-    # ------------------------------------------------------------------
-
-    @property
-    def key_space_size(self) -> int:
-        return self.inner.key_space_size
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @property
-    def version(self):
-        return getattr(self.inner, "version", None)
-
-    def add(self, keys, deltas) -> None:
-        self.inner.add(keys, deltas)
-
-    def total_l1(self) -> float:
-        return self.inner.total_l1()
-
-    def total_l2_squared(self) -> float:
-        return self.inner.total_l2_squared()
-
-    def nonzero_count(self) -> int:
-        return self.inner.nonzero_count()
-
-    def as_dense(self) -> np.ndarray:
-        return self.inner.as_dense()
-
-    def reset_stats(self) -> None:
-        self.inner.reset_stats()
 
 
 def chaos_stack(store, chaos: dict) -> ResilientStore:

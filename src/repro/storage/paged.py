@@ -47,86 +47,6 @@ _HEADER_SIZE = len(_MAGIC) + _HEADER.size
 _INSTANCE_IDS = itertools.count()
 
 
-class PageCacheStats:
-    """Buffer-pool counters for a paged store.
-
-    A read-only *view* over the ``repro_paged_page_*_total`` registry
-    series with this store's ``store=`` label.  The store adds one
-    increment per ``fetch`` call, so its per-key loop takes no lock.
-
-    Attributes
-    ----------
-    hits:
-        Page requests satisfied from the buffer pool.
-    misses:
-        Page requests that had to read the file (page faults).
-    evictions:
-        Pages dropped to respect the pool capacity.
-    """
-
-    def __init__(self, registry: MetricRegistry, instance: str) -> None:
-        self._instance = instance
-        self._hits = registry.counter(
-            "repro_paged_page_hits_total",
-            "Page requests satisfied from the buffer pool",
-            ("store",),
-        )
-        self._misses = registry.counter(
-            "repro_paged_page_misses_total",
-            "Page requests that had to read the file (page faults)",
-            ("store",),
-        )
-        self._evictions = registry.counter(
-            "repro_paged_page_evictions_total",
-            "Pages dropped to respect the pool capacity",
-            ("store",),
-        )
-
-    @property
-    def hits(self) -> int:
-        return int(self._hits.value(store=self._instance))
-
-    @property
-    def misses(self) -> int:
-        return int(self._misses.value(store=self._instance))
-
-    @property
-    def evictions(self) -> int:
-        return int(self._evictions.value(store=self._instance))
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of page requests served from the pool (0 when idle)."""
-        total = self.requests
-        return self.hits / total if total else 0.0
-
-    def snapshot(self) -> dict[str, int | float]:
-        """The counters as one JSON-ready dict (service metrics, telemetry)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_ratio": self.hit_ratio,
-        }
-
-    def _record(self, hits: int, misses: int, evictions: int) -> None:
-        if hits:
-            self._hits.inc(hits, store=self._instance)
-        if misses:
-            self._misses.inc(misses, store=self._instance)
-        if evictions:
-            self._evictions.inc(evictions, store=self._instance)
-
-    def reset(self) -> None:
-        self._hits.remove(store=self._instance)
-        self._misses.remove(store=self._instance)
-        self._evictions.remove(store=self._instance)
-
-
 def write_paged_file(path, values: np.ndarray, page_size: int = 1024) -> int:
     """Serialize a dense coefficient vector into the paged file format.
 
@@ -224,7 +144,17 @@ class PagedCoefficientStore:
         self._pool: OrderedDict[int, np.ndarray | None] = OrderedDict()
         self._lock = threading.RLock()
         self.stats = IOStatistics()
-        self.cache = PageCacheStats(self.registry, self._instance)
+        #: The pool's traffic: ``repro_paged_page_<name>_total{store=}``.
+        self._page_counters = {
+            name: self.registry.counter(
+                f"repro_paged_page_{name}_total", help, ("store",)
+            )
+            for name, help in (
+                ("hits", "Page requests satisfied from the buffer pool"),
+                ("misses", "Page requests that had to read the file (page faults)"),
+                ("evictions", "Pages dropped to respect the pool capacity"),
+            )
+        }
 
     # ------------------------------------------------------------------
     # Construction
@@ -266,7 +196,7 @@ class PagedCoefficientStore:
         with self._lock:
             self._require_open()
             values = self._gather(keys)
-            self.stats.record(keys, values)
+            self.stats.record(keys)
         return values
 
     def peek(self, keys: np.ndarray) -> np.ndarray:
@@ -310,11 +240,21 @@ class PagedCoefficientStore:
     # Maintenance
     # ------------------------------------------------------------------
 
+    def page_counts(self) -> dict[str, int]:
+        """The buffer pool's page ``hits``, ``misses`` (reads of the file:
+        page faults) and ``evictions``, read from the registry."""
+        return {
+            name: int(counter.value(store=self._instance))
+            for name, counter in self._page_counters.items()
+        }
+
     def reset_stats(self) -> None:
-        """Zero the retrieval and buffer-pool counters."""
+        """Zero the retrieval and buffer-pool counters (the pool's samples
+        leave the registry)."""
         with self._lock:
             self.stats.reset()
-            self.cache.reset()
+            for counter in self._page_counters.values():
+                counter.remove(store=self._instance)
 
     def clear_buffer(self) -> None:
         """Drop every buffered page (counters are kept)."""
@@ -393,5 +333,7 @@ class PagedCoefficientStore:
                 key = int(keys[i])
                 out[i] = pool[page][key - page * size] if capacity else self._values[key]
         # One registry update per fetch keeps the loop free of metric locks.
-        self.cache._record(hits, misses, evictions)
+        for name, n in (("hits", hits), ("misses", misses), ("evictions", evictions)):
+            if n:
+                self._page_counters[name].inc(n, store=self._instance)
         return out

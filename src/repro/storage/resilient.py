@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.obs import REGISTRY, MetricRegistry, span, stage
 from repro.obs.ledger import note as _ledger_note
+from repro.storage.counter import StoreWrapper
 
 #: Distinguishes resilient-store instances inside the process-global registry.
 _INSTANCE_IDS = itertools.count()
@@ -229,13 +230,14 @@ class CircuitBreaker:
             self.on_transition(state)
 
 
-class ResilientStore:
+class ResilientStore(StoreWrapper):
     """Retry + circuit-breaker wrapper around a coefficient store.
 
-    Quacks like a :class:`~repro.storage.counter.CountingStore` on the
-    read path; aggregates, stats and writes delegate to the wrapped
-    store.  ``sleep``/``clock`` are injectable so chaos tests run at
-    full speed with zero-delay policies.
+    Overrides only ``fetch``: peeks, aggregates, stats, writes and
+    ``close`` go to the wrapped store through
+    :class:`~repro.storage.counter.StoreWrapper`.  ``sleep``/``clock``
+    are injectable so chaos tests run at full speed with zero-delay
+    policies.
     """
 
     def __init__(
@@ -247,7 +249,7 @@ class ResilientStore:
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.policy = policy if policy is not None else RetryPolicy()
         self.registry = REGISTRY if registry is None else registry
         self._sleep = sleep
@@ -281,10 +283,6 @@ class ResilientStore:
         self._state_gauge.set(
             BREAKER_STATE_VALUES[self.breaker.state], store=self._instance
         )
-
-    # ------------------------------------------------------------------
-    # Reads (the CountingStore duck type)
-    # ------------------------------------------------------------------
 
     def fetch(self, keys: np.ndarray) -> np.ndarray:
         """Retrieve ``keys`` with retries behind the circuit breaker.
@@ -337,10 +335,6 @@ class ResilientStore:
                     self.breaker.record_success()
                     return values
 
-    def peek(self, keys: np.ndarray) -> np.ndarray:
-        """Uncounted read, passed straight through (the oracle path)."""
-        return self.inner.peek(keys)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -354,45 +348,6 @@ class ResilientStore:
 
     def failure_count(self, reason: str) -> int:
         return int(self._failures.value(store=self._instance, reason=reason))
-
-    # ------------------------------------------------------------------
-    # Delegation (aggregates, stats, writes, lifecycle)
-    # ------------------------------------------------------------------
-
-    @property
-    def key_space_size(self) -> int:
-        return self.inner.key_space_size
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @property
-    def version(self):
-        return getattr(self.inner, "version", None)
-
-    def add(self, keys, deltas) -> None:
-        self.inner.add(keys, deltas)
-
-    def total_l1(self) -> float:
-        return self.inner.total_l1()
-
-    def total_l2_squared(self) -> float:
-        return self.inner.total_l2_squared()
-
-    def nonzero_count(self) -> int:
-        return self.inner.nonzero_count()
-
-    def as_dense(self) -> np.ndarray:
-        return self.inner.as_dense()
-
-    def reset_stats(self) -> None:
-        self.inner.reset_stats()
-
-    def close(self) -> None:
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()
 
     # ------------------------------------------------------------------
     # Internals

@@ -8,7 +8,11 @@ import threading
 import pytest
 
 from repro import obs
-from repro.obs.metrics import DEFAULT_TIME_BUCKETS, MetricRegistry
+from repro.obs.metrics import (
+    DEFAULT_TIME_BUCKETS,
+    MetricRegistry,
+    snapshot_to_prometheus,
+)
 
 from tests.promparse import parse_prometheus
 
@@ -204,6 +208,64 @@ class TestExposition:
         c.inc(path='weird"\\value')
         types, samples = parse_prometheus(registry.render_prometheus())
         assert len(samples) == 1
+
+    #: Every metric kind's exposition, byte for byte: a labelled counter
+    #: with escaped label values, untouched unlabelled and labelled
+    #: counters, a NaN and a negative gauge, and a labelled histogram with
+    #: an overflow sample beside an untouched one.
+    GOLDEN = (
+        '# TYPE repro_golden_depth gauge\n'
+        'repro_golden_depth -7\n'
+        '# HELP repro_golden_hits_total hits\n'
+        '# TYPE repro_golden_hits_total counter\n'
+        'repro_golden_hits_total{shard="a",path="we\\"ird\\\\pa\\nth"} 1.5\n'
+        'repro_golden_hits_total{shard="b",path="x"} 3\n'
+        '# HELP repro_golden_idle_seconds no samples\n'
+        '# TYPE repro_golden_idle_seconds histogram\n'
+        '# HELP repro_golden_idle_total never touched\n'
+        '# TYPE repro_golden_idle_total counter\n'
+        'repro_golden_idle_total 0\n'
+        '# TYPE repro_golden_labelled_idle_total counter\n'
+        '# HELP repro_golden_ratio not a number\n'
+        '# TYPE repro_golden_ratio gauge\n'
+        'repro_golden_ratio NaN\n'
+        '# HELP repro_golden_seconds latency\n'
+        '# TYPE repro_golden_seconds histogram\n'
+        'repro_golden_seconds_bucket{route="/a",le="0.001"} 0\n'
+        'repro_golden_seconds_bucket{route="/a",le="0.1"} 1\n'
+        'repro_golden_seconds_bucket{route="/a",le="10"} 2\n'
+        'repro_golden_seconds_bucket{route="/a",le="+Inf"} 3\n'
+        'repro_golden_seconds_sum{route="/a"} 62.05\n'
+        'repro_golden_seconds_count{route="/a"} 3\n'
+        'repro_golden_seconds_bucket{route="/b\\"",le="0.001"} 1\n'
+        'repro_golden_seconds_bucket{route="/b\\"",le="0.1"} 1\n'
+        'repro_golden_seconds_bucket{route="/b\\"",le="10"} 1\n'
+        'repro_golden_seconds_bucket{route="/b\\"",le="+Inf"} 1\n'
+        'repro_golden_seconds_sum{route="/b\\""} 0.0005\n'
+        'repro_golden_seconds_count{route="/b\\""} 1\n'
+    )
+
+    def test_exposition_bytes_are_pinned(self, registry, telemetry_on):
+        hits = registry.counter(
+            "repro_golden_hits_total", "hits", ("shard", "path")
+        )
+        hits.inc(3, shard="b", path="x")
+        hits.inc(1.5, shard="a", path='we"ird\\pa\nth')
+        registry.counter("repro_golden_idle_total", "never touched")
+        registry.counter("repro_golden_labelled_idle_total", "", ("shard",))
+        registry.gauge("repro_golden_ratio", "not a number").set(float("nan"))
+        registry.gauge("repro_golden_depth").set(-7)
+        lat = registry.histogram(
+            "repro_golden_seconds", "latency", ("route",),
+            buckets=(0.001, 0.1, 10.0),
+        )
+        for value in (0.05, 2.0, 60.0):
+            lat.observe(value, route="/a")
+        lat.observe(0.0005, route='/b"')
+        registry.histogram("repro_golden_idle_seconds", "no samples")
+        text = registry.render_prometheus()
+        assert text == self.GOLDEN
+        assert text == snapshot_to_prometheus(registry.to_json())
 
 
 class TestHTTPExposition:

@@ -81,7 +81,6 @@ class TestCounting:
         paged.fetch(np.array([1, 2, 3]))
         paged.peek(np.array([4, 5]))
         assert paged.stats.retrievals == 3
-        assert paged.stats.unique_keys == 3
 
     def test_key_range_checked(self, paged):
         with pytest.raises(KeyError):
@@ -98,14 +97,15 @@ class TestLruPool:
         )
         # Touch every page once: 16 misses, 12 evictions (first 4 fill).
         store.fetch(np.arange(0, 1000, 64))
-        assert store.cache.misses == 16
-        assert store.cache.hits == 0
-        assert store.cache.evictions == 12
+        assert store.page_counts() == {"hits": 0, "misses": 16, "evictions": 12}
         assert store.buffered_pages == 4
         # The 4 most recent pages (12..15) are resident: re-reads are hits.
         store.fetch(np.arange(12 * 64, 1000, 64))
-        assert store.cache.hits == 4
-        assert store.cache.hit_ratio == pytest.approx(4 / 20)
+        counts = store.page_counts()
+        assert counts["hits"] == 4
+        assert counts["hits"] / (counts["hits"] + counts["misses"]) == pytest.approx(
+            4 / 20
+        )
         store.close()
 
     def test_lru_order_not_fifo(self, values, tmp_path):
@@ -117,8 +117,9 @@ class TestLruPool:
         store.fetch(np.array([1]))     # page 0 hit  pool: [1, 0]
         store.fetch(np.array([128]))   # page 2      pool: [0, 2] (evicts 1)
         store.fetch(np.array([2]))     # page 0 must still be resident
-        assert store.cache.hits == 2
-        assert store.cache.evictions == 1
+        counts = store.page_counts()
+        assert counts["hits"] == 2
+        assert counts["evictions"] == 1
         store.close()
 
     def test_zero_capacity_disables_buffering(self, values, tmp_path):
@@ -126,8 +127,9 @@ class TestLruPool:
             values, tmp_path / "z.pages", page_size=64, buffer_pages=0
         )
         store.fetch(np.array([0, 1, 2]))
-        assert store.cache.hits == 0
-        assert store.cache.misses == 3
+        counts = store.page_counts()
+        assert counts["hits"] == 0
+        assert counts["misses"] == 3
         assert store.buffered_pages == 0
         store.close()
 
@@ -135,7 +137,7 @@ class TestLruPool:
         paged.fetch(np.arange(10))
         paged.reset_stats()
         assert paged.stats.retrievals == 0
-        assert paged.cache.requests == 0
+        assert paged.page_counts() == {"hits": 0, "misses": 0, "evictions": 0}
         paged.clear_buffer()
         assert paged.buffered_pages == 0
 
@@ -201,11 +203,12 @@ class TestPoolAccountingIsExact:
             for keys in gathers:
                 got = store.fetch(np.array(keys, dtype=np.int64))
                 assert got.tobytes() == referee.fetch(keys).tobytes()
-                assert (
-                    store.cache.hits, store.cache.misses, store.cache.evictions,
-                    store.buffered_pages,
-                ) == (
-                    referee.hits, referee.misses, referee.evictions,
+                assert (store.page_counts(), store.buffered_pages) == (
+                    {
+                        "hits": referee.hits,
+                        "misses": referee.misses,
+                        "evictions": referee.evictions,
+                    },
                     len(referee.pool),
                 )
 

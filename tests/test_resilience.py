@@ -32,7 +32,9 @@ from repro.storage import (
     ResilientStore,
     RetrievalError,
     RetryPolicy,
+    chaos_stack,
 )
+from repro.storage.paged import PagedCoefficientStore
 from repro.storage.wavelet_store import WaveletStorage
 from tests.promparse import parse_prometheus
 
@@ -291,6 +293,17 @@ class TestResilientStore:
         assert store.key_space_size == 8
         assert store.version == base.version
         np.testing.assert_array_equal(store.as_dense(), base.as_dense())
+
+    def test_closing_a_chaos_stack_closes_the_paged_store(self, tmp_path):
+        """``close`` passes through the fault injector too, so a shard
+        under ``--fault-rate``/``--blackout`` releases its memmap."""
+        paged = PagedCoefficientStore.from_dense(
+            np.arange(64.0), tmp_path / "chaos.pages", page_size=16
+        )
+        stack = chaos_stack(paged, {"seed": 3, "transient_rate": 0.5})
+        np.testing.assert_array_equal(stack.fetch(np.array([5, 40])), [5.0, 40.0])
+        stack.close()
+        assert paged.closed
 
 
 # ----------------------------------------------------------------------
