@@ -12,7 +12,8 @@ the Figure-1 loop with exactly that control surface:
   by the new importance function, which is exactly how Batch-Biggest-B
   would have continued had the new penalty been supplied at that point;
 * :meth:`run_until` advances until the Theorem-1 worst-case bound or an
-  observed-estimate predicate is satisfied;
+  observed-estimate predicate is satisfied (a bound's stop is found
+  first, then reached with one :meth:`advance`);
 * :meth:`deliver` applies a coefficient that was retrieved *elsewhere* —
   the hook :class:`~repro.service.scheduler.SharedRetrievalScheduler` uses
   to share one retrieval across every concurrent session that needs it.
@@ -28,10 +29,10 @@ cursor at its first pending rank.  The cursor only moves forward, past
 ranks that were retrieved or skipped; :meth:`set_penalty` re-sorts the
 unretrieved keys (O(n log n), the only re-sort) and :meth:`retry_skipped`
 rewinds the cursor to the first re-queued rank (O(cursor)).
-:meth:`advance` is *pick* (the queue head), *fetch*
-(:func:`~repro.storage.resilient.fetch_degrading`), *apply* — the same
-three pieces the shared scheduler runs over many sessions and
-:class:`~repro.core.batch.BatchBiggestB` runs over one.
+``_drive`` is the one Batch-Biggest-B loop: *pick*, then *serve* (fetch
+with :func:`~repro.storage.resilient.fetch_degrading`, apply).
+:meth:`advance` and the top-k ranker pick the queue head; the shared
+scheduler picks from its merged queue and serves every session at once.
 
 Whoever drives it, *apply* only lands the keys (``_apply_batch``: the
 retrieved mask, the coefficients, the step count); :attr:`estimates` and
@@ -67,13 +68,12 @@ from repro.queries.vector_query import QueryBatch
 from repro.storage.base import LinearStorage
 from repro.storage.resilient import available_runs, fetch_degrading
 
-#: Keys fetched per store gather when a wall-clock deadline bounds an
-#: :meth:`ProgressiveSession.advance` call or one of
-#: :class:`~repro.service.scheduler.SharedRetrievalScheduler`, and the
-#: first block of the cursor's forward scan.
+#: Keys fetched per store gather when a wall-clock deadline bounds the
+#: loop (:meth:`ProgressiveSession.advance`, a scheduler's
+#: ``advance_session``), and the first block of the cursor's forward scan.
 DEFAULT_CHUNK = 64
 
-#: Keys per gather when nothing else caps it — both loops' flush rule (and
+#: Keys per gather when nothing else caps it — the loop's flush rule (and
 #: ``cluster/store.py``'s for a pipe message): a larger request —
 #: ``run_to_completion`` of a 200k-key plan — is served in pieces, so one
 #: apply never concatenates a whole plan's entries.
@@ -254,33 +254,38 @@ class ProgressiveSession:
         key by key and only the still-failing keys are marked skipped —
         see :meth:`retry_skipped` — instead of raising.
         """
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        if chunk is not None and chunk < 1:
-            raise ValueError(f"chunk must be positive, got {chunk}")
-        if chunk is None:
-            chunk = min(k, MAX_CHUNK_KEYS) if deadline is None else DEFAULT_CHUNK
-        start = time.monotonic() if deadline is not None else 0.0
-        done = 0
-        # Bind this session's account to the thread so deep layers (the
-        # resilient store counting retries) charge the right session.
+        return self._drive(k, deadline, chunk, self._head, self._serve)
+
+    def _drive(self, k: int, deadline: float | None, limit: int | None, pick, serve) -> int:
+        """The one Batch-Biggest-B loop: ``pick(need, limit)`` keys and
+        ``serve`` them until this session gains ``k`` (returned), turns
+        exact, picks nothing or passes ``deadline``; ``limit`` is
+        :meth:`advance`'s ``chunk``.  Deep layers charge this account."""
+        if k < 0 or (limit is not None and limit < 1):
+            raise ValueError(f"need k >= 0 and a positive chunk, got {k} and {limit}")
+        limit = limit or (MAX_CHUNK_KEYS if deadline is None else DEFAULT_CHUNK)
+        start, began = time.monotonic(), self._steps_taken
         with _charge_to(self.costs):
-            while done < k:
+            while (gained := self._steps_taken - began) < k and not self.is_exact:
                 if deadline is not None and time.monotonic() - start >= deadline:
                     break
-                positions = self._head(min(chunk, k - done))
-                if not positions.size:
+                need = k - gained
+                if not self._skipped_count:  # stop where the one-key loop turns exact
+                    need = min(need, self.remaining)
+                picked = pick(need, limit)
+                if not picked.size:
                     break
-                values, failed = fetch_degrading(
-                    self.storage.store, self.plan.keys[positions]
-                )
-                for lo, hi in available_runs(positions.size, failed):
-                    if hi > lo:
-                        self._apply_batch(positions[lo:hi], values[lo:hi])
-                        done += hi - lo
-                    if hi < positions.size:
-                        self.skip_many(self.plan.keys[positions[hi : hi + 1]])
-        return done
+                serve(picked)
+        return self._steps_taken - began
+
+    def _serve(self, positions: np.ndarray) -> None:
+        """One gather of ``positions``, landed; abandoned keys are skipped."""
+        values, failed = fetch_degrading(self.storage.store, self.plan.keys[positions])
+        for lo, hi in available_runs(positions.size, failed):
+            if hi > lo:
+                self._apply_batch(positions[lo:hi], values[lo:hi])
+            if hi < positions.size:
+                self.skip_many(self.plan.keys[positions[hi : hi + 1]])
 
     def deliver(self, key: int, coefficient: float) -> bool:
         """The one-key form of :meth:`deliver_many`: True when ``key`` was pending."""
@@ -411,30 +416,36 @@ class ProgressiveSession:
             value (guaranteed accuracy).
         predicate:
             Stop once ``predicate(estimates)`` returns True (observed
-            accuracy; called after every retrieval).
+            accuracy; called after every retrieval: one key per advance).
         max_steps:
             Hard cap on retrievals for this call.
         deadline:
             Wall-clock budget in seconds for this call: no new fetch is
-            started after it elapses.  A slow store then returns a
-            degraded-but-bounded answer instead of blocking.
+            started after it elapses (checked per :meth:`advance` gather).
+            A slow store then returns a degraded-but-bounded answer
+            instead of blocking.
 
-        Returns the number of coefficients retrieved by this call.
+        Without a ``predicate`` one :meth:`advance` reaches the stop
+        :meth:`_stop` finds, and another follows each skip.  Returns the
+        number of coefficients retrieved by this call.
         """
         if bound is None and predicate is None and max_steps is None and deadline is None:
             raise ValueError("provide at least one stopping condition")
-        start = time.monotonic() if deadline is not None else 0.0
-        done = 0
-        while self._seek() < self._order.size:
-            if max_steps is not None and done >= max_steps:
-                break
-            if deadline is not None and time.monotonic() - start >= deadline:
+        start, done = time.monotonic(), 0
+        cap = np.inf if max_steps is None else max_steps
+        while done < cap and self._seek() < self._order.size:
+            left = None if deadline is None else deadline - (time.monotonic() - start)
+            if left is not None and left <= 0:
                 break
             if bound is not None and self.worst_case_bound() <= bound:
                 break
             if predicate is not None and predicate(self.estimates):
                 break
-            done += self.advance(1)
+            skipped = self._skipped_count
+            n = self._stop(bound) if predicate is None else 1
+            done += self.advance(min(n, cap - done), left)
+            if predicate is None and self._skipped_count == skipped:
+                break
         return done
 
     def run_to_completion(self) -> np.ndarray:
@@ -534,11 +545,18 @@ class ProgressiveSession:
         )
         return pos, self.plan.keys[pos] == keys
 
+    def _stop(self, bound: float | None) -> int:
+        """Keys to fetch, none skipping, until ``worst_case_bound() <= bound``
+        (all pending if unreachable): importance does not increase along the
+        rank order, so one search over the bounds after ``j`` keys finds it."""
+        live = self._head(self._order.size)
+        iota = np.maximum(np.append(self._importance[live], 0.0), self._skipped_max_iota)
+        target = np.inf if bound is None else -bound  # None: every pending key
+        return min(int(np.searchsorted(-(self._k_alpha() * iota), target)), live.size)
+
     def _max_skipped_iota(self) -> float:
         """The largest importance among the skipped keys (their bound mass)."""
-        if not self._skipped_count:
-            return 0.0
-        return float(self._importance[self._skipped].max())
+        return float(self._importance[self._skipped].max(initial=0.0))
 
     def _rank(self) -> None:
         """(Re-)sort the unretrieved keys under the current penalty."""
@@ -546,12 +564,14 @@ class ProgressiveSession:
         self._order = order[~self._retrieved[order]]
         self._cursor = 0
 
-    def _head(self, n: int) -> np.ndarray:
-        """Master positions of the next ``n`` pending keys, in order.
+    def _head(self, n: int, limit: int | None = None) -> np.ndarray:
+        """Master positions of the next ``n`` pending keys (at most
+        ``limit``), in order: :meth:`_drive`'s pick for this session.
 
         A read: nothing is consumed.  Keys leave the queue by being
         retrieved or skipped, and the cursor catches up lazily.
         """
+        n = min(n, limit or n)
         order, start, width = self._order, self._seek(), n
         while True:
             block = order[start : start + width]
@@ -586,9 +606,8 @@ class ProgressiveSession:
         """Importance of the most important key not retrieved — the
         pending head or the skipped bound mass (0.0 when none)."""
         head = self._seek()
-        if head == self._order.size:
-            return self._skipped_max_iota
-        return max(float(self._importance[self._order[head]]), self._skipped_max_iota)
+        iota = self._importance[self._order[head]] if head < self._order.size else 0.0
+        return max(float(iota), self._skipped_max_iota)
 
     def _k_alpha(self) -> float:
         """Theorem 1's ``K**alpha``; ``K`` is cached per store version."""

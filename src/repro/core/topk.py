@@ -18,17 +18,22 @@ with ``K = sum |Delta_hat|``.  :class:`ProgressiveRanker` maintains these
 per-query bounds incrementally and stops as soon as the requested decision
 (top-k membership, or local-minimality against a neighbor graph) is
 *certain* — typically after a fraction of the master list.
+
+The ranker rides a :class:`~repro.core.session.ProgressiveSession`: its
+plan, estimates and queue are the session's, and its ``advance`` is the
+session's loop (one gather per chunk, abandoned keys skipped and kept in
+both bounds).  Each query's entries are sorted by magnitude once, and a
+cursor per query stops at the first unretrieved one.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.penalties import Penalty, SsePenalty
-from repro.core.plan import QueryPlan
+from repro.core.penalties import Penalty
+from repro.core.session import ProgressiveSession
 from repro.queries.vector_query import QueryBatch
 from repro.storage.base import LinearStorage
 
@@ -42,31 +47,23 @@ class ProgressiveRanker:
         batch: QueryBatch,
         penalty: Penalty | None = None,
     ) -> None:
-        self.storage = storage
         self.batch = batch
-        self.penalty = penalty if penalty is not None else SsePenalty()
-        self.plan = QueryPlan.from_batch(storage, batch)
-        self.estimates = np.zeros(batch.size)
-        self._retrieved = np.zeros(self.plan.num_keys, dtype=bool)
-        # The retrieval queue: the plan's importance order and a cursor.
-        self._order = self.plan.order(self.penalty)
-        self._cursor = 0
+        #: The session this ranker drives: its storage, penalty, plan,
+        #: estimates, queue and cost account are the ranker's.
+        self.session = ProgressiveSession(storage, batch, penalty)
+        self.plan = self.session.plan
         self._k_const = storage.total_l1()
-        # Per-query max |q_hat| over unused keys, maintained lazily with a
-        # per-query max-heap of (|value|, key position).
-        self._per_query_heaps: list[list[tuple[float, int]]] = [
-            [] for _ in range(batch.size)
-        ]
-        # The per-query bounds read every column: the plan is built whole.
+        # Per-query max |q_hat| over unused keys, read from every column (the
+        # plan is built whole): the entries by (query, descending magnitude),
+        # a cursor per query and the end of its run.
         entry_qid, entry_val = self.plan.entry_qid, self.plan.entry_val
-        for q, magnitude, pos in zip(
-            entry_qid.tolist(),
-            np.abs(entry_val).tolist(),
-            self.plan.entry_key_pos.tolist(),
-        ):
-            self._per_query_heaps[q].append((-magnitude, pos))
-        for h in self._per_query_heaps:
-            heapq.heapify(h)
+        magnitude = np.abs(entry_val)
+        by_query = np.lexsort((-magnitude, entry_qid))
+        self._magnitude = magnitude[by_query]
+        self._magnitude_pos = self.plan.entry_key_pos[by_query]
+        counts = np.bincount(entry_qid, minlength=batch.size)
+        self._end = np.cumsum(counts)
+        self._cursor = self._end - counts
         # Cauchy-Schwarz bound state: residual L2 energy of each query's
         # unretrieved coefficients, and of the data's unretrieved
         # coefficients (Parseval: equals ||Delta||**2 minus fetched energy).
@@ -89,12 +86,14 @@ class ProgressiveRanker:
           are restricted to the unretrieved keys (the data residual uses
           Parseval: total energy minus the energy already fetched).
         """
-        heap = self._per_query_heaps[query_index]
-        while heap and self._retrieved[heap[0][1]]:
-            heapq.heappop(heap)
-        if not heap:
+        retrieved, pos = self.session._retrieved, self._magnitude_pos
+        cursor, end = int(self._cursor[query_index]), int(self._end[query_index])
+        while cursor < end and retrieved[pos[cursor]]:
+            cursor += 1
+        self._cursor[query_index] = cursor
+        if cursor == end:
             return 0.0
-        thm1 = float(self._k_const * (-heap[0][0]))
+        thm1 = float(self._k_const * self._magnitude[cursor])
         cauchy = float(
             np.sqrt(max(self._resid_q2[query_index], 0.0))
             * np.sqrt(max(self._resid_data2, 0.0))
@@ -118,32 +117,43 @@ class ProgressiveRanker:
     # ------------------------------------------------------------------
 
     @property
-    def steps_taken(self) -> int:
-        return self._cursor
+    def estimates(self) -> np.ndarray:
+        """The session's progressive answers."""
+        return self.session.estimates
 
     @property
-    def exhausted(self) -> bool:
-        """True once every master-list coefficient has been retrieved."""
-        return self._cursor == self._order.size
+    def steps_taken(self) -> int:
+        return self.session.steps_taken
 
     def advance(self, k: int = 1) -> int:
         """Retrieve the next ``k`` most important coefficients."""
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        done = 0
-        while done < k and not self.exhausted:
-            pos = self._order[self._cursor]
-            self._cursor += 1
-            coefficient = float(
-                self.storage.store.fetch(self.plan.keys[pos : pos + 1])[0]
-            )
-            self._retrieved[pos] = True
-            qids, vals, _ = self.plan.chunk_segments(np.array([pos]))
-            np.add.at(self.estimates, qids, vals * coefficient)
-            np.add.at(self._resid_q2, qids, -(vals**2))
-            self._resid_data2 -= coefficient * coefficient
-            done += 1
-        return done
+        return self.session._drive(k, None, None, self.session._head, self._serve)
+
+    def _serve(self, positions: np.ndarray) -> None:
+        """The session's serve, then the landed keys leave the residuals
+        in retrieval order (the one-key subtraction order, bit for bit)."""
+        self.session._serve(positions)
+        landed = positions[self.session._retrieved[positions]]
+        qids, vals, _ = self.plan.chunk_segments(landed)
+        np.add.at(self._resid_q2, qids, -(vals**2))
+        energy = np.append(self._resid_data2, self.session._coefficients[landed] ** 2)
+        self._resid_data2 = float(np.subtract.accumulate(energy)[-1])
+
+    def _run(self, decide, exact, step: int, decision: str, max_steps: int | None = None):
+        """Advance ``step`` keys at a time until ``decide()`` is not None;
+        once exhausted the estimates are exact and ``exact()`` decides.
+        Nothing pending while keys are unavailable leaves it open: raise."""
+        while (result := decide()) is None:
+            if self.session.is_exact:
+                return exact()
+            stuck = self.session.remaining == self.session.skipped_count
+            if stuck or (max_steps is not None and self.steps_taken >= max_steps):
+                raise RuntimeError(
+                    f"{decision} undecided after {self.steps_taken} retrievals"
+                    f" (unavailable keys: {self.session.skipped_keys().tolist()})"
+                )
+            self.advance(step)
+        return result
 
     # ------------------------------------------------------------------
     # Decisions (Q1 and Q3)
@@ -173,18 +183,10 @@ class ProgressiveRanker:
         Falls back to the exact ranking if the master list is exhausted
         (then the answer is certain by definition, modulo exact ties).
         """
-        while True:
-            result = self.certain_top_k(k)
-            if result is not None:
-                return result
-            if self.exhausted:
-                order = np.argsort(-self.estimates, kind="stable")
-                return sorted(int(i) for i in order[:k])
-            if max_steps is not None and self.steps_taken >= max_steps:
-                raise RuntimeError(
-                    f"top-{k} undecided after {self.steps_taken} retrievals"
-                )
-            self.advance(step)
+        def exact():
+            return sorted(int(i) for i in np.argsort(-self.estimates, kind="stable")[:k])
+
+        return self._run(lambda: self.certain_top_k(k), exact, step, f"top-{k}", max_steps)
 
     def certain_local_minima(
         self, neighbors: Sequence[Sequence[int]]
@@ -217,19 +219,15 @@ class ProgressiveRanker:
         self, neighbors: Sequence[Sequence[int]], step: int = 16
     ) -> list[int]:
         """Advance until every query's local-minimum status is decided."""
-        while True:
+        def decide():
             minima, undecided = self.certain_local_minima(neighbors)
-            if not undecided or self.exhausted:
-                if undecided and self.exhausted:
-                    # Exhausted: estimates are exact, decide by comparison.
-                    extra = [
-                        i
-                        for i in undecided
-                        if all(
-                            self.estimates[i] < self.estimates[j]
-                            for j in neighbors[i]
-                        )
-                    ]
-                    return sorted(minima + extra)
-                return sorted(minima)
-            self.advance(step)
+            return None if undecided else sorted(minima)
+
+        def exact():  # the estimates are exact: decide by comparison
+            minima, undecided = self.certain_local_minima(neighbors)
+            est = self.estimates
+            return sorted(minima + [
+                i for i in undecided if all(est[i] < est[j] for j in neighbors[i])
+            ])
+
+        return self._run(decide, exact, step, "local minima")

@@ -18,10 +18,14 @@ overlap too — whole-domain partitions share every coarse wavelet key.  The
   gets overlapping keys served without new I/O (the Storyboard-style
   reuse of precomputed state).
 
-An ``advance`` without a deadline is served as **one chunk** (an explicit
-``chunk_size``, :data:`~repro.core.session.MAX_CHUNK_KEYS`, or a
-deadline's :data:`~repro.core.session.DEFAULT_CHUNK` cut it into
-several), and a chunk is one pass over the live sessions.  Two
+The scheduler keeps no loop of its own: ``advance_session`` hands its
+*pick* and *serve* to the driving session's loop
+(:meth:`ProgressiveSession._drive`), which owns the deadline clock, the
+chunk caps and the account binding.  An ``advance`` without a deadline is
+served as **one chunk** (an explicit ``chunk_size``,
+:data:`~repro.core.session.MAX_CHUNK_KEYS`, or a deadline's
+:data:`~repro.core.session.DEFAULT_CHUNK` cut it into several), and a
+chunk is one pass over the live sessions.  Two
 structures, built at ``register``, ``deregister``, ``reprioritize`` and
 ``shed`` and never inside ``advance``, make that so:
 
@@ -59,15 +63,14 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from repro.core.session import DEFAULT_CHUNK, MAX_CHUNK_KEYS, ProgressiveSession
+from repro.core.session import MAX_CHUNK_KEYS, ProgressiveSession
 from repro.obs import REGISTRY, MetricRegistry
-from repro.obs.ledger import activate as _charge_to
 from repro.storage.resilient import available_runs, fetch_degrading
 
 #: Distinguishes scheduler instances inside the process-global registry.
@@ -244,50 +247,31 @@ class SharedRetrievalScheduler:
         is one chunk — one pick ending at the target's ``k``-th gain
         (:meth:`_pick`), one store gather, one vectorized update per
         session — never past ``k``, so the set and order of served keys
-        are those of the scalar loop.  The loop runs again only when a
-        key was skipped or a cap cut the chunk: ``chunk_size``,
-        :data:`~repro.core.session.MAX_CHUNK_KEYS`, or — under a
-        ``deadline``, so the clock is re-read —
-        :data:`~repro.core.session.DEFAULT_CHUNK`.  Returns
+        are those of the scalar loop.  The loop is the session's
+        (:meth:`ProgressiveSession._drive`): it picks again only when a
+        key was skipped or a cap cut the chunk — ``chunk_size``,
+        :data:`~repro.core.session.MAX_CHUNK_KEYS`, or under a
+        ``deadline`` :data:`~repro.core.session.DEFAULT_CHUNK`.  Returns
         the number of coefficients the target session actually gained
         (less than ``k`` at exhaustion, when the remaining keys are
         unavailable, or once ``deadline`` seconds have elapsed).  The
         front's ``advance`` times the call: its one region is the driving
         session's ``schedule`` stage.
         """
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        limit = self.chunk_size or (
-            MAX_CHUNK_KEYS if deadline is None else DEFAULT_CHUNK
-        )
         with self._lock:
-            started = time.monotonic() if deadline is not None else 0.0
             reg = self._registrations[sid]
-            session = reg.session
-            start = session.steps_taken
-            # The driving session pays for the store fetches it requested
-            # and any resilient-store retries, even though other sessions
-            # receive coefficients along the way; their accounts are
-            # charged deliveries/cache hits as the coefficients land.
-            with _charge_to(session.costs):
-                while session.steps_taken - start < k and not session.is_exact:
-                    if deadline is not None and time.monotonic() - started >= deadline:
-                        break
-                    need = k - (session.steps_taken - start)
-                    if not session.skipped_count:
-                        # Exactness is reachable: the scalar loop stops the
-                        # moment the target turns exact, so the chunk must
-                        # not reach past the target's last pending key.
-                        need = min(need, session.remaining)
-                    picked = self._pick(reg, need, limit)
-                    if not picked.size:
-                        break
-                    self._serve_batch(picked)
+            # The driving session's loop with this schedule's pick and serve:
+            # it pays for the fetches it requested and any retries, though
+            # other sessions receive coefficients along the way; their
+            # accounts are charged deliveries/cache hits as they land.
+            gained = reg.session._drive(
+                k, deadline, self.chunk_size, partial(self._pick, reg), self._serve_batch
+            )
             # Send this session's next pick while this advance folds and replies.
             read_ahead = None if self.chunk_size else getattr(self.store, "read_ahead", None)
             if read_ahead and deadline is None and len(self._registrations) == 1:
-                read_ahead(lambda: self._uncached(self._pick(reg, k, limit)))
-            return session.steps_taken - start
+                read_ahead(lambda: self._uncached(self._pick(reg, k, MAX_CHUNK_KEYS)))
+            return gained
 
     # ------------------------------------------------------------------
     # Internals
@@ -332,10 +316,9 @@ class SharedRetrievalScheduler:
         un-skips it); lacking nothing pending anywhere (degraded), it is
         served the merged remainder.  One live session: its own head.
         """
-        target = reg.session
         if self._queue is None:
-            return target._head(min(need, limit))
-        queue, done, retrieved = self._queue, self._done, target._retrieved
+            return reg.session._head(need, limit)
+        queue, done, retrieved = self._queue, self._done, reg.session._retrieved
         scan, width, blocks, gains = self._cursor, need, [], 0
         while scan < queue.size and limit:  # doubling blocks past done keys
             block = queue[scan : scan + width]

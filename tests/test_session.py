@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import session as session_module
 from repro.core.batch import BatchBiggestB
 from repro.core.penalties import CursoredSsePenalty, LpPenalty, SsePenalty
+from repro.core.plan import QueryPlan
 from repro.core.session import ProgressiveSession
 from repro.queries.vector_query import QueryBatch, VectorQuery
 from repro.queries.workload import partition_count_batch, random_rectangles
+from repro.storage import StoreWrapper
+from repro.storage.faults import chaos_stack
 from repro.storage.wavelet_store import WaveletStorage
 
 
@@ -243,6 +249,79 @@ class TestBoundsAndStopping:
         session = ProgressiveSession(storage, batch, penalty=LpPenalty(1.0))
         with pytest.raises(ValueError):
             session.expected_penalty()
+
+
+class CallCounter(StoreWrapper):
+    """Counts the store calls made through it."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls = 0
+
+    def fetch(self, keys):
+        self.calls += 1
+        return self.inner.fetch(keys)
+
+
+@pytest.fixture(scope="module")
+def cube():
+    """A Poisson(3) 3-D count cube and a 32-cell COUNT partition of it."""
+    data = np.random.default_rng(5).poisson(3.0, size=(16, 16, 8)).astype(float)
+    return data, partition_count_batch(data.shape, (4, 4, 2), rng=np.random.default_rng(6))
+
+
+class TestRunUntilFindsItsStop:
+    """``run_until(bound=)`` is one advance to a precomputed stop, and ends
+    exactly where the per-key loop ends."""
+
+    @pytest.mark.parametrize("blackouts", [0, 1, 2])
+    @pytest.mark.parametrize("cursored", [False, True], ids=["sse", "cursored"])
+    @pytest.mark.parametrize("wavelet", ["haar", "db2"])
+    def test_matches_the_per_key_loop(self, cube, wavelet, cursored, blackouts):
+        data, batch = cube
+        storage = WaveletStorage.build(data, wavelet=wavelet)
+        penalty = (
+            CursoredSsePenalty(batch.size, high_priority=[0, 5]) if cursored else SsePenalty()
+        )
+        plan = QueryPlan.from_batch(storage, batch)
+        if blackouts:
+            # Rank 60 is past the loosest stops: it is skipped only on the way to tighter ones.
+            lost = plan.keys[plan.order(penalty)[[60, 3][:blackouts]]]
+            storage = storage.with_store(chaos_stack(storage.store, {"blackout_keys": lost}))
+        initial = ProgressiveSession(storage, batch, penalty, plan=plan).worst_case_bound()
+        for fraction in (1e-1, 1e-2, 1e-3, 1e-4):
+            bound = fraction * initial
+            fast = ProgressiveSession(storage, batch, penalty, plan=plan)
+            steps = fast.run_until(bound=bound)
+            slow = ProgressiveSession(storage, batch, penalty, plan=plan)
+            while slow.pending_mask().any() and slow.worst_case_bound() > bound:
+                slow.advance(1)
+            assert steps == fast.steps_taken == slow.steps_taken
+            assert fast.skipped_count == slow.skipped_count
+            np.testing.assert_array_equal(fast.retrieved_keys(), slow.retrieved_keys())
+            assert fast.worst_case_bound() == slow.worst_case_bound()
+            assert fast.estimates.tobytes() == slow.estimates.tobytes()
+
+    @pytest.mark.parametrize("chunk_keys", [None, 64])
+    def test_without_a_skip_it_is_one_gather_per_chunk(self, cube, monkeypatch, chunk_keys):
+        if chunk_keys is not None:
+            monkeypatch.setattr(session_module, "MAX_CHUNK_KEYS", chunk_keys)
+        data, batch = cube
+        storage = WaveletStorage.build(data, wavelet="db2")
+        counter = CallCounter(storage.store)
+        session = ProgressiveSession(storage.with_store(counter), batch)
+        steps = session.run_until(bound=1e-3 * session.worst_case_bound())
+        assert steps > 64 and not session.degraded
+        assert counter.calls <= math.ceil(steps / session_module.MAX_CHUNK_KEYS)
+
+    def test_max_steps_and_a_predicate_keep_their_contracts(self, cube):
+        data, batch = cube
+        storage = WaveletStorage.build(data, wavelet="haar")
+        session = ProgressiveSession(storage, batch)
+        assert session.run_until(bound=0.0, max_steps=10) == 10
+        seen = []
+        session.run_until(predicate=lambda est: seen.append(est.sum()) or len(seen) > 5)
+        assert len(seen) == 6 and session.steps_taken == 15
 
 
 class TestCursorScenario:

@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.session import ProgressiveSession
 from repro.core.topk import ProgressiveRanker
 from repro.queries.range import HyperRect
 from repro.queries.vector_query import QueryBatch, VectorQuery
 from repro.queries.workload import partition_count_batch
+from repro.storage.faults import chaos_stack
 from repro.storage.wavelet_store import WaveletStorage
+from tests.test_session import CallCounter
 
 
 @pytest.fixture
@@ -26,6 +29,12 @@ def setup(rng):
 
 def chain_neighbors(n):
     return [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
+
+
+def blacked_out(storage, batch):
+    """``storage`` with the ranker's most important key unavailable, and that key."""
+    key = ProgressiveSession(storage, batch).upcoming(1)[0]
+    return storage.with_store(chaos_stack(storage.store, {"blackout_keys": key})), key
 
 
 class TestIntervals:
@@ -57,6 +66,66 @@ class TestIntervals:
             cur = [ranker.error_bound(i) for i in range(batch.size)]
             assert all(c <= p + 1e-12 for c, p in zip(cur, prev))
             prev = cur
+
+    def test_heap_free_bound_is_exact(self, setup):
+        """Theorem 1's term is K times the largest unretrieved |q_i_hat|,
+        by brute force over the plan's entries, at every step."""
+        _, storage, batch = setup
+        ranker = ProgressiveRanker(storage, batch)
+        plan, k_const = ranker.plan, storage.total_l1()
+        while True:
+            held = ranker.session._retrieved[plan.entry_key_pos]
+            cauchy = np.sqrt(max(ranker._resid_data2, 0.0))
+            for i in range(batch.size):
+                unused = (plan.entry_qid == i) & ~held
+                thm1 = k_const * np.abs(plan.entry_val[unused]).max(initial=0.0)
+                expected = min(thm1, np.sqrt(max(ranker._resid_q2[i], 0.0)) * cauchy)
+                assert ranker.error_bound(i) == expected
+            if ranker.session.is_exact:
+                break
+            ranker.advance(7)
+
+
+class TestRidesASession:
+    def test_advance_is_one_gather_on_the_session_account(self, setup):
+        _, storage, batch = setup
+        counter = CallCounter(storage.store)
+        ranker = ProgressiveRanker(storage.with_store(counter), batch)
+        assert ranker.advance(16) == 16
+        assert counter.calls == 1
+        costs = ranker.session.costs
+        assert costs.stage_totals()["fetch"]["calls"] == 1
+        assert costs.retrievals == 16
+
+    def test_a_blacked_out_key_degrades_and_stays_in_both_bounds(self, setup):
+        data, storage, batch = setup
+        exact = batch.exact_dense(data)
+        store, key = blacked_out(storage, batch)
+        ranker = ProgressiveRanker(store, batch)
+        num_keys = ranker.plan.num_keys
+        assert ranker.advance(num_keys) == num_keys - 1
+        assert ranker.session.skipped_keys().tolist() == key.tolist()
+        iv = ranker.intervals()
+        assert np.all(iv[:, 0] <= exact + 1e-9)
+        assert np.all(iv[:, 1] >= exact - 1e-9)
+        # Exactly the queries that read the key keep a bound: both terms.
+        plan = ranker.plan
+        pos = int(np.searchsorted(plan.keys, key[0]))
+        reads = np.isin(np.arange(batch.size), plan.entry_qid[plan.entry_key_pos == pos])
+        assert reads.any() and ranker._resid_data2 > 0.0
+        for i in range(batch.size):
+            assert (ranker.error_bound(i) > 0.0) == reads[i]
+            assert (ranker._resid_q2[i] > 1e-12) == reads[i]
+
+    def test_open_decisions_name_the_unavailable_keys(self, setup):
+        _, storage, batch = setup
+        store, key = blacked_out(storage, batch)
+        ranker = ProgressiveRanker(store, batch)
+        with pytest.raises(RuntimeError, match=f"unavailable keys: \\[{key[0]}\\]"):
+            ranker.run_top_k(3, step=64)
+        assert ranker.session.degraded and not ranker.session.is_exact
+        with pytest.raises(RuntimeError, match=f"unavailable keys: \\[{key[0]}\\]"):
+            ranker.run_local_minima(chain_neighbors(batch.size))
 
 
 class TestTopK:
