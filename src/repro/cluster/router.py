@@ -272,6 +272,7 @@ class ClusterRouter(ProgressiveQueryService):
         slow worker.
         """
         with self._lock:
+            self.scheduler.land()
             tagged = [
                 (payload["metrics"], {"shard": str(index)})
                 for index, payload in sorted(self._telemetry.items())
@@ -293,6 +294,7 @@ class ClusterRouter(ProgressiveQueryService):
         the latest telemetry pull.  Everything is JSON-ready.
         """
         with self._lock:
+            self.scheduler.land()
             health = self.healthz()
             shards = {}
             for entry in health["shards"]:
@@ -417,6 +419,7 @@ class ClusterRouter(ProgressiveQueryService):
 
     def _backlog(self) -> np.ndarray:
         """Pending keys per owning shard, summed over the live sessions."""
+        self.scheduler.land()
         backlog = np.zeros(self.partitioner.num_shards, dtype=np.int64)
         for entry in self._sessions.values():
             keys, _ = entry.session.pending()

@@ -5,8 +5,8 @@
 :class:`~repro.cluster.partition.Partitioner`, sends every owner its
 slice before receiving from any, and reassembles the values in request
 order — one overlapped pipe round-trip per shard per chunk, or none
-when the chunk was read ahead (:meth:`ShardedStore.read_ahead`).  It
-holds no session state either; the router tells it nothing but which
+for the chunk's prefix that was read ahead (:meth:`ShardedStore.read_ahead`).
+It holds no session state either; the router tells it nothing but which
 shards exist.
 """
 
@@ -69,36 +69,37 @@ class ShardedStore:
     def fetch(self, keys: np.ndarray) -> np.ndarray:
         """Gather ``keys`` from their owners; values in request order.
 
-        A read-ahead of exactly these keys is collected, any other
-        dropped.  Else every owner is sent its slice before any reply is
-        read: one overlapped round-trip (and ``roundtrip`` sample) per
-        shard.  Raises :class:`~repro.storage.resilient.RetrievalError`
-        when an owner is shed or lost (a reply with the wrong number of
+        The read-ahead's longest common prefix with these keys is
+        collected, the rest of it dropped.  For the keys behind it every
+        owner is sent its slice before any reply is read: one overlapped
+        round-trip (and ``roundtrip`` sample) per shard.  Raises
+        :class:`~repro.storage.resilient.RetrievalError` when an owner is shed or lost (a reply with the wrong number of
         values loses it too), or a shard's own store abandoned its slice
         — the scheduler's per-key fallback then skips exactly the
         unavailable keys.  Every sent command is received even after a
         failure, so no pipe carries a stale reply into the next gather.
         """
         keys = np.asarray(keys, dtype=np.int64).ravel()
-        gather = self.drop_ahead(keys)
-        if gather is None:
-            gather, queues = _Gather(keys, np.empty(keys.size)), self._slices(keys)
+        values = np.empty(keys.size)
+        used = self.drop_ahead(keys, values)
+        if used < keys.size:
+            gather = _Gather(keys[used:], values[used:])
+            queues = self._slices(gather.keys)
             # One message per shard in flight: an oversized slice takes
             # several waves, so neither pipe direction can fill and block.
             for wave in itertools.zip_longest(*queues.values()):
                 self._send(gather, zip(queues, wave))
                 self._receive(gather, timed=True)
                 if gather.error is not None:
-                    break
-        if gather.error is not None:
-            raise gather.error
-        return gather.values
+                    raise gather.error
+        return values
 
     def read_ahead(self, pick) -> None:
-        """Drop any read-ahead, then send ``fetch(pick())`` early: that call
-        then only collects.  Only while no shard is shed and every one is a
-        process (a send starts work), and only in one wave.  A shard lost
-        at its send drops it: the slices already sent are received.
+        """Drop any read-ahead, then send ``fetch(pick())`` early: a fetch
+        that starts with those keys only collects them.  Only while no
+        shard is shed and every one is a process (a send starts work),
+        and only in one wave.  A shard lost at its send drops it: the
+        slices already sent are received.
         """
         self.drop_ahead()
         if self.dead or not all(shard.is_process for shard in self.shards.values()):
@@ -112,16 +113,24 @@ class ShardedStore:
             if gather.error is not None:
                 self.drop_ahead()
 
-    def drop_ahead(self, keys=None) -> _Gather | None:
-        """Receive the read-ahead: returned if it read ``keys`` (used unless it failed)."""
+    def drop_ahead(self, keys=None, values=None) -> int:
+        """Receive the read-ahead; unless it failed, its longest common
+        prefix with ``keys`` is used: copied into ``values``, its length
+        returned.  The rest of it is counted unused."""
         ahead, self._ahead = self._ahead, None
         if ahead is None:
-            return None
+            return 0
         self._receive(ahead)
-        match = keys is not None and np.array_equal(ahead.keys, keys)
-        used = match and ahead.error is None
-        self._readahead.inc(ahead.keys.size, outcome="used" if used else "unused")
-        return ahead if match else None
+        used = 0
+        if keys is not None and ahead.error is None:
+            common = min(keys.size, ahead.keys.size)
+            differ = np.flatnonzero(ahead.keys[:common] != keys[:common])
+            used = int(differ[0]) if differ.size else common
+            values[:used] = ahead.values[:used]
+        for outcome, count in (("used", used), ("unused", ahead.keys.size - used)):
+            if count:
+                self._readahead.inc(count, outcome=outcome)
+        return used
 
     def call(self, index: int, method: str, *args):
         """One control command (``ping``/``telemetry``) with

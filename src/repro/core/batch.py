@@ -189,10 +189,10 @@ class BatchBiggestB:
                 values, failed = fetch_degrading(
                     self.storage.store, keys, "batch.fetch"
                 )
-            positions = np.searchsorted(self.plan.keys, keys)
+            positions, served = np.searchsorted(self.plan.keys, keys), session.stamp()
             for lo, hi in available_runs(keys.size, failed):
                 for i in range(lo, hi):
-                    session._apply_batch(positions[i : i + 1], values[i : i + 1])
+                    session._apply_batch(positions[i : i + 1], values[i : i + 1], served)
                     yield ProgressiveStep(
                         step=session.steps_taken,
                         key=int(keys[i]),

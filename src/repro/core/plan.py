@@ -357,12 +357,10 @@ class QueryPlan:
             end = self._used + total
             if end > self._qid.size:
                 room = min(self.num_entries, max(end, 2 * self._qid.size))
-                self._qid = np.concatenate(
-                    [self._qid[: self._used], np.empty(room - self._used, np.int32)]
-                )
-                self._val = np.concatenate(
-                    [self._val[: self._used], np.empty(room - self._used)]
-                )
+                # Copy only the used part: the tail is filled below.
+                qid, val = np.empty(room, np.int32), np.empty(room)
+                qid[: self._used], val[: self._used] = self._qid[: self._used], self._val[: self._used]
+                self._qid, self._val = qid, val
             self._starts[positions] = self._used + self._grid.fill(
                 positions, self._qid[self._used : end], self._val[self._used : end]
             )

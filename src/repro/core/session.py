@@ -35,10 +35,10 @@ with :func:`~repro.storage.resilient.fetch_degrading`, apply).
 scheduler picks from its merged queue and serves every session at once.
 
 Whoever drives it, *apply* only lands the keys (``_apply_batch``: the
-retrieved mask, the coefficients, the step count); :attr:`estimates` and
-:attr:`convergence` fold the landed chunks in when read (``_fold``).  A
-scheduler serving eight sessions round-robin lands eight chunks in each
-of them between two reads, and the fold sums them in one pass.
+retrieved mask, the coefficients, the step count); :attr:`estimates`
+folds them in when read (``_fold``), :attr:`convergence` writes their
+records (``_record``).  A scheduler serving eight sessions round-robin
+lands seven runs in one delivery when a session is next read.
 
 Degraded mode: when the store abandons a fetch permanently
 (:class:`~repro.storage.resilient.RetrievalError` after retries and the
@@ -109,6 +109,8 @@ class ProgressiveSession:
         self._convergence = ConvergenceLog(capacity=convergence_capacity)
         #: Chunks landed but not yet folded in, and their keys (:meth:`_fold`).
         self._unfolded, self._unfolded_keys = [], 0
+        #: Landings not recorded yet, their records, those dropped (:meth:`_record`).
+        self._landings, self._landed, self._lost = [], 0, 0
         self._retrieved = np.zeros(self.plan.num_keys, dtype=bool)
         self._skipped = np.zeros(self.plan.num_keys, dtype=bool)
         self._skipped_count = 0
@@ -138,7 +140,7 @@ class ProgressiveSession:
     @property
     def convergence(self) -> ConvergenceLog:
         """One ``(B, retrievals, bound, wall_time)`` event per coefficient."""
-        self._fold()
+        self._record()
         return self._convergence
 
     @property
@@ -281,9 +283,10 @@ class ProgressiveSession:
     def _serve(self, positions: np.ndarray) -> None:
         """One gather of ``positions``, landed; abandoned keys are skipped."""
         values, failed = fetch_degrading(self.storage.store, self.plan.keys[positions])
+        served = self.stamp()
         for lo, hi in available_runs(positions.size, failed):
             if hi > lo:
-                self._apply_batch(positions[lo:hi], values[lo:hi])
+                self._apply_batch(positions[lo:hi], values[lo:hi], served)
             if hi < positions.size:
                 self.skip_many(self.plan.keys[positions[hi : hi + 1]])
 
@@ -311,12 +314,14 @@ class ProgressiveSession:
         if keys.size > 1 and np.unique(keys).size != keys.size:
             raise ValueError("deliver_many requires distinct keys")
         pos, found = self._locate(keys)
-        return self.deliver_at(np.where(found, pos, -1), coefficients)
+        return self.deliver_at(np.where(found, pos, -1), coefficients, self.stamp())
 
-    def deliver_at(self, positions: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    def deliver_at(self, positions: np.ndarray, coefficients: np.ndarray, served) -> np.ndarray:
         """:meth:`deliver_many` by distinct master positions (-1: not in
         the master list), which the shared scheduler's union index found
-        once for every session.  Both arrays are kept until the fold."""
+        once for every session.  Both arrays are kept until the fold.
+        ``served`` is the serve's :meth:`stamp`, or per-position columns
+        of them (NaN clock: none), that the keys' records keep."""
         if not self.plan.num_keys:
             return np.zeros(positions.size, dtype=bool)
         applied = (positions >= 0) & ~self._retrieved[positions]
@@ -325,6 +330,8 @@ class ProgressiveSession:
             return applied
         if count < positions.size:
             positions, coefficients = positions[applied], coefficients[applied]
+            if served is not None:
+                served = tuple(c[applied] if isinstance(c, np.ndarray) else c for c in served)
         if self._skipped_count:
             # Keys may come back (another session's fetch succeeded after
             # ours was abandoned): they leave the skipped bound mass.
@@ -334,8 +341,16 @@ class ProgressiveSession:
                 self._skipped_count -= came_back
                 self._skipped_max_iota = self._max_skipped_iota()
         self.costs.add(deliveries=count)
-        self._apply_batch(positions, coefficients)
+        self._apply_batch(positions, coefficients, served)
         return applied
+
+    def stamp(self) -> tuple[float, int] | None:
+        """What a convergence record keeps of a serve: its clock and the
+        store's retrieval count (-1: none); None while telemetry is off."""
+        if not _telemetry_enabled():
+            return None
+        stats = getattr(self.storage.store, "stats", None)
+        return time.perf_counter(), -1 if stats is None else stats.retrievals
 
     def skip(self, key: int) -> bool:
         """The one-key form of :meth:`skip_many`: True when ``key`` was pending."""
@@ -393,9 +408,9 @@ class ProgressiveSession:
         """Re-rank the remaining retrievals under a new penalty.
 
         Progress is kept; only the order of future retrievals changes.
-        Landed chunks fold first: their bounds are under the old ranking.
+        Landed chunks' records are written first, under the old ranking.
         """
-        self._fold()
+        self._record()
         self.penalty = penalty
         self._rank()
         self._skipped_max_iota = self._max_skipped_iota()
@@ -480,37 +495,34 @@ class ProgressiveSession:
     # Internals
     # ------------------------------------------------------------------
 
-    def _apply_batch(self, positions: np.ndarray, coefficients: np.ndarray) -> None:
-        """Land a chunk: the bookkeeping now, the estimates and records at
-        the next read (:meth:`_fold`), with the facts a record needs that
-        may change before then — the landing's clock, the store's retrieval
-        count (-1: none), ``K**alpha`` — or None while telemetry is off.
+    def _apply_batch(self, positions: np.ndarray, coefficients: np.ndarray, served) -> None:
+        """Land a chunk: the bookkeeping now, the estimates (:meth:`_fold`)
+        and records (:meth:`_record`) when read, the records from the
+        ``served`` stamp and ``K**alpha``.  Landings older than the log's
+        capacity of records are dropped, counted; one with no stamp
+        (telemetry off) is kept behind one with records, which it bounds.
         :data:`MAX_CHUNK_KEYS` unfolded keys fold at once: the flush rule."""
-        with stage("apply", self.costs) as landing:
+        with stage("apply", self.costs):
             self._retrieved[positions] = True
             self._coefficients[positions] = coefficients
             self._steps_taken += int(positions.size)
-            stats = getattr(self.storage.store, "stats", None)
-            facts = (
-                landing.t0, -1 if stats is None else stats.retrievals, self._k_alpha()
-            ) if landing is not None and _telemetry_enabled() else None
-            self._unfolded.append((positions, coefficients, facts))
+            self._unfolded.append((positions, coefficients))
             self._unfolded_keys += positions.size
+            if served is not None or self._landings:
+                at, retrievals = (np.nan, -1) if served is None else served
+                records = int((at == at) * positions.size if np.isscalar(at) else np.count_nonzero(at == at))
+                self._landings.append((positions, at, retrievals, self._k_alpha(), records))
+                self._landed += records
+                while self._landed - (oldest := self._landings[0][4]) >= self._convergence.capacity:
+                    del self._landings[0]
+                    self._landed, self._lost = self._landed - oldest, self._lost + oldest
         if self._unfolded_keys >= MAX_CHUNK_KEYS:
             self._fold()
 
     def _fold(self) -> None:
-        """Bring the estimates and the convergence log up to date.
-
-        Replays the landed chunks in order: one ``chunk_segments``, one
-        ``np.add.at`` (it adds in array order: bit-identical to one key at
-        a time) and one ``record_many``.  A key's bound is
-        ``K**alpha`` times the most important key not retrieved once it
-        landed: of the keys landed later and those not retrieved now.
-        Only landings retrieve keys, so that is exact while importances
-        hold still — :meth:`set_penalty` folds first; skips and retries
-        only move keys between pending and skipped.
-        """
+        """Bring the estimates up to date: replays the landed chunks in
+        order with one ``chunk_segments`` and one ``np.add.at`` (it adds in
+        array order: bit-identical to one key at a time)."""
         if not self._unfolded:
             return
         # The landings counted the calls; a fold adds only its time.
@@ -520,23 +532,37 @@ class ProgressiveSession:
             coefficients = np.concatenate([chunk[1] for chunk in backlog])
             qid, val, counts = self.plan.chunk_segments(positions)
             np.add.at(self._estimates, qid, val * np.repeat(coefficients, counts))
-            if any(chunk[2] for chunk in backlog):
-                at, retrievals, k_alpha = np.repeat(
-                    [chunk[2] or (np.nan, -1, 0.0) for chunk in backlog],
-                    [chunk[0].size for chunk in backlog], axis=0,
-                ).T
-                # A running max from the right: the keys landed later, then
-                # the most important key not retrieved (pending or skipped).
-                tail = np.append(self._importance[positions[1:]], self._next_iota())
-                next_iota = np.maximum.accumulate(tail[::-1])[::-1]
-                bounds = k_alpha * next_iota
-                if next_iota[-1] <= 0.0:  # non-increasing: zeros are a tail
-                    bounds[next_iota <= 0.0] = 0.0
-                steps = np.arange(self._steps_taken - positions.size, self._steps_taken) + 1
-                keep = ~np.isnan(at)  # landed while telemetry was on
-                self._convergence.record_many(*(column[keep] for column in (
-                    steps, np.where(retrievals < 0, steps, retrievals), bounds, at
-                )))
+
+    def _record(self) -> None:
+        """Write the records of the landings since the last write.
+
+        A key's bound is ``K**alpha`` times the most important key not
+        retrieved once it landed: of the keys landed later and those not
+        retrieved now.  Only landings retrieve keys, so that is exact
+        while importances hold still (:meth:`set_penalty` records first).
+        """
+        if not self._landings:
+            return
+        with stage("apply", self.costs, calls=0):
+            landings, lost = self._landings, self._lost
+            self._landings, self._landed, self._lost = [], 0, 0
+            positions = np.concatenate([landing[0] for landing in landings])
+            at, retrievals, k_alpha = (np.concatenate([
+                fact if isinstance(fact := landing[i], np.ndarray) else np.full(landing[0].size, fact)
+                for landing in landings
+            ]) for i in (1, 2, 3))
+            # A running max from the right: the keys landed later, then
+            # the most important key not retrieved (pending or skipped).
+            tail = np.append(self._importance[positions[1:]], self._next_iota())
+            next_iota = np.maximum.accumulate(tail[::-1])[::-1]
+            bounds = k_alpha * next_iota
+            if next_iota[-1] <= 0.0:  # non-increasing: zeros are a tail
+                bounds[next_iota <= 0.0] = 0.0
+            steps = np.arange(self._steps_taken - positions.size, self._steps_taken) + 1
+            keep = ~np.isnan(at)  # landed while telemetry was on
+            self._convergence.record_many(*(column[keep] for column in (
+                steps, np.where(retrievals < 0, steps, retrievals), bounds, at
+            )), lost=lost)
 
     def _locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Master-list positions of ``keys`` and which are in the list."""

@@ -124,12 +124,13 @@ class ConvergenceLog:
         """Append one event: the one-element form of :meth:`record_many`."""
         self.record_many([steps_taken], [retrievals], [worst_case_bound])
 
-    def record_many(self, steps, retrievals, bounds, at=None) -> None:
+    def record_many(self, steps, retrievals, bounds, at=None, lost: int = 0) -> None:
         """Append one event per element of the aligned columns, in order
         (no-op while telemetry is disabled).  ``at`` gives each record's
         landing ``perf_counter`` time (a late recorder checked the switch
         then); by default they share one ``wall_time``, now.  Overflow
-        drops the oldest, counted once per call.
+        drops the oldest, counted once per call, ``lost`` earlier records
+        that were never kept (``capacity`` or more follow them) included.
         """
         n = len(steps)
         if not n or (at is None and not _switch.enabled):
@@ -139,7 +140,7 @@ class ConvergenceLog:
         if keep < n:  # only the newest can survive
             steps, retrievals, bounds, wall = (c[-keep:] for c in (steps, retrievals, bounds, wall))
         with self._lock:
-            written = self._written + n
+            written = self._written + lost + n
             stop = (written - 1) % self.capacity + 1  # one past the newest
             # Contiguous unless the chunk wraps the ring; then the negative
             # indices reach back from its end.
@@ -149,7 +150,7 @@ class ConvergenceLog:
             self._bounds[slots] = bounds
             self._walls[slots] = wall
             self._written = written
-        dropped = min(n, written - self.capacity)
+        dropped = min(lost + n, written - self.capacity)
         if dropped > 0:
             _RECORDS_DROPPED.inc(dropped)
 

@@ -50,9 +50,14 @@ order from its cursor (no sort, no copy).  A chunk is then:
 * **fetch** — :func:`~repro.storage.resilient.fetch_degrading`: one store
   gather for the uncached keys; an abandoned gather degrades to per-key
   fetches so only the still-failing keys are skipped;
-* **apply** — one :meth:`ProgressiveSession.deliver_at` per (session, run
-  of available keys): it lands the keys, and the session folds them into
-  its estimates and convergence records when those are read.
+* **apply** — one :meth:`ProgressiveSession.deliver_at` per run of
+  available keys into the advancing session; every other session keeps
+  the run in an *inbox* and lands all of it with one ``deliver_at`` when
+  next read (:meth:`land`), so a shared advance costs one session's work.
+
+Without a deadline or a chunk cap, an advance ends by reading ahead the
+first L keys of the schedule's head, L the longest last pick of a live
+session: whichever session advances next, its pick is a prefix of them.
 
 Answers, delivery order, counters, and degraded-state semantics are
 identical for every ``chunk_size`` (1 reproduces the fetch-per-coefficient
@@ -63,7 +68,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -87,6 +92,10 @@ class _Registration:
     #: Union index -> master position (-1: not in this master list);
     #: None while this is the only live session (the identity).
     row: np.ndarray | None = None
+    #: ``(picked, values, cached, stamp)`` runs served, not landed here yet.
+    inbox: list = field(default_factory=list)
+    #: Keys picked by this session's last advance.
+    picked: int = 0
 
 
 class SharedRetrievalScheduler:
@@ -174,6 +183,7 @@ class SharedRetrievalScheduler:
             reg = self._registrations.pop(sid, None)
             if reg is None:
                 return
+            self._land(reg)
             self._live_sessions.dec(scheduler=self._instance)
             keys = reg.session.plan.keys[reg.held]
             kept = np.zeros(keys.size, dtype=bool)
@@ -206,6 +216,7 @@ class SharedRetrievalScheduler:
         marks (a shed shard's slice), and rebuild the queue without them
         so no later chunk asks the store for one."""
         with self._lock:
+            self.land()
             for reg in self._registrations.values():
                 keys, _ = reg.session.pending()
                 reg.session.skip_many(keys[lost(keys)])
@@ -227,10 +238,19 @@ class SharedRetrievalScheduler:
         the store abandoned their fetch — the affected sessions degrade,
         their Theorem-1 bounds staying valid, instead of crashing the loop.
         """
-        return {
-            name: int(counter.value(scheduler=self._instance))
-            for name, counter in self._counters.items()
-        }
+        with self._lock:  # no serve between the landing and the read
+            self.land()
+            return {
+                name: int(counter.value(scheduler=self._instance))
+                for name, counter in self._counters.items()
+            }
+
+    def land(self, sid: int | None = None) -> None:
+        """Land session ``sid``'s inbox (None: every one): whoever reads a
+        session or :meth:`counts` lands first, so no count is seen lagging."""
+        with self._lock:
+            for reg in self._registrations.values() if sid is None else (self._registrations[sid],):
+                self._land(reg)
 
     def _count(self, name: str, amount: int = 1) -> None:
         self._counters[name].inc(amount, scheduler=self._instance)
@@ -260,17 +280,21 @@ class SharedRetrievalScheduler:
         """
         with self._lock:
             reg = self._registrations[sid]
+            self._land(reg)
+            reg.picked = 0
             # The driving session's loop with this schedule's pick and serve:
             # it pays for the fetches it requested and any retries, though
             # other sessions receive coefficients along the way; their
             # accounts are charged deliveries/cache hits as they land.
             gained = reg.session._drive(
-                k, deadline, self.chunk_size, partial(self._pick, reg), self._serve_batch
+                k, deadline, self.chunk_size, partial(self._pick, reg),
+                partial(self._serve_batch, reg),
             )
-            # Send this session's next pick while this advance folds and replies.
+            # Send the schedule's next keys while this advance folds and replies.
             read_ahead = None if self.chunk_size else getattr(self.store, "read_ahead", None)
-            if read_ahead and deadline is None and len(self._registrations) == 1:
-                read_ahead(lambda: self._uncached(self._pick(reg, k, MAX_CHUNK_KEYS)))
+            if read_ahead and deadline is None:
+                span = max(other.picked for other in self._registrations.values())
+                read_ahead(lambda: self._uncached(self._pick(None, span, MAX_CHUNK_KEYS)))
             return gained
 
     # ------------------------------------------------------------------
@@ -282,6 +306,7 @@ class SharedRetrievalScheduler:
         importance desc, key asc (a stable sort of ascending union
         indices) — after the union index if ``union`` (a registration).
         One live session: its master list, identity rows, its order."""
+        self.land()
         regs = list(self._registrations.values())
         if len(regs) < 2:
             self._union = regs[0].session.plan.keys if regs else None
@@ -308,19 +333,21 @@ class SharedRetrievalScheduler:
         self._done = np.zeros(self._union.size, dtype=bool)
         self._cursor = 0
 
-    def _pick(self, reg: _Registration, need: int, limit: int) -> np.ndarray:
+    def _pick(self, reg: _Registration | None, need: int, limit: int) -> np.ndarray:
         """Union indices of the merged pending order up to the key that
         brings ``reg``'s session its ``need``-th gain, at most ``limit``.
 
         Every key it lacks is a gain, pending or skipped (a delivery
         un-skips it); lacking nothing pending anywhere (degraded), it is
         served the merged remainder.  One live session: its own head.
+        ``reg`` None: every key is a gain (the schedule's head).
         """
         if self._queue is None:
-            return reg.session._head(need, limit)
-        queue, done, retrieved = self._queue, self._done, reg.session._retrieved
+            only = reg or next(iter(self._registrations.values()))
+            return only.session._head(need, limit)
+        queue, done = self._queue, self._done
         scan, width, blocks, gains = self._cursor, need, [], 0
-        while scan < queue.size and limit:  # doubling blocks past done keys
+        while need and scan < queue.size and limit:  # doubling blocks past done keys
             block = queue[scan : scan + width]
             scan, width = scan + block.size, width * 2
             block = block[~done[block]][:limit]
@@ -328,8 +355,9 @@ class SharedRetrievalScheduler:
                 if not blocks:
                     self._cursor = scan  # a done prefix: never scanned again
                 continue
-            pos = reg.row[block]
-            gained = np.cumsum((pos >= 0) & ~retrieved[pos])
+            gained = np.arange(1, block.size + 1) if reg is None else np.cumsum(
+                ((pos := reg.row[block]) >= 0) & ~reg.session._retrieved[pos]
+            )
             if gains + gained[-1] >= need:
                 blocks.append(block[: int(np.searchsorted(gained, need - gains)) + 1])
                 break
@@ -342,7 +370,7 @@ class SharedRetrievalScheduler:
         keys = self._union[picked]
         return keys[[key not in self._coefficients for key in keys.tolist()]]
 
-    def _serve_batch(self, picked: np.ndarray) -> None:
+    def _serve_batch(self, driver: _Registration, picked: np.ndarray) -> None:
         """Fetch and deliver one chunk of picked union indices, in serve
         order.
 
@@ -351,8 +379,9 @@ class SharedRetrievalScheduler:
         per-key fallback).  Deliveries are applied as maximal runs of
         available keys between failures, so per-session estimate
         updates, counters, and bound records land in exactly the scalar
-        order.
+        order: into ``driver`` now, into the others' inboxes.
         """
+        driver.picked += picked.size
         keys = self._union[picked]
         cache = self._coefficients
         cached = np.array([key in cache for key in keys.tolist()], dtype=bool)
@@ -369,9 +398,15 @@ class SharedRetrievalScheduler:
             fetched = np.delete(missing, lost) if lost else missing
             cache.update(zip(keys[fetched].tolist(), values[fetched].tolist()))
             self._count("retrievals", fetched.size)
+        stamp = driver.session.stamp()
         for lo, hi in available_runs(keys.size, failed):
             if hi > lo:
-                self._deliver_run(picked[lo:hi], values[lo:hi], cached[lo:hi])
+                run = (picked[lo:hi], values[lo:hi], cached[lo:hi], stamp)
+                for reg in self._registrations.values():
+                    if reg is driver:
+                        self._deliver(reg, *run)
+                    else:
+                        reg.inbox.append(run)
             # An abandoned key is skipped by every session waiting on it.
             if hi < keys.size and sum(
                 reg.session.skip_many(keys[hi : hi + 1])
@@ -381,22 +416,26 @@ class SharedRetrievalScheduler:
         if self._done is not None:  # delivered or skipped wherever pending
             self._done[picked] = True
 
-    def _deliver_run(
-        self, picked: np.ndarray, values: np.ndarray, cached: np.ndarray
-    ) -> None:
-        deliveries = cache_deliveries = 0
-        any_cached = cached.any()
-        for reg in self._registrations.values():
-            positions = picked if reg.row is None else reg.row[picked]
-            applied = reg.session.deliver_at(positions, values)
-            deliveries += int(np.count_nonzero(applied))
-            hits = int(np.count_nonzero(applied & cached)) if any_cached else 0
-            if hits:
-                cache_deliveries += hits
-                # The receiving session got the keys without any I/O:
-                # cross-session cache hits on *its* account.
-                reg.session.costs.add(cache_hits=hits)
+    def _land(self, reg: _Registration) -> None:
+        """Deliver ``reg``'s inbox as one run, each key keeping its serve's stamp."""
+        inbox, reg.inbox = reg.inbox, []
+        if inbox:
+            picked, values, cached = (np.concatenate([run[i] for run in inbox]) for i in range(3))
+            stamps = [run[3] or (np.nan, -1) for run in inbox]
+            stamp = tuple(
+                np.repeat(column, [run[0].size for run in inbox]) for column in zip(*stamps)
+            ) if any(run[3] for run in inbox) else None
+            self._deliver(reg, picked, values, cached, stamp)
+
+    def _deliver(self, reg: _Registration, picked, values, cached, stamp) -> None:
+        positions = picked if reg.row is None else reg.row[picked]
+        applied = reg.session.deliver_at(positions, values, stamp)
+        deliveries = int(np.count_nonzero(applied))
         if deliveries:
             self._count("deliveries", deliveries)
-        if cache_deliveries:
-            self._count("cache_deliveries", cache_deliveries)
+        hits = int(np.count_nonzero(applied & cached)) if cached.any() else 0
+        if hits:
+            self._count("cache_deliveries", hits)
+            # The receiving session got the keys without any I/O:
+            # cross-session cache hits on *its* account.
+            reg.session.costs.add(cache_hits=hits)

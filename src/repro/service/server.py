@@ -302,9 +302,11 @@ class ProgressiveQueryService:
 
     def _session(self, session_id: str) -> _Entry:
         try:
-            return self._sessions[session_id]
+            entry = self._sessions[session_id]
         except KeyError:
             raise KeyError(f"unknown or cancelled session {session_id!r}") from None
+        self.scheduler.land(entry.sid)  # every session method reads it landed
+        return entry
 
     def _unavailable(self, keys: np.ndarray) -> np.ndarray:
         """Mask of ``keys`` nobody can serve right now.

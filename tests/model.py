@@ -10,11 +10,12 @@ re-queue — is still live.  ``chunk_size`` appears nowhere: it must not
 be observable.
 
 A front that reads ahead (process shards, no chunk cap) sends, at the
-end of an advance with one live session, the next ``k`` uncached keys
-of that session's order.  The next store touch uses it when it asks for
-exactly those keys and every one is served (none dark) — the first
-gather of an advance is the merged order up to the target's ``k``-th
-gain, less the cache — and drops it otherwise.
+end of every advance, the uncached keys among the first L of the merged
+order, L the most keys any live session's last advance visited.  The
+next gather — the first of an advance: the merged order up to the
+target's ``k``-th gain, less the cache — uses the longest common prefix
+of its keys and the read-ahead, unless a read-ahead key is dark (then
+none), and drops the rest; the next read-ahead drops one no gather met.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ class Model:
         self.reads_ahead, self.ahead = reads_ahead, None
         self.used = self.unused = 0
         self.dropped = []
+        #: Keys each live session's last advance visited (served or skipped).
+        self.visited = {}
 
     def order(self):
         """Keys pending anywhere, by (max pending importance desc, key)."""
@@ -111,6 +114,7 @@ class Model:
 
     def cancel(self, sid):
         gone, live = self.sessions.pop(sid), self.sessions.values()
+        self.visited.pop(sid, None)
         for key in gone.held & set(self.cache):
             if not any(key in s.held for s in live):
                 del self.cache[key]
@@ -118,16 +122,20 @@ class Model:
     def advance(self, sid, k):
         target, live = self.sessions[sid], self.sessions.values()
         if self.ahead and (gather := self.first_gather(sid, k)):
-            if gather == self.ahead and not self.blackout & set(gather):
-                self.used += len(gather)
-                self.ahead = None
+            used = 0
+            if not self.blackout & set(self.ahead):  # a failed read-ahead supplies nothing
+                while used < min(len(gather), len(self.ahead)) and gather[used] == self.ahead[used]:
+                    used += 1
+            self.used += used
+            self.ahead = self.ahead[used:]
             self.drop()
-        start = len(target.retrieved)
+        start, self.visited[sid] = len(target.retrieved), 0
         while len(target.retrieved) - start < k and target.retrieved != target.keys:
             heads = [(-s.iota[key], key) for s in live for key in s.pending()]
             if not heads:
                 break
             key = min(heads)[1]
+            self.visited[sid] += 1
             hit = key in self.cache
             if not hit and key in self.blackout:
                 for s in live:
@@ -144,9 +152,8 @@ class Model:
                     s.records.append((len(s.retrieved), s.bound(self.k_const)))
                     self.deliveries += 1
                     self.cache_deliveries += hit
-        if self.reads_ahead and len(self.sessions) == 1:
-            keys = [key for key in self.order()[:k] if key not in self.cache]
-            if keys != self.ahead:
-                self.drop()
-                self.ahead = keys or None
+        if self.reads_ahead:
+            span = max(self.visited.values())
+            self.drop()
+            self.ahead = [key for key in self.order()[:span] if key not in self.cache] or None
         return len(target.retrieved) - start

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,12 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs import REGISTRY, ConvergenceLog
+from repro.core.penalties import CursoredSsePenalty
 from repro.core.session import ProgressiveSession
 from repro.data.synthetic import uniform_dataset
 from repro.queries.workload import partition_count_batch
 from repro.service.server import ProgressiveQueryService
+from repro.storage.faults import chaos_stack
 from repro.storage.wavelet_store import WaveletStorage
 
 SHAPE = (16, 16)
@@ -166,3 +170,71 @@ class TestServiceConvergence:
         assert trajectory[-1].worst_case_bound == pytest.approx(
             snapshot.worst_case_bound
         )
+
+
+class TestRecordsWrittenWhenRead:
+    def test_a_trajectory_read_once_equals_one_read_after_every_advance(self):
+        """Records are written when the log is read.  Reading it after
+        every advance or only at the end gives the same steps,
+        retrievals, bounds, ``dropped`` and dropped counter — across a
+        skip and its retry, a penalty switch, more than ``capacity`` keys
+        between two reads and a stretch with telemetry off."""
+        relation = uniform_dataset((128, 128), 16000, seed=2)
+        storage = WaveletStorage.build(relation.frequency_distribution(), wavelet="db2")
+        batches = [
+            partition_count_batch((128, 128), (6, 6), rng=np.random.default_rng(seed))
+            for seed in (3, 4)
+        ]
+        first = ProgressiveSession(storage, batches[0])
+        keys = first.upcoming(40)[0]
+        dark = int(keys[np.isin(keys, ProgressiveSession(storage, batches[1]).plan.keys)][-1])
+        capacity = first._convergence.capacity
+        assert first.plan.num_keys > capacity
+        dropped_total = REGISTRY.get("repro_convergence_records_dropped_total")
+
+        def run(read_every_advance: bool):
+            storage.reset_stats()  # the records' retrievals count from zero
+            store = chaos_stack(storage.store, {"blackout_keys": [dark], "max_attempts": 2})
+            service = ProgressiveQueryService(storage.with_store(store))
+            sids = [service.submit(batch) for batch in batches]
+            before = dropped_total.value()
+            rounds = 0
+            try:
+                while any(not service.poll(sid).is_exact for sid in sids):
+                    rounds += 1
+                    if rounds == 2:
+                        service.set_penalty(
+                            sids[1], CursoredSsePenalty(batches[1].size, high_priority=[2])
+                        )
+                    if rounds == 18 and not read_every_advance:  # dropped past the capacity
+                        assert all(service._session(sid).session._lost for sid in sids)
+                    obs.set_enabled(not 18 <= rounds < 20)
+                    if rounds == 12:
+                        assert sum(service.poll(sid).skipped_count for sid in sids) == 2
+                        store.inner.heal()
+                        assert sum(service.retry_skipped(sid) for sid in sids) == 2
+                    # Round 22 serves the second session three runs in a row.
+                    for sid in sids if rounds != 22 else [sids[0]] * 3 + sids:
+                        service.advance(sid, 32)
+                        if read_every_advance:
+                            for other in sids:
+                                service.convergence(other)
+            finally:
+                obs.set_enabled(True)
+            trajectories = [service.convergence(sid) for sid in sids]
+            rows = [
+                [(r.steps_taken, r.retrievals, r.worst_case_bound) for r in trajectory]
+                for trajectory in trajectories
+            ]
+            return rows, [t.dropped for t in trajectories], dropped_total.value() - before
+
+        once, every = run(False), run(True)
+        assert once == every
+        json.dumps(REGISTRY.to_json())  # the dropped counter holds plain ints
+        rows, dropped, counted = once
+        assert min(dropped) > 0 and counted == sum(dropped)
+        assert all(len(r) == capacity for r in rows)
+        for r, batch in zip(rows, batches):  # telemetry off left a gap
+            steps = np.array([row[0] for row in r])
+            assert np.diff(steps).max() > 1
+            assert steps[-1] == ProgressiveSession(storage, batch).plan.num_keys

@@ -1,15 +1,18 @@
 """Read-ahead over real process shards, refereed by inline shards.
 
-With one live session the router sends the shards the pick of the next
-``advance(k)`` before it replies (``ShardedStore.read_ahead``), and the
-next fetch of exactly those keys collects the replies.  Inline shards
-never read ahead, so every scenario here runs twice — over two spawned
-process shards and over two inline shards — and the runs must agree at
-every poll, bit for bit: estimates, Theorem-1 bound, ``steps_taken``,
-skipped keys and scheduler counts.  Both runs must also make the same
-store calls.  The used and unused read-ahead keys are exact literals,
-derived in each test from the rule: a read-ahead is used when the next
-fetch asks for exactly its keys and dropped unused otherwise.
+Before it replies, the router sends the shards the uncached keys among
+the first L of the schedule's head (``ShardedStore.read_ahead``), L the
+longest pick of any live session's last advance: with one session and a
+constant ``k``, the pick of the next ``advance(k)``.  The next fetch
+collects the longest common prefix of its keys and the read-ahead and
+gathers the rest behind it.  Inline shards never read ahead, so every
+scenario here runs twice — over two spawned process shards and over two
+inline shards — and the runs must agree at every poll, bit for bit:
+estimates, Theorem-1 bound, ``steps_taken``, skipped keys and scheduler
+counts.  Both runs must also make the same store calls.  The used and
+unused read-ahead keys are exact literals, derived in each test from the
+rule: the common prefix is used (none of a read-ahead that failed), the
+rest of the read-ahead is dropped unused.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ DATA = np.random.default_rng(9).poisson(2.0, size=(32, 32)).astype(float)
 STORAGE = WaveletStorage.build(DATA, wavelet="db2")
 #: 400 master keys, 16 queries.
 BATCH = partition_count_batch((32, 32), (4, 4), rng=np.random.default_rng(2))
-OTHER = partition_count_batch((32, 32), (3, 2), rng=np.random.default_rng(5))
 KEYS = 400
 
 
@@ -118,18 +120,19 @@ def head(run: Run, sid: str, k: int) -> list[int]:
 
 class TestConstantAndChangingK:
     @pytest.mark.parametrize(
-        "ks, used, unused",
+        "ks, used, unused, behind",
         [
             # Every chunk after the first arrives read ahead.
-            ([64] * 7, KEYS - 64, 0),
-            # 32, 32 (used), 64 (32 unused), 16 (64 unused), 16 (used),
-            # 48 (16 unused), then four 48s to exact (used).
-            ([32, 32, 64, 16, 16] + [48] * 5, 32 + 16 + 192, 32 + 64 + 16),
+            ([64] * 7, KEYS - 64, 0, 0),
+            # 32, 32 (used), 64 (the 32 read ahead used, 32 behind), 16
+            # (16 of the 64 used, 48 unused), 16 (used), 48 (16 used, 32
+            # behind), then four 48s to exact (used).
+            ([32, 32, 64, 16, 16] + [48] * 5, 32 + 32 + 16 + 16 + 16 + 192, 48, 32 + 32),
         ],
         ids=["constant", "changing"],
     )
     def test_every_used_read_ahead_is_the_pick_of_its_advance(
-        self, tmp_path, ks, used, unused
+        self, tmp_path, ks, used, unused, behind
     ):
         def script(run):
             sid = run.router.submit(BATCH)
@@ -143,7 +146,8 @@ class TestConstantAndChangingK:
 
         run = twin(tmp_path, script)
         assert run.counts() == (used, unused)
-        assert sum(map(len, run.used)) == used
+        # A pick longer than the read-ahead gathers the rest behind it.
+        assert sum(map(len, run.used)) == used + behind
 
 
 class TestThePickChanges:
@@ -165,33 +169,62 @@ class TestThePickChanges:
 
         def script(run):
             sid = run.router.submit(BATCH)
-            run.advance(sid, 32)  # the dark key is skipped
+            run.advance(sid, 32)  # the dark key is skipped: 33 picked
             assert run.router.retry_skipped(sid) == 1
             run.poll()
-            run.advance(sid, 32)  # it leads the pick again: 32 unused
-            run.advance(sid, 32)  # used
+            run.advance(sid, 32)  # it leads the pick again: 33 unused
+            run.advance(sid, 32)  # 32 of 33 used, 1 unused
             assert run.router.poll(sid).skipped_count == 1
 
         chaos = {"blackout_keys": [dark], "max_attempts": 2}
         # The read-ahead left by the last advance is dropped at close.
-        assert twin(tmp_path, script, chaos=chaos).counts() == (32, 32 + 32)
+        assert twin(tmp_path, script, chaos=chaos).counts() == (32, 33 + 1 + 32)
 
-    def test_a_second_submit_drops_the_read_ahead_and_stops_it(self, tmp_path):
+
+class TestSeveralSessions:
+    def test_round_robin_over_three_sessions_only_collects_after_the_first_fetch(
+        self, tmp_path
+    ):
+        """Three sessions of one master list under three penalties: every
+        key not done is a gain for each, so every pick is ``k`` keys of
+        the merged order, and every fetch after the first is the
+        read-ahead's prefix."""
+        penalties = [
+            SsePenalty(),
+            CursoredSsePenalty(BATCH.size, high_priority=[0]),
+            CursoredSsePenalty(BATCH.size, high_priority=[9]),
+        ]
+
         def script(run):
-            a = run.router.submit(BATCH)
-            run.advance(a, 32)
-            run.advance(a, 32)  # used
-            b = run.router.submit(OTHER)
-            run.poll()
-            run.advance(a, 32)  # merged with b's keys: 32 unused
-            run.advance(b, 32)  # two live sessions: nothing read ahead
-            run.advance(a, 32)
-            run.router.cancel(b)
-            run.advance(a, 32)  # one live session again: sends ...
-            run.advance(a, 32)  # ... and this one uses it
+            sids = [run.router.submit(BATCH, penalty) for penalty in penalties]
+            run.collected = []
+            while not run.router.poll(sids[0]).is_exact:
+                for sid in sids:
+                    used = run.counts()[0]
+                    run.advance(sid, 32)
+                    run.collected.append((len(run.fetched[-1]), run.counts()[0] - used))
 
-        # The read-ahead left by the last advance is dropped at close.
-        assert twin(tmp_path, script).counts() == (64, 32 + 32)
+        run = twin(tmp_path, script)
+        # 400 keys in 32-key picks: the first fetch, then twelve collected
+        # in full, the last the 16 keys left at the head.
+        assert run.collected[:13] == [(32, 0)] + [(32, 32)] * 11 + [(16, 16)]
+        assert len(run.fetched) == 13
+        assert run.counts() == (KEYS - 32, 0)
+
+    def test_a_k_change_uses_the_common_prefix(self, tmp_path):
+        def script(run):
+            sid, other = run.router.submit(BATCH), run.router.submit(BATCH)
+            run.steps = []
+            for target, k in ((sid, 32), (other, 64), (sid, 16), (other, 16), (sid, 48)):
+                before = run.counts()
+                run.advance(target, k)
+                run.steps.append(tuple(now - was for now, was in zip(run.counts(), before)))
+
+        # Every pick is k keys (one master list).  32: nothing ahead.  64:
+        # the 32 read ahead used, 32 behind; 64 read ahead.  16: 16 used,
+        # 48 unused; 64 read ahead (the other's last pick).  16: 16 used,
+        # 48 unused; both last picks are 16.  48: the 16 used, 32 behind.
+        assert twin(tmp_path, script).steps == [(0, 0), (32, 0), (16, 48), (16, 48), (16, 0)]
 
 
 class TestOutstandingAtTheEnd:
@@ -345,15 +378,12 @@ class TestShardKilledAfterAnsweringAReadAhead:
 
 
 class TestNoReadAhead:
-    @pytest.mark.parametrize("how", ["deadline", "chunk_size", "two_sessions"])
+    @pytest.mark.parametrize("how", ["deadline", "chunk_size"])
     def test_the_counter_stays_zero(self, tmp_path, how):
         options = {"chunk_size": 64} if how == "chunk_size" else {}
 
         def script(run):
             sid = run.router.submit(BATCH)
-            if how == "two_sessions":
-                other = run.router.submit(OTHER)
-                run.advance(other, 32)
             for _ in range(4):
                 if how == "deadline":
                     run.advance(sid, 32, deadline=60.0)

@@ -7,11 +7,16 @@ import threading
 import numpy as np
 import pytest
 
+from repro.cluster import build_cluster
 from repro.core.batch import BatchBiggestB
 from repro.core.penalties import CursoredSsePenalty
-from repro.queries.workload import partition_count_batch
+from repro.core.session import ProgressiveSession
+from repro.obs import MetricRegistry
+from repro.queries.range import HyperRect
+from repro.queries.workload import drill_down_batch, partition_count_batch
 from repro.service.server import ProgressiveQueryService
 from repro.storage.wavelet_store import WaveletStorage
+from tests.promparse import parse_prometheus
 
 
 @pytest.fixture
@@ -258,3 +263,100 @@ class TestTelemetry:
         # Latency histograms saw the traffic.
         assert registry.get("repro_service_submit_seconds").count() >= 1
         assert registry.get("repro_scheduler_fetch_seconds").count() > 0
+
+
+class TestLazyLanding:
+    """A run another session's advance served lands in a session when it
+    is next read.  No read may tell: a twin that polls every session
+    after every advance lands every run at once."""
+
+    def test_a_lazy_landing_cannot_be_seen(self, tmp_path):
+        data = np.random.default_rng(7).poisson(3.0, size=(32, 32)).astype(float)
+        storage = WaveletStorage.build(data, wavelet="db2")
+        parent = HyperRect(((4, 27), (2, 29)))
+        batches = [
+            drill_down_batch(parent, (3, 3), rng=np.random.default_rng(seed))
+            for seed in range(4)
+        ]
+        dark = int(ProgressiveSession(storage, batches[1]).upcoming(40)[0][-1])
+
+        def run(eager: bool):
+            name = "eager" if eager else "lazy"
+            router = build_cluster(
+                storage, tmp_path / f"{name}.pages", 2, process_shards=False,
+                buffer_pages=16, registry=MetricRegistry(),
+                chaos={"blackout_keys": [dark], "max_attempts": 2},
+            )
+            scheduler, polls, middle = router.scheduler, [], []
+
+            def metrics_deliveries():  # what /metrics reports
+                _, samples = parse_prometheus(router.federated_metrics_text())
+                return samples[
+                    ("repro_scheduler_deliveries_total", (("scheduler", scheduler._instance),))
+                ]
+
+            with router:
+                sids = [router.submit(batch) for batch in batches]
+                live, rounds = list(sids), 0
+                while live:
+                    rounds += 1
+                    for sid in list(live):
+                        if sid not in live:
+                            continue
+                        if (rounds, sid) == (3, sids[0]):
+                            router.set_penalty(
+                                sid, CursoredSsePenalty(batches[0].size, high_priority=[0])
+                            )
+                        if (rounds, sid) == (5, sids[1]):
+                            if not eager:  # it leaves with a run it never landed
+                                reg = scheduler._registrations[router._sessions[sids[3]].sid]
+                                assert reg.inbox
+                            router.cancel(sids[3])
+                            live.remove(sids[3])
+                        gained = router.advance(sid, 8)
+                        snap = router.poll(sid)
+                        polls.append((
+                            sid, snap.estimates.tobytes(), snap.steps_taken,
+                            snap.worst_case_bound, snap.skipped_count,
+                        ))
+                        for other in live if eager else ():
+                            router.poll(other)
+                        if eager:  # every run landed at once
+                            assert not any(reg.inbox for reg in scheduler._registrations.values())
+                        if (rounds, sid) == (5, sids[0]):  # another session, read mid-run
+                            peek = sids[2]
+                            if not eager:
+                                assert scheduler._registrations[router._sessions[peek].sid].inbox
+                            snap = router.poll(peek)
+                            middle += [snap.estimates.tobytes(), snap.steps_taken,
+                                       router.cost_report(peek)["counters"]]
+                        if sid == sids[0] and rounds in (4, 6):
+                            if not eager:  # the first read below lands what is pending
+                                assert any(reg.inbox for reg in scheduler._registrations.values())
+                            reads = [metrics_deliveries, lambda: scheduler.counts()["deliveries"]]
+                            middle += [read() for read in reads[:: 1 if rounds == 4 else -1]]
+                        if not gained:
+                            live.remove(sid)
+                # Each session read on its own first, then the counts.
+                reports = {
+                    sid: router.cost_report(sid)["counters"] for sid in router.session_ids()
+                }
+                trajectories = {
+                    sid: [
+                        (r.steps_taken, r.retrievals, r.worst_case_bound)
+                        for r in router.convergence(sid)
+                    ]
+                    for sid in router.session_ids()
+                }
+                counts = scheduler.counts()
+            return polls, counts, reports, trajectories, middle
+
+        lazy, eager = run(eager=False), run(eager=True)
+        # /metrics and counts() agree mid-run, whichever is read first.
+        assert lazy[4] == eager[4]
+        assert lazy[4][0] == lazy[4][1] and lazy[4][5] == lazy[4][6]
+        assert any(poll[4] for poll in lazy[0]), "the dark key must be skipped"
+        assert lazy[0] == eager[0]
+        assert lazy[1] == eager[1] and lazy[1]["deliveries"] > lazy[1]["retrievals"]
+        assert lazy[2] == eager[2]
+        assert lazy[3] == eager[3]
