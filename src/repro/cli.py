@@ -192,42 +192,8 @@ def _finish_trace(args: argparse.Namespace) -> None:
     print(f"wrote {spans} spans to {args.trace_out} (chrome://tracing format)")
 
 
-def _start_profile(args: argparse.Namespace):
-    """Start the sampling profiler when the subcommand got ``--profile-out``."""
-    if getattr(args, "profile_out", None) is None:
-        return None
-    profiler = obs.SamplingProfiler(
-        interval=args.profile_interval, mode=args.profile_mode
-    )
-    profiler.start()
-    return profiler
-
-
-def _finish_profile(args: argparse.Namespace, profiler) -> None:
-    profiler.stop()
-    samples = profiler.export(args.profile_out)
-    print(
-        f"wrote {samples} profile samples to {args.profile_out} "
-        "(collapsed stacks; feed to flamegraph.pl or speedscope)"
-    )
-
-
-def _add_profile_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--profile-out", default=None, dest="profile_out",
-                        help="sample the run and write collapsed flamegraph "
-                        "stacks to this path")
-    parser.add_argument("--profile-interval", type=float, default=0.005,
-                        dest="profile_interval",
-                        help="seconds between profiler samples")
-    parser.add_argument("--profile-mode", choices=["thread", "signal"],
-                        default="thread", dest="profile_mode",
-                        help="thread: all threads, wall-clock sampling; "
-                        "signal: main thread only, CPU-time sampling")
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     tracing = _start_trace(args)
-    profiler = _start_profile(args)
     relation = _build_relation(args)
     delta = relation.frequency_distribution()
     storage = WaveletStorage.build(delta, wavelet=args.wavelet)
@@ -238,8 +204,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     master = evaluator.master_list_size
     budgets = sorted({min(args.budget, master), master})
     _, snaps = evaluator.run_progressive(budgets)
-    if profiler is not None:
-        _finish_profile(args, profiler)
     if tracing:
         _finish_trace(args)
     print(f"batch: {batch.size} queries | master list: {master:,} | "
@@ -432,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="progressive checkpoint (retrievals)")
     p_run.add_argument("--trace-out", default=None, dest="trace_out",
                        help="write a chrome://tracing span trace to this path")
-    _add_profile_args(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_cluster = sub.add_parser(

@@ -14,17 +14,15 @@ approximation*, which Theorem 1 (worst case) and Theorem 2 (average case)
 prove optimal among all B-term approximations.  When the order is
 exhausted the estimates are exact.
 
-:class:`BatchBiggestB` is a one-session façade: step 4 is the loop of
-:class:`~repro.core.session.ProgressiveSession`, whose pick / fetch /
-apply pieces the shared scheduler also runs, so every surface here is
-bit-identical to ``ProgressiveSession.advance(b)``:
-
-* :meth:`BatchBiggestB.steps` — one :class:`ProgressiveStep` per
-  retrieval (interactive use);
-* :meth:`BatchBiggestB.run_progressive` — estimate snapshots at chosen
-  checkpoints;
-* :meth:`BatchBiggestB.run` — the exact answers, one gather and the
-  plan's exact reduction.
+:class:`BatchBiggestB` drives one fresh
+:class:`~repro.core.session.ProgressiveSession` per call of
+:meth:`~BatchBiggestB.steps` (one :class:`ProgressiveStep` per retrieval),
+:meth:`~BatchBiggestB.run_progressive` (snapshots at checkpoints) or
+:meth:`~BatchBiggestB.run` (the exact answers).  Step 4 is the session's
+``_drive`` loop and nothing here calls the store, so every surface is
+bit-identical to ``ProgressiveSession.advance(b)`` and has the session's
+outage contract: a key the store gives up on is skipped, and the
+estimates stay inside the Theorem-1 bound of the keys held.
 """
 
 from __future__ import annotations
@@ -38,35 +36,19 @@ from repro.core.penalties import Penalty
 from repro.core.plan import QueryPlan
 from repro.core.session import ProgressiveSession
 from repro.obs import span, stage
-from repro.obs.ledger import activate as _charge_to
 from repro.queries.vector_query import QueryBatch
 from repro.storage.base import LinearStorage
-from repro.storage.resilient import available_runs, charged_fetch, fetch_degrading
 
 
 @dataclass(frozen=True)
 class ProgressiveStep:
-    """State after one retrieval of the progressive evaluation.
+    """State after one retrieval of the progressive evaluation."""
 
-    Attributes
-    ----------
-    step:
-        1-based number of coefficients retrieved so far (the paper's ``B``).
-    key:
-        The store key just retrieved.
-    importance:
-        Its importance ``iota_p``.
-    coefficient:
-        The retrieved data coefficient.
-    estimates:
-        A copy of all progressive query estimates after this step.
-    """
-
-    step: int
-    key: int
-    importance: float
-    coefficient: float
-    estimates: np.ndarray
+    step: int  #: coefficients retrieved so far (the paper's ``B``), 1-based
+    key: int  #: the store key just retrieved
+    importance: float  #: its importance ``iota_p``
+    coefficient: float  #: the retrieved data coefficient
+    estimates: np.ndarray  #: a copy of every query's estimate after this step
 
 
 class BatchBiggestB:
@@ -80,17 +62,14 @@ class BatchBiggestB:
         rewrites: list | None = None,
         plan: QueryPlan | None = None,
     ) -> None:
-        # Steps 1-3 of Figure 1 (QueryPlan.from_batch).  Callers evaluating
-        # one batch under several penalties can pass the plan (or rewrites)
-        # of a previous evaluator to skip this work — only the ranking
-        # depends on the penalty — and skipped stages cost this account nothing.
+        # Steps 1-3 of Figure 1 (QueryPlan.from_batch).  A plan (or rewrites)
+        # of a previous evaluator skips them: only the ranking depends on
+        # the penalty, and skipped stages cost this account nothing.
         if rewrites is not None and len(rewrites) != batch.size:
             raise ValueError("rewrites must match the batch size")
         if plan is None and rewrites is not None:
             plan = QueryPlan.from_rewrites(rewrites)
-        self.storage = storage
-        self.batch = batch
-        self._rewrites = rewrites
+        self.storage, self.batch, self._rewrites = storage, batch, rewrites
         # Step 4's ranking is the session's: computed once, read off it.
         ranked = ProgressiveSession(storage, batch, penalty, plan=plan)
         self.plan, self.penalty = ranked.plan, ranked.penalty
@@ -100,8 +79,6 @@ class BatchBiggestB:
         self.costs.owner = "batch"
         self.importance, self.order = ranked._importance, ranked._order
         self._sorted_importance = self.importance[self.order]
-        #: ``(store version, coefficients in rank order)`` once fetched.
-        self._ranked_coefficients: tuple | None = None
 
     @property
     def rewrites(self) -> list:
@@ -113,15 +90,9 @@ class BatchBiggestB:
 
     def _session(self) -> ProgressiveSession:
         """A fresh session over this evaluator's plan, charging its account."""
-        session = ProgressiveSession(
-            self.storage, self.batch, self.penalty, plan=self.plan
-        )
+        session = ProgressiveSession(self.storage, self.batch, self.penalty, plan=self.plan)
         session.costs = self.costs
         return session
-
-    # ------------------------------------------------------------------
-    # Sizes (Observation 1's accounting)
-    # ------------------------------------------------------------------
 
     @property
     def master_list_size(self) -> int:
@@ -133,25 +104,19 @@ class BatchBiggestB:
         """Retrievals needed by per-query evaluation *without* sharing."""
         return self.plan.total_query_coefficients
 
-    # ------------------------------------------------------------------
-    # Exact evaluation
-    # ------------------------------------------------------------------
-
     def run(self) -> np.ndarray:
         """Run to exhaustion; returns the exact answers.
 
-        Retrieves every master-list key exactly once, in importance order.
+        Retrieves every master-list key once, in importance order, and sums
+        the answers with the plan's exact reduction.  When the store gives
+        up on some keys, every other key is still retrieved, then the
+        session's degraded ``ValueError`` is raised.
         """
-        with span("batch.run", keys=self.plan.num_keys), _charge_to(self.costs):
-            fetched = charged_fetch(self.storage.store, self.plan.keys[self.order])
-            with stage("apply"):
-                coeff_by_pos = np.empty(self.plan.num_keys)
-                coeff_by_pos[self.order] = fetched
-                return self.plan.exact_estimates(coeff_by_pos)
-
-    # ------------------------------------------------------------------
-    # Progressive evaluation
-    # ------------------------------------------------------------------
+        with span("batch.run", keys=self.plan.num_keys):
+            session = self._session()
+            session.advance(session.remaining)
+            with stage("apply", self.costs, calls=0):
+                return session.exact_answers()
 
     def steps(self, readahead: int = 16) -> Iterator[ProgressiveStep]:
         """The Figure-1 loop: extract max, retrieve, increment, repeat.
@@ -160,96 +125,48 @@ class BatchBiggestB:
         the estimates are exact.
 
         ``readahead`` batches the store reads: the session's next (up to)
-        ``readahead`` pending keys are fetched with one ``fetch`` call,
-        then applied and yielded one at a time.  The step order is the
-        same for every ``readahead`` and retrieval accounting still counts
-        every key, but a paged/disk store sees chunked, importance-ordered
-        reads instead of ``master_list_size`` single-key probes.  (A
-        consumer that abandons the iterator mid-chunk has paid for at most
-        ``readahead - 1`` coefficients it never saw.)  ``readahead=1``
-        reproduces the strict fetch-per-step loop.
-
-        Degradation: when a resilient store abandons a chunked fetch
-        (:class:`~repro.storage.resilient.RetrievalError`), the chunk is
-        re-fetched key by key and only the still-failing keys are skipped
-        — their contributions are simply never applied, which keeps every
-        yielded estimate inside the Theorem-1 bound for its step count.
+        ``readahead`` pending keys are one gather, landed one key at a
+        time, then yielded — the same steps for every ``readahead``
+        (``1`` is the strict fetch-per-step loop), and a consumer that
+        abandons the iterator mid-chunk has paid for at most
+        ``readahead - 1`` coefficients it never saw.  A key the store
+        gives up on is skipped, as ``ProgressiveSession.advance`` skips it.
         """
-        if readahead < 1:
-            raise ValueError(f"readahead must be positive, got {readahead}")
-        session = self._session()
-        while True:
-            keys, iotas = session.upcoming(readahead)
-            if not keys.size:
-                return
-            # The active-account binding covers only the fetch (a generator
-            # must not leave a thread-local bound, or a stage open, across
-            # yields); resilient-store retries inside the fetch land here.
-            with _charge_to(self.costs):
-                values, failed = fetch_degrading(
-                    self.storage.store, keys, "batch.fetch"
-                )
-            positions, served = np.searchsorted(self.plan.keys, keys), session.stamp()
-            for lo, hi in available_runs(keys.size, failed):
-                for i in range(lo, hi):
-                    session._apply_batch(positions[i : i + 1], values[i : i + 1], served)
-                    yield ProgressiveStep(
-                        step=session.steps_taken,
-                        key=int(keys[i]),
-                        importance=float(iotas[i]),
-                        coefficient=float(values[i]),
-                        estimates=session.estimates.copy(),
-                    )
-                if hi < keys.size:
-                    session.skip_many(keys[hi : hi + 1])
+        session, landed = self._session(), []
+        keys, importance = self.plan.keys, session._importance
 
-    def run_progressive(
-        self, checkpoints: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Estimate snapshots at given step counts.
+        def land(positions, values, served):
+            for i, pos in enumerate(positions.tolist()):
+                session._apply_batch(positions[i : i + 1], values[i : i + 1], served)
+                landed.append(ProgressiveStep(
+                    session.steps_taken, int(keys[pos]), float(importance[pos]),
+                    float(values[i]), session.estimates.copy(),
+                ))
 
-        Parameters
-        ----------
-        checkpoints:
-            Step counts ``B`` at which to record the batch estimates; values
-            are clipped to ``[0, master_list_size]`` and sorted.
+        # ``_drive`` binds the account only while it runs: none across a yield.
+        serve = lambda positions: session._serve(positions, land)
+        while session._drive(readahead, None, readahead, session._head, serve):
+            yield from landed
+            landed.clear()
 
-        Returns
-        -------
-        (checkpoints, estimates):
-            The effective checkpoint array and a ``(len(checkpoints),
-            batch_size)`` matrix of progressive estimates.  The store's
-            retrieval counter advances by ``master_list_size`` on the first
-            call (the whole master list is fetched in rank order once);
-            later calls on an unchanged store fetch nothing.
-        """
+    def run_progressive(self, checkpoints: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """``(checkpoints, estimates)``: the step counts ``B``, clipped to
+        ``[0, master_list_size]`` and sorted, and a ``(len(checkpoints),
+        batch_size)`` matrix of the estimates after each.  One fresh
+        session advances to each checkpoint in turn, so a call retrieves
+        ``max(checkpoints)`` keys (fewer when the store gives up on some:
+        those are skipped)."""
         checkpoints = np.unique(
             np.clip(np.asarray(checkpoints, dtype=np.int64), 0, self.plan.num_keys)
         )
-        ordered_keys = self.plan.keys[self.order]
-        # The cached coefficients are *data*, so they are only valid for
-        # the store contents they were fetched from: a streaming insert
-        # between calls must invalidate them, exactly like the
-        # store-version-tied Theorem-1 constant cache in ProgressiveSession.
-        version = getattr(self.storage.store, "version", None)
-        if self._ranked_coefficients is None or self._ranked_coefficients[0] != version:
-            with _charge_to(self.costs):
-                fetched = charged_fetch(
-                    self.storage.store, ordered_keys, "batch.run_progressive.fetch"
-                )
-            self._ranked_coefficients = (version, fetched)
-        fetched = self._ranked_coefficients[1]
         session = self._session()
         out = np.empty((checkpoints.size, self.plan.batch_size))
         for i, b in enumerate(checkpoints.tolist()):
-            done = session.steps_taken
-            session.deliver_many(ordered_keys[done:b], fetched[done:b])
+            session.advance(b - session.steps_taken)
             out[i] = session.estimates
         return checkpoints, out
 
-    # ------------------------------------------------------------------
     # Optimality bounds (Theorems 1 and 2)
-    # ------------------------------------------------------------------
 
     def worst_case_bound(self, b: int) -> float:
         """Theorem 1's guaranteed bound after ``b`` retrievals.
@@ -263,9 +180,8 @@ class BatchBiggestB:
             raise ValueError("b must be non-negative")
         if b >= self.plan.num_keys:
             return 0.0
-        k_const = self.storage.total_l1()
-        alpha = self.penalty.homogeneity
-        return float(k_const**alpha * self._sorted_importance[b])
+        k_alpha = self.storage.total_l1() ** self.penalty.homogeneity
+        return float(k_alpha * self._sorted_importance[b])
 
     def expected_penalty(self, b: int) -> float:
         """Theorem 2's expected penalty after ``b`` retrievals.
@@ -279,8 +195,6 @@ class BatchBiggestB:
             raise ValueError("Theorem 2 applies to quadratic penalties only")
         if b < 0:
             raise ValueError("b must be non-negative")
-        remaining = float(np.sum(self._sorted_importance[b:]))
-        denom = self.storage.domain_size - 1
-        if denom <= 0:
+        if (denom := self.storage.domain_size - 1) <= 0:
             raise ValueError("domain too small for the sphere average")
-        return remaining / denom
+        return float(np.sum(self._sorted_importance[b:])) / denom

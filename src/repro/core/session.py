@@ -118,12 +118,13 @@ class ProgressiveSession:
         self._steps_taken = 0
         self._coefficients = np.zeros(self.plan.num_keys)
         self._exact: np.ndarray | None = None
-        # Rank, and build the first block of columns, now and not in the
-        # first apply: the first ``advance`` must cost what every later
-        # one does.
+        # Rank, and build the first block of columns of a plan that has
+        # none, now and not in the first apply: the first ``advance`` must
+        # cost what every later one does.
         with stage("plan", self.costs):
             self._rank()
-            self.plan.build_next_block()
+            if not self.plan._used:
+                self.plan.build_next_block()
         self._k_const: float | None = None
         self._k_const_version: int | None = None
 
@@ -280,13 +281,14 @@ class ProgressiveSession:
                 serve(picked)
         return self._steps_taken - began
 
-    def _serve(self, positions: np.ndarray) -> None:
-        """One gather of ``positions``, landed; abandoned keys are skipped."""
+    def _serve(self, positions: np.ndarray, land=None) -> None:
+        """One gather of ``positions``, landed (by ``land``, when given,
+        with :meth:`_apply_batch`'s arguments); abandoned keys are skipped."""
         values, failed = fetch_degrading(self.storage.store, self.plan.keys[positions])
-        served = self.stamp()
+        served, land = self.stamp(), land or self._apply_batch
         for lo, hi in available_runs(positions.size, failed):
             if hi > lo:
-                self._apply_batch(positions[lo:hi], values[lo:hi], served)
+                land(positions[lo:hi], values[lo:hi], served)
             if hi < positions.size:
                 self.skip_many(self.plan.keys[positions[hi : hi + 1]])
 
@@ -473,11 +475,11 @@ class ProgressiveSession:
 
         Only valid once :attr:`is_exact`.  Unlike :attr:`estimates` — which
         accumulates one coefficient at a time in retrieval order — this
-        recomputes the answers with the same single
-        :meth:`~repro.core.plan.QueryPlan.exact_estimates` reduction that
-        :meth:`BatchBiggestB.run` uses, so the result is bit-identical to an
-        independent batch evaluation regardless of delivery order.  The
-        O(entries) reduction runs once; later calls copy its result.
+        recomputes the answers with one
+        :meth:`~repro.core.plan.QueryPlan.exact_estimates` reduction (what
+        :meth:`BatchBiggestB.run` returns), so the result is bit-identical
+        to an independent batch evaluation regardless of delivery order.
+        The O(entries) reduction runs once; later calls copy its result.
         """
         if not self.is_exact:
             if self.degraded:

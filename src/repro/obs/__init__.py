@@ -15,9 +15,7 @@ progressive pipeline:
   wall/CPU time per pipeline stage plus retrievals, bytes, cache hits,
   retries and skipped keys, attributed to the session that spent them;
 * :mod:`repro.obs.convergence` — per-session ``(B, retrievals, bound,
-  wall_time)`` event logs, the paper's Figures 5-7 from live telemetry;
-* :mod:`repro.obs.profile` — sampling-profiler hooks (thread- or
-  signal-based, off by default) emitting collapsed flamegraph stacks.
+  wall_time)`` event logs, the paper's Figures 5-7 from live telemetry.
 
 Both collection systems are switchable: :func:`set_enabled` gates
 metrics, the cost ledger and convergence events (default on),
@@ -46,7 +44,6 @@ from repro.obs.metrics import (
     set_enabled,
     snapshot_to_prometheus,
 )
-from repro.obs.profile import SamplingProfiler, profile_run
 from repro.obs.trace import (
     SpanRecord,
     TraceRecorder,
@@ -72,7 +69,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "SamplingProfiler",
     "SpanRecord",
     "TraceRecorder",
     "absorb_portable",
@@ -82,7 +78,6 @@ __all__ = [
     "export_portable",
     "get_recorder",
     "merge_registry_snapshots",
-    "profile_run",
     "set_enabled",
     "set_tracing",
     "snapshot_to_prometheus",

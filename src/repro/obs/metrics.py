@@ -93,6 +93,15 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
+def _plain(value):
+    """``value`` as a Python number: a numpy scalar in a sample would make
+    ``json.dumps(registry.to_json())`` raise."""
+    if type(value) is int or type(value) is float:
+        return value
+    item = getattr(value, "item", None)
+    return value if item is None else item()
+
+
 def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
@@ -154,6 +163,7 @@ class Counter(_Metric):
     def inc(self, amount: int | float = 1, **labels: object) -> None:
         if not _switch.enabled:
             return
+        amount = _plain(amount)
         if amount < 0:
             raise ValueError(f"counters only increase; got {amount}")
         key = self._key(labels)
@@ -186,14 +196,14 @@ class Gauge(_Metric):
     def set(self, value: int | float, **labels: object) -> None:
         if not _switch.enabled:
             return
-        key = self._key(labels)
+        key, value = self._key(labels), _plain(value)
         with self._lock:
             self._samples[key] = value
 
     def inc(self, amount: int | float = 1, **labels: object) -> None:
         if not _switch.enabled:
             return
-        key = self._key(labels)
+        key, amount = self._key(labels), _plain(amount)
         with self._lock:
             self._samples[key] = self._samples.get(key, 0) + amount
 
@@ -239,7 +249,7 @@ class Histogram(_Metric):
     def observe(self, value: int | float, **labels: object) -> None:
         if not _switch.enabled:
             return
-        key = self._key(labels)
+        key, value = self._key(labels), _plain(value)
         idx = bisect_left(self.buckets, value)
         with self._lock:
             sample = self._samples.get(key)

@@ -89,9 +89,9 @@ def fetch_degrading(store, keys: np.ndarray, span=None, histogram=None):
     """One gather; an abandoned multi-key gather degrades to per-key fetches.
 
     The single home of the degradation rule every evaluator shares: the
-    scheduler's serve, the session's (behind ``advance``, ``run_until``
-    and the top-k ranker) and :meth:`BatchBiggestB.steps
-    <repro.core.batch.BatchBiggestB.steps>`.
+    scheduler's serve and the session's (behind ``advance``, ``run_until``,
+    the top-k ranker and every :class:`~repro.core.batch.BatchBiggestB`
+    surface).
     Returns ``(values, failed)``: the values aligned with ``keys`` and the
     indices (ascending, usually none) of the keys whose own fetch was
     abandoned as well, so one unavailable key costs only itself, not its

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import plan as plan_module
 from repro.core.batch import BatchBiggestB
 from repro.core.penalties import (
     CursoredSsePenalty,
@@ -371,7 +372,7 @@ class TestOneLoop:
 
 
 class TestProgressionCacheStaleness:
-    """run_progressive's materialized progression must track store writes."""
+    """run_progressive fetches what it shows, so it tracks store writes."""
 
     def _make(self, rng):
         storage = WaveletStorage.empty((16, 16), wavelet="haar", backend="hash")
@@ -391,20 +392,42 @@ class TestProgressionCacheStaleness:
             i, j = (int(v) for v in rng.integers(0, 16, 2))
             storage.insert((i, j))
         _, after = ev.run_progressive([b])
-        # The stale cache would replay `before`; a fresh evaluator over the
+        # Replaying `before` would be stale; a fresh evaluator over the
         # same (unchanged) plan gives the truth.
         fresh = BatchBiggestB(storage, batch, rewrites=ev.rewrites, plan=ev.plan)
         _, want = fresh.run_progressive([b])
         assert not np.allclose(after, before)
         np.testing.assert_allclose(after, want, atol=1e-9)
 
-    def test_cache_reused_while_store_unchanged(self, rng):
+    def test_a_call_retrieves_up_to_its_last_checkpoint(self, rng):
         storage, batch = self._make(rng)
         ev = BatchBiggestB(storage, batch)
         b = ev.master_list_size
-        _, first = ev.run_progressive([b])
         storage.store.stats.reset()
-        _, second = ev.run_progressive([b // 2, b])
-        # No new retrievals: the materialized progression was reused.
-        assert storage.store.stats.retrievals == 0
-        np.testing.assert_allclose(first[-1], second[-1], atol=1e-12)
+        ev.run_progressive([b // 4, b // 2])
+        assert storage.store.stats.retrievals == b // 2
+        storage.store.stats.reset()
+        ev.run_progressive([b // 2, b])
+        # Each call drives a fresh session: nothing is replayed.
+        assert storage.store.stats.retrievals == b
+
+
+class TestSharedPlan:
+    """Every surface drives a fresh session over the evaluator's plan;
+    a session over a plan that has columns builds none up front."""
+
+    def test_calls_build_no_column_block(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "COLUMN_BLOCK", 3000)
+        data = np.random.default_rng(0).poisson(2.0, size=(128, 128)).astype(float)
+        storage = WaveletStorage.build(data, wavelet="db2")
+        batch = partition_count_batch((128, 128), (8, 8), rng=np.random.default_rng(1))
+        ev = BatchBiggestB(storage, batch)
+        built = ev.plan._used
+        assert 0 < built < ev.plan.num_entries
+        for _ in range(2):
+            ev.run_progressive([10])
+            next(ev.steps())
+        assert ev.plan._used == built
+        ev.run()  # the exact reduction builds every column, once
+        ev.run()
+        assert ev.plan._used == ev.plan.num_entries

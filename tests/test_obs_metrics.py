@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -194,6 +195,18 @@ class TestExposition:
         hist = snapshot["repro_test_lat_seconds"]["samples"][0]
         assert hist["count"] == 2
         assert hist["sum"] == pytest.approx(2.05)
+
+    def test_numpy_scalars_round_trip_through_json(self, registry, telemetry_on):
+        registry.counter("repro_test_np_total").inc(np.int64(3))
+        gauge = registry.gauge("repro_test_np_gauge")
+        gauge.set(np.float32(0.5))
+        gauge.inc(np.int32(2))
+        registry.histogram("repro_test_np_seconds").observe(np.float64(0.25))
+        snapshot = json.loads(json.dumps(registry.to_json()))
+        assert snapshot["repro_test_np_total"]["samples"][0]["value"] == 3
+        assert snapshot["repro_test_np_gauge"]["samples"][0]["value"] == 2.5
+        assert snapshot["repro_test_np_seconds"]["samples"][0]["sum"] == 0.25
+        assert type(registry.counter("repro_test_np_total").value()) is int
 
     def test_reset_keeps_declarations(self, registry, telemetry_on):
         self._populate(registry)

@@ -543,3 +543,52 @@ class TestStepsDegradation:
         degraded = BatchBiggestB(storage.with_store(resilient), batch)
         served = [step.key for step in degraded.steps(readahead=8)]
         assert set(served) == set(keys.tolist()) - blackout
+
+
+class TestOneOutageContract:
+    """The rank-5 key of a 32x32 Haar partition is dark: every
+    ``BatchBiggestB`` surface degrades the way a session does."""
+
+    DARK_RANK = 5
+
+    @pytest.fixture
+    def dark(self):
+        data = np.random.default_rng(0).poisson(2.0, size=(32, 32)).astype(float)
+        storage = WaveletStorage.build(data, wavelet="haar")
+        batch = partition_count_batch((32, 32), (4, 4), rng=np.random.default_rng(1))
+        clean = BatchBiggestB(storage, batch)
+        key = int(clean.plan.keys[clean.order[self.DARK_RANK]])
+        stack = chaos_stack(storage.store, {"blackout_keys": [key], "max_attempts": 1})
+        evaluator = BatchBiggestB(storage.with_store(stack), batch)
+        return evaluator, batch.exact_dense(data), key
+
+    def _within_bound(self, evaluator, estimates, exact, steps):
+        # Held: every key ranked before ``steps`` but the dark one, so the
+        # most important unused key is the dark key once it is passed.
+        bound = evaluator.worst_case_bound(min(steps, self.DARK_RANK))
+        return SsePenalty()(estimates - exact) <= bound * (1 + 1e-9) + 1e-9
+
+    def test_steps_skip_the_dark_key(self, dark):
+        evaluator, exact, key = dark
+        steps = list(evaluator.steps(readahead=4))
+        assert len(steps) == evaluator.master_list_size - 1
+        assert key not in {step.key for step in steps}
+        for step in steps:
+            assert self._within_bound(evaluator, step.estimates, exact, step.step)
+
+    def test_run_progressive_skips_the_dark_key(self, dark):
+        evaluator, exact, _ = dark
+        before = evaluator.costs.retrievals
+        checkpoints, snaps = evaluator.run_progressive([3, 10, 100])
+        assert checkpoints.tolist() == [3, 10, evaluator.master_list_size]
+        assert evaluator.costs.retrievals - before == evaluator.master_list_size - 1
+        assert evaluator.costs.skipped_keys == 1
+        for b, snap in zip(checkpoints.tolist(), snaps):
+            assert self._within_bound(evaluator, snap, exact, b)
+
+    def test_run_lands_everything_else_then_raises(self, dark):
+        evaluator, _, _ = dark
+        before = evaluator.costs.retrievals
+        with pytest.raises(ValueError, match="degraded: 1 keys unavailable"):
+            evaluator.run()
+        assert evaluator.costs.retrievals - before == evaluator.master_list_size - 1
