@@ -89,8 +89,9 @@ class BatchBiggestB:
         return self._rewrites
 
     def _session(self) -> ProgressiveSession:
-        """A fresh session over this evaluator's plan, charging its account."""
-        session = ProgressiveSession(self.storage, self.batch, self.penalty, plan=self.plan)
+        """A fresh session over this evaluator's plan and ranking, on its account."""
+        session = ProgressiveSession(self.storage, self.batch, self.penalty, plan=self.plan,
+                                     _ranking=(self.importance, self.order))
         session.costs = self.costs
         return session
 

@@ -90,6 +90,7 @@ class ProgressiveSession:
         penalty: Penalty | None = None,
         convergence_capacity: int = 1024,
         plan: QueryPlan | None = None,
+        *, _ranking: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self.storage = storage
         self.batch = batch
@@ -122,11 +123,9 @@ class ProgressiveSession:
         # none, now and not in the first apply: the first ``advance`` must
         # cost what every later one does.
         with stage("plan", self.costs):
-            self._rank()
+            self._rank(_ranking)
             if not self.plan._used:
                 self.plan.build_next_block()
-        self._k_const: float | None = None
-        self._k_const_version: int | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -202,10 +201,10 @@ class ProgressiveSession:
     def worst_case_bound(self) -> float:
         """Theorem-1 bound on the penalty of the *current* estimates.
 
-        The constant ``K = sum |Delta_hat|`` is cached, but the cache is
-        tied to the store's mutation counter: streaming inserts change the
-        stored coefficients, so a bound computed after an update reflects
-        the updated store.
+        The constant ``K = sum |Delta_hat|`` is the store's, which sums it
+        once per mutation counter: streaming inserts change the stored
+        coefficients, so a bound computed after an update reflects the
+        updated store.
 
         Skipped (unavailable) keys count as *unused*: the bound is taken
         over the most important coefficient that is pending **or**
@@ -586,9 +585,9 @@ class ProgressiveSession:
         """The largest importance among the skipped keys (their bound mass)."""
         return float(self._importance[self._skipped].max(initial=0.0))
 
-    def _rank(self) -> None:
-        """(Re-)sort the unretrieved keys under the current penalty."""
-        self._importance, order = self.plan.ranking(self.penalty)
+    def _rank(self, ranking: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+        """(Re-)sort the unretrieved keys by the penalty's ``ranking`` (if not given)."""
+        self._importance, order = ranking or self.plan.ranking(self.penalty)
         self._order = order[~self._retrieved[order]]
         self._cursor = 0
 
@@ -638,9 +637,5 @@ class ProgressiveSession:
         return max(float(iota), self._skipped_max_iota)
 
     def _k_alpha(self) -> float:
-        """Theorem 1's ``K**alpha``; ``K`` is cached per store version."""
-        version = getattr(self.storage.store, "version", None)
-        if self._k_const is None or version != self._k_const_version:
-            self._k_const = self.storage.total_l1()
-            self._k_const_version = version
-        return self._k_const**self.penalty.homogeneity
+        """Theorem 1's ``K**alpha`` (the store keeps ``K`` per version)."""
+        return self.storage.total_l1() ** self.penalty.homogeneity

@@ -13,10 +13,11 @@ overlap too — whole-domain partitions share every coarse wavelet key.  The
   every session whose master list still lacks it
   (:meth:`ProgressiveSession.deliver_at`), so concurrent batches never
   pay for the same key twice;
-* fetched coefficients stay in a coefficient cache while any live session
-  that ever had them pending is registered, so a session submitted later
-  gets overlapping keys served without new I/O (the Storyboard-style
-  reuse of precomputed state).
+* fetched coefficients stay cached while any live session that ever had
+  them pending is registered, so a session submitted later gets
+  overlapping keys served without new I/O (the Storyboard-style reuse of
+  precomputed state).  The cache is three union-aligned columns — value,
+  *has* mask, holder count — read by gather and released in one pass.
 
 The scheduler keeps no loop of its own: ``advance_session`` hands its
 *pick* and *serve* to the driving session's loop
@@ -29,10 +30,11 @@ chunk is one pass over the live sessions.  Two
 structures, built at ``register``, ``deregister``, ``reprioritize`` and
 ``shed`` and never inside ``advance``, make that so:
 
-* **the union index** — the sorted union of the live master lists, and
-  per registration an int32 row: the master position of each union key
-  (-1: absent).  A chunk is union indices; a session reads its
-  positions with one row gather;
+* **the union index** — the sorted union of the live master lists (a
+  cancel's keys leave it at the next registration), and per registration
+  an int32 row: the master position of each union key (-1: absent).  A
+  chunk is union indices; a session reads its positions with one row
+  gather, and the cache columns move with the union when it is rebuilt;
 * **the merged queue** — the union keys pending somewhere, in the
   one-key loop's order (max pending importance desc, key asc), with a
   *done* mask.  A key leaves every holder's pending set at once — a
@@ -41,8 +43,10 @@ structures, built at ``register``, ``deregister``, ``reprioritize`` and
   importance: the order holds until a session joins, leaves with keys
   pending, re-ranks or loses a shard.
 
-With one live session both are its own: its master list and its rank
-order from its cursor (no sort, no copy).  A chunk is then:
+The layout is one for any number of sessions.  A lone session
+registered alone has its master list as the union and the identity as
+its row, and its queue is its own pending rank order (no sort): only the
+queue build reads how many sessions are live.  A chunk is:
 
 * **pick** — the queue from its cursor, past done keys, up to the key
   that brings the advancing session its ``k``-th gain (a key it lacks,
@@ -89,13 +93,18 @@ class _Registration:
     #: (at ``register`` or a later ``reprioritize``): the keys whose
     #: cached coefficients it keeps alive.
     held: np.ndarray
-    #: Union index -> master position (-1: not in this master list);
-    #: None while this is the only live session (the identity).
-    row: np.ndarray | None = None
+    #: Union index -> master position (-1: not in this master list).
+    row: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
     #: ``(picked, values, cached, stamp)`` runs served, not landed here yet.
     inbox: list = field(default_factory=list)
     #: Keys picked by this session's last advance.
     picked: int = 0
+
+    def on_union(self, mask: np.ndarray) -> np.ndarray:
+        """A mask over master positions as a mask over the union index."""
+        union = self.row >= 0
+        union[union] = mask
+        return union
 
 
 class SharedRetrievalScheduler:
@@ -152,11 +161,13 @@ class SharedRetrievalScheduler:
         )
         self._lock = threading.RLock()
         self._registrations: dict[int, _Registration] = {}
-        self._coefficients: dict[int, float] = {}
         self._ids = itertools.count()
-        #: The union index, the merged queue, its done mask and cursor
-        #: (module docstring; no queue while at most one session is live).
-        self._union = self._queue = self._done = None
+        #: The union index and its cache columns: each key's value, whether
+        #: it is cached, and how many live registrations hold it; the
+        #: merged queue, its done mask and cursor (module docstring).
+        self._union = self._queue = np.empty(0, dtype=np.int64)
+        self._value, self._has = np.empty(0), np.zeros(0, dtype=bool)
+        self._holders, self._done = np.zeros(0, dtype=np.int32), np.zeros(0, dtype=bool)
         self._cursor = 0
 
     # ------------------------------------------------------------------
@@ -167,9 +178,10 @@ class SharedRetrievalScheduler:
         """Add a live session; returns its scheduler id."""
         with self._lock:
             sid = next(self._ids)
-            self._registrations[sid] = _Registration(session, session.pending_mask())
+            self._registrations[sid] = reg = _Registration(session, session.pending_mask())
             self._live_sessions.inc(scheduler=self._instance)
             self._index(union=True)
+            self._holders += reg.on_union(reg.held)
             return sid
 
     def deregister(self, sid: int) -> None:
@@ -185,17 +197,9 @@ class SharedRetrievalScheduler:
                 return
             self._land(reg)
             self._live_sessions.dec(scheduler=self._instance)
-            keys = reg.session.plan.keys[reg.held]
-            kept = np.zeros(keys.size, dtype=bool)
-            for other in self._registrations.values():
-                kept |= np.isin(
-                    keys, other.session.plan.keys[other.held], assume_unique=True
-                )
-            for key in keys[~kept].tolist():
-                self._coefficients.pop(key, None)
-            # Its keys' max pending importance may drop; the union keeps
-            # its master list until the next registration.
-            if len(self._registrations) < 2 or reg.session.pending_mask().any():
+            self._holders -= reg.on_union(reg.held)
+            self._has &= self._holders > 0
+            if reg.session.pending_mask().any():  # its keys' max may drop
                 self._index()
 
     def reprioritize(self, sid: int) -> None:
@@ -208,7 +212,9 @@ class SharedRetrievalScheduler:
         """
         with self._lock:
             reg = self._registrations[sid]
-            reg.held |= reg.session.pending_mask()
+            new = reg.session.pending_mask() & ~reg.held
+            reg.held |= new
+            self._holders += reg.on_union(new)
             self._index()
 
     def shed(self, lost: Callable[[np.ndarray], np.ndarray]) -> None:
@@ -303,35 +309,39 @@ class SharedRetrievalScheduler:
 
     def _index(self, union: bool = False) -> None:
         """Rebuild the merged queue — pending union keys by max pending
-        importance desc, key asc (a stable sort of ascending union
-        indices) — after the union index if ``union`` (a registration).
-        One live session: its master list, identity rows, its order."""
+        importance desc, key asc; one live session's own pending rank order
+        needs no sort — after the union index and its columns if ``union``."""
         self.land()
         regs = list(self._registrations.values())
-        if len(regs) < 2:
-            self._union = regs[0].session.plan.keys if regs else None
-            self._queue = self._done = None
-            for reg in regs:
-                reg.row = None
-            return
         if union:
-            keys = self._union  # the only session's keys, or the last union ...
-            if regs[0].row is not None:  # ... less the keys of departed sessions
-                keys = keys[np.any([reg.row >= 0 for reg in regs[:-1]], axis=0)]
-            self._union = keys = np.union1d(keys, regs[-1].session.plan.keys)
+            kept = np.zeros(self._union.size, dtype=bool)
+            for reg in regs[:-1]:  # less the keys of departed sessions
+                kept |= reg.row >= 0
+            old, own = self._union[kept], regs[-1].session.plan.keys
+            self._union = keys = np.union1d(old, own) if old.size else own
+            moved = np.searchsorted(keys, old)
+            for name in ("_value", "_has", "_holders"):
+                column = getattr(self, name)
+                setattr(self, name, np.zeros(keys.size, dtype=column.dtype))
+                getattr(self, name)[moved] = column[kept]
             for reg in regs:
                 own = reg.session.plan.keys
                 reg.row = np.full(keys.size, -1, dtype=np.int32)
-                reg.row[np.searchsorted(keys, own)] = np.arange(own.size, dtype=np.int32)
-        best = np.full(self._union.size, -np.inf)
-        for reg in regs:
-            pending = np.flatnonzero(reg.session.pending_mask())
-            where = np.flatnonzero(reg.row >= 0)[pending]
-            best[where] = np.maximum(best[where], reg.session._importance[pending])
-        queue = np.flatnonzero(best > -np.inf)
-        self._queue = queue[np.argsort(-best[queue], kind="stable")]
-        self._done = np.zeros(self._union.size, dtype=bool)
-        self._cursor = 0
+                at = np.searchsorted(keys, own) if own.size < keys.size else slice(None)
+                reg.row[at] = np.arange(own.size, dtype=np.int32)  # equal sizes: the identity
+        if len(regs) == 1:
+            order = regs[0].session._order
+            order = order[regs[0].session.pending_mask()[order]]
+            queue = np.flatnonzero(regs[0].row >= 0)[order]
+        else:
+            best = np.full(self._union.size, -np.inf)
+            for reg in regs:
+                pending = reg.session.pending_mask()
+                where = reg.on_union(pending)
+                best[where] = np.maximum(best[where], reg.session._importance[pending])
+            queue = np.flatnonzero(best > -np.inf)
+            queue = queue[np.argsort(-best[queue], kind="stable")]
+        self._queue, self._done, self._cursor = queue, np.zeros(self._union.size, dtype=bool), 0
 
     def _pick(self, reg: _Registration | None, need: int, limit: int) -> np.ndarray:
         """Union indices of the merged pending order up to the key that
@@ -339,12 +349,9 @@ class SharedRetrievalScheduler:
 
         Every key it lacks is a gain, pending or skipped (a delivery
         un-skips it); lacking nothing pending anywhere (degraded), it is
-        served the merged remainder.  One live session: its own head.
-        ``reg`` None: every key is a gain (the schedule's head).
+        served the merged remainder.  ``reg`` None: every key is a gain
+        (the schedule's head).
         """
-        if self._queue is None:
-            only = reg or next(iter(self._registrations.values()))
-            return only.session._head(need, limit)
         queue, done = self._queue, self._done
         scan, width, blocks, gains = self._cursor, need, [], 0
         while need and scan < queue.size and limit:  # doubling blocks past done keys
@@ -367,27 +374,21 @@ class SharedRetrievalScheduler:
         return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
 
     def _uncached(self, picked: np.ndarray) -> np.ndarray:
-        keys = self._union[picked]
-        return keys[[key not in self._coefficients for key in keys.tolist()]]
+        return self._union[picked[~self._has[picked]]]
 
     def _serve_batch(self, driver: _Registration, picked: np.ndarray) -> None:
         """Fetch and deliver one chunk of picked union indices, in serve
         order.
 
-        Uncached keys go to the store as **one** gather
-        (:func:`~repro.storage.resilient.fetch_degrading` owns the
-        per-key fallback).  Deliveries are applied as maximal runs of
-        available keys between failures, so per-session estimate
+        Cached keys are read off the columns; the rest go to the store as
+        **one** gather (:func:`~repro.storage.resilient.fetch_degrading`
+        owns the per-key fallback).  Deliveries are applied as maximal
+        runs of available keys between failures, so per-session estimate
         updates, counters, and bound records land in exactly the scalar
         order: into ``driver`` now, into the others' inboxes.
         """
         driver.picked += picked.size
-        keys = self._union[picked]
-        cache = self._coefficients
-        cached = np.array([key in cache for key in keys.tolist()], dtype=bool)
-        values = np.empty(keys.size)
-        if cached.any():
-            values[cached] = [cache[key] for key in keys[cached].tolist()]
+        keys, cached, values = self._union[picked], self._has[picked], self._value[picked]
         failed: list[int] = []
         if not cached.all():
             missing = np.flatnonzero(~cached)
@@ -396,7 +397,7 @@ class SharedRetrievalScheduler:
             )
             failed = missing[lost].tolist()
             fetched = np.delete(missing, lost) if lost else missing
-            cache.update(zip(keys[fetched].tolist(), values[fetched].tolist()))
+            self._value[picked[fetched]], self._has[picked[fetched]] = values[fetched], True
             self._count("retrievals", fetched.size)
         stamp = driver.session.stamp()
         for lo, hi in available_runs(keys.size, failed):
@@ -413,8 +414,7 @@ class SharedRetrievalScheduler:
                 for reg in self._registrations.values()
             ):
                 self._count("skipped_keys")
-        if self._done is not None:  # delivered or skipped wherever pending
-            self._done[picked] = True
+        self._done[picked] = True  # delivered or skipped wherever pending
 
     def _land(self, reg: _Registration) -> None:
         """Deliver ``reg``'s inbox as one run, each key keeping its serve's stamp."""
@@ -428,8 +428,7 @@ class SharedRetrievalScheduler:
             self._deliver(reg, picked, values, cached, stamp)
 
     def _deliver(self, reg: _Registration, picked, values, cached, stamp) -> None:
-        positions = picked if reg.row is None else reg.row[picked]
-        applied = reg.session.deliver_at(positions, values, stamp)
+        applied = reg.session.deliver_at(reg.row[picked], values, stamp)
         deliveries = int(np.count_nonzero(applied))
         if deliveries:
             self._count("deliveries", deliveries)

@@ -59,8 +59,9 @@ class CountingStore:
         self.backend = backend
         self.stats = IOStatistics()
         #: Mutation counter: bumped by every write so cached aggregates
-        #: (e.g. a session's Theorem-1 constant) can detect staleness.
+        #: (e.g. the Theorem-1 constant) can detect staleness.
         self.version = 0
+        self._l1 = (-1, 0.0)  # (version, K): the last total_l1()
         if backend == "dense":
             if values is None:
                 self._dense = np.zeros(self.key_space_size, dtype=np.float64)
@@ -133,10 +134,13 @@ class CountingStore:
     # ------------------------------------------------------------------
 
     def total_l1(self) -> float:
-        """``K = sum |value|`` over the whole store (Theorem 1's constant)."""
-        if self._dense is not None:
-            return float(np.sum(np.abs(self._dense)))
-        return float(sum(abs(v) for v in self._hash.values()))
+        """``K = sum |value|`` over the whole store (Theorem 1's constant),
+        summed once per :attr:`version`."""
+        if self._l1[0] != self.version:
+            dense, table = self._dense, self._hash
+            total = np.sum(np.abs(dense)) if dense is not None else sum(map(abs, table.values()))
+            self._l1 = (self.version, float(total))
+        return self._l1[1]
 
     def total_l2_squared(self) -> float:
         """``sum value**2`` over the whole store (for Cauchy-Schwarz bounds).

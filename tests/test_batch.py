@@ -431,3 +431,21 @@ class TestSharedPlan:
         ev.run()  # the exact reduction builds every column, once
         ev.run()
         assert ev.plan._used == ev.plan.num_entries
+
+    def test_calls_rank_the_plan_once(self, monkeypatch, rng, data_2d):
+        calls = []
+        ranking = plan_module.QueryPlan.ranking
+        monkeypatch.setattr(
+            plan_module.QueryPlan, "ranking",
+            lambda plan, penalty: calls.append(penalty) or ranking(plan, penalty),
+        )
+        storage = WaveletStorage.build(data_2d, wavelet="haar")
+        ev = BatchBiggestB(storage, make_batch(rng))
+        assert len(calls) == 1
+        exact = ev.run()
+        ev.run_progressive([5, 10])
+        steps = list(ev.steps(readahead=4))
+        assert len(calls) == 1
+        # The reused ranking serves what a fresh one would.
+        assert [step.key for step in steps] == ev.plan.keys[ev.order].tolist()
+        np.testing.assert_allclose(steps[-1].estimates, exact)

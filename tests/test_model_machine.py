@@ -90,6 +90,18 @@ class RecordingStore:
 CHUNKS = [1, 7, 64, None]
 
 
+def cached_keys(scheduler):
+    """The keys the scheduler's coefficient cache holds."""
+    return set(scheduler._union[scheduler._has].tolist())
+
+
+def merged_order(scheduler):
+    """The keys the scheduler would serve next, in order: its merged queue
+    from the cursor, past done keys."""
+    queue = scheduler._queue[scheduler._cursor :]
+    return scheduler._union[queue[~scheduler._done[queue]]].tolist()
+
+
 class ProcessLikeShard(InlineShard):
     """An inline shard the router takes for a process shard: it reads
     ahead over it, and the command runs at ``recv``."""
@@ -255,6 +267,11 @@ class ServiceMachine(RuleBasedStateMachine):
             "cache_deliveries": self.model.cache_deliveries,
             "skipped_keys": self.model.skipped_keys,
         }
+        # The scheduler's own state is the model's: the cached keys, and
+        # the merged order it would serve from here.
+        scheduler = self.service.scheduler
+        assert cached_keys(scheduler) == set(self.model.cache)
+        assert merged_order(scheduler) == self.model.order()
         if self.SHARDS:
             readahead = self.service.store._readahead
             assert (readahead.value(outcome="used"), readahead.value(outcome="unused")) == (

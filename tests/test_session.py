@@ -132,7 +132,7 @@ class TestWorstCaseConstantInvalidation:
         storage = WaveletStorage.empty((16, 16), wavelet="haar")
         storage.insert((3, 4), weight=2.0)
         session = ProgressiveSession(storage, batch)
-        session.worst_case_bound()  # caches K for the current store
+        session.worst_case_bound()  # the store caches K for its version
         storage.insert((9, 12), weight=5.0)
         fresh = ProgressiveSession(storage, batch)
         assert session.worst_case_bound() == pytest.approx(
@@ -143,8 +143,10 @@ class TestWorstCaseConstantInvalidation:
         storage, batch, _ = setup
         session = ProgressiveSession(storage, batch)
         first = session.worst_case_bound()
+        summed = storage.store._l1  # K is the store's, kept per version
+        assert summed == (storage.store.version, storage.total_l1())
         assert session.worst_case_bound() == first
-        assert session._k_const is not None
+        assert storage.store._l1 is summed
 
 
 class TestPenaltySwitch:

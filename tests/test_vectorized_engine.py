@@ -56,6 +56,11 @@ class RecordingStore:
         return getattr(self.inner, name)
 
 
+def cached_keys(scheduler):
+    """The keys the scheduler's coefficient cache holds."""
+    return set(scheduler._union[scheduler._has].tolist())
+
+
 def chaos_store(storage, seed, blackout=(), transient_rate=0.0, max_attempts=64):
     injector = FaultInjectingStore(
         storage.store,
@@ -283,15 +288,37 @@ class TestArrayQueues:
         assert a_keys & b_keys and a_keys - b_keys
         service.run_to_completion(a)
         scheduler = service.scheduler
-        cached = set(scheduler._coefficients)
+        cached = cached_keys(scheduler)
         assert a_keys <= cached
         service.cancel(a)
         # Only the keys the surviving session holds stay cached.
-        assert set(scheduler._coefficients) == cached & b_keys
+        assert cached_keys(scheduler) == cached & b_keys
         assert len(scheduler._registrations) == 1
         service.cancel(b)
         assert not scheduler._registrations
-        assert not scheduler._coefficients
+        assert not cached_keys(scheduler)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, None])
+    def test_cancel_mid_run_keeps_exactly_the_survivors_held_keys(self, storage, chunk):
+        recorder = RecordingStore(storage.store)
+        service = ProgressiveQueryService(storage.with_store(recorder), chunk_size=chunk)
+        a, b = service.submit(make_batch(94)), service.submit(make_batch(95))
+        service.advance(a, 40)
+        service.advance(b, 25)
+        scheduler = service.scheduler
+        fetched = set(recorder.order)
+        assert cached_keys(scheduler) == fetched
+        survivor, reg_id = service._sessions[b]
+        held = set(survivor.plan.keys[scheduler._registrations[reg_id].held].tolist())
+        assert fetched - held, "a's private keys were fetched"
+        service.cancel(a)
+        assert cached_keys(scheduler) == fetched & held
+        # The survivor is served its cached keys without I/O, the rest once.
+        lacked = held - set(survivor.retrieved_keys().tolist())
+        seen = len(recorder.order)
+        service.run_to_completion(b)
+        assert set(recorder.order[seen:]) == lacked - fetched
+        assert len(recorder.order) - seen == len(lacked - fetched)
 
     def test_shared_keys_fetched_once_for_every_chunk_size(self, storage):
         totals = []
